@@ -26,6 +26,17 @@ def _parse_shape(text: str) -> tuple:
     return shape
 
 
+def _weight_bound(text: str) -> int:
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad weight bound {text!r}; expected an integer")
+    if bound < 0:
+        # a negative bound selects no cases, and a check over no cases proves nothing
+        raise argparse.ArgumentTypeError("weight bound must be nonnegative")
+    return bound
+
+
 def _emit(text: str, args) -> None:
     path = getattr(args, "output", None)
     if path is None:
@@ -230,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     check_sub = check.add_subparsers(dest="subcommand", required=True)
 
     cob = check_sub.add_parser("coboundary", help="involutivity and the compatibility square")
-    cob.add_argument("--max", type=int, default=2)
+    cob.add_argument("--max", type=_weight_bound, default=2)
     add_output(cob)
     cob.set_defaults(func=_cmd_check_coboundary)
 
     ca = check_sub.add_parser("cactus-action", help="cactus group presentation on tensor words")
     ca.add_argument("--factors", type=int, default=3)
-    ca.add_argument("--max", type=int, default=2)
+    ca.add_argument("--max", type=_weight_bound, default=2)
     add_output(ca)
     ca.set_defaults(func=_cmd_check_cactus_action)
 
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.set_defaults(func=_cmd_check_obstruction)
 
     kt = check_sub.add_parser("kt07", help="reduced unitarized braiding vs signed commutor")
-    kt.add_argument("--max", type=int, default=3)
+    kt.add_argument("--max", type=_weight_bound, default=3)
     add_output(kt)
     kt.set_defaults(func=_cmd_check_kt07)
 

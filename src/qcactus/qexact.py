@@ -1,19 +1,29 @@
 """Exact arithmetic in the field of rational functions of q^(1/2).
 
 Everything is stored in the variable Q = q^(1/2) with integer exponents,
-so "half powers of q" never need fractional bookkeeping.  Two objects do
-all of the work:
+so "half powers of q" never need fractional bookkeeping.  Two types carry
+the values:
 
   HalfLaurent -- a Laurent polynomial in Q with exact rational coefficients,
-                 kept as a sparse exponent -> Fraction map;
-  QRational   -- a quotient of two HalfLaurents in canonical form.
+                 kept as a sparse exponent -> Fraction map; it is the
+                 input and output type (numerators, denominators, parsing);
+  QRational   -- a rational function c * N / D, where c is one Fraction and
+                 N, D are dense tuples of ints, index i holding the
+                 coefficient of Q^i.
 
-Canonical form: numerator and denominator are honest polynomials in Q
-(no negative exponents, not both divisible by Q), coprime over the
-rationals, and the denominator is integer-primitive with a positive
-leading coefficient.  With that normalization, equality of values is
-structural equality of the stored data, which is what every verification
-routine in this package relies on.
+Canonical form: N and D are primitive (coefficient gcd 1) with positive
+leading coefficients, coprime over the rationals, and not both divisible
+by Q; zero is c = 0, N = (), D = (1,).  The numerator c * N and the
+integer-primitive denominator D are therefore unique, so equality of
+values is structural equality of the stored data, which is what every
+verification routine in this package relies on.
+
+Field arithmetic never leaves the integers.  Products are int
+convolutions; sums are integer combinations over the cofactors of the
+two denominators; common factors are found by the heuristic integer gcd
+(evaluation at a power of two, accepted only when exact division proves
+it) and divided out.  The gcd is skipped when either side is a
+monomial in Q, which covers every Laurent polynomial.
 
 The subring of elements regular at q = infinity consists of the fractions
 whose numerator Q-degree does not exceed the denominator Q-degree; on it,
@@ -25,7 +35,7 @@ function, so they are safe to share between threads.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 import re
 
 __all__ = [
@@ -174,58 +184,149 @@ class HalfLaurent:
         return total
 
     def __str__(self):
-        return _poly_str(self)
+        return _terms_str(sorted(self._coeffs.items(), reverse=True))
 
     def __repr__(self):
         return f"HalfLaurent({dict(sorted(self._coeffs.items()))!r})"
 
 
-# -- dense polynomial helpers (exponents >= 0, index = Q-exponent) --------
+# -- dense integer polynomials: nonempty int tuples, index = Q-exponent -----
 
-def _to_list(h: HalfLaurent) -> list:
-    deg = h.degree()
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in h.items():
-        out[e] = c
+def _mul(a, b):
+    """Product of two nonzero polynomials (int convolution)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        x = b[0]
+        return a if x == 1 else tuple(x * y for y in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _primitive(a):
+    """(content, primitive part) of a nonzero polynomial.
+
+    The content carries the sign that makes the primitive part's leading
+    coefficient positive.
+    """
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, tuple(a)
+    return g, tuple(x // g for x in a)
+
+
+def _quotient(a, g):
+    """a / g if g divides a over Z, else None."""
+    dg = len(g) - 1
+    if not dg:
+        return a
+    r = list(a)
+    lg = g[-1]
+    out = [0] * (len(a) - dg)
+    for i in range(len(out) - 1, -1, -1):
+        c = r[i + dg]
+        if c:
+            k, rem = divmod(c, lg)
+            if rem:
+                return None
+            out[i] = k
+            for j in range(dg):
+                r[i + j] -= k * g[j]
+    if any(r[:dg]):
+        return None
+    return tuple(out)
+
+
+def _at_power_of_two(a, k):
+    """a(2^k) as one integer."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << k) + c
+    return acc
+
+
+def _from_power_of_two(v, k):
+    """The polynomial with value v at 2^k and coefficients in (-2^(k-1), 2^(k-1)]."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    while v:
+        c = v & mask
+        if c > half:
+            c -= 1 << k
+        out.append(c)
+        v = (v - c) >> k
     return out
 
 
-def _from_list(cs) -> HalfLaurent:
-    return HalfLaurent({e: c for e, c in enumerate(cs) if c})
+def _gcd_quotients(a, b):
+    """(a / g, b / g, g) for g the gcd of two primitive polynomials (GCDHEU).
+
+    The heuristic gcd of Char, Geddes and Gonnet (1989): evaluate at
+    xi = 2^k >= 2 min(|a|, |b|) + 2 (max-norms), take the integer gcd h,
+    and read a polynomial back from the digits of h in base xi, each in
+    (-xi/2, xi/2].  If its primitive part g divides both a and b (checked
+    by exact division), g is the gcd: were it a proper divisor D / R of the
+    gcd D, the content of the digit polynomial would be a multiple of
+    R(xi), and |R(xi)| > xi/2 because R's roots lie inside the Cauchy
+    bound 1 + min(|a|, |b|).  A failed division only means xi was too
+    small, so xi is squared and the step repeated.
+    """
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    while True:
+        h = gcd(_at_power_of_two(a, k), _at_power_of_two(b, k))
+        g = _primitive(_from_power_of_two(h, k))[1]
+        qa = _quotient(a, g)
+        if qa is not None:
+            qb = _quotient(b, g)
+            if qb is not None:
+                return qa, qb, g
+        k *= 2
 
 
-def _trim(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
+def _cancel(a, b):
+    """(a / g, b / g, g) for g the gcd of two primitive polynomials.
+
+    The common power of Q is split off first; after that a monomial on
+    either side is coprime to the other, so the gcd is only computed when
+    both sides have two or more terms.
+    """
+    v = 0
+    while not (a[v] or b[v]):
+        v += 1
+    if v:
+        a, b = a[v:], b[v:]
+    g = (1,)
+    if any(a[:-1]) and any(b[:-1]):
+        a, b, g = _gcd_quotients(a, b)
+    return a, b, (0,) * v + g
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    if not _trim(list(b)):
-        raise ZeroDivisionError("polynomial division by zero")
-    b = _trim(list(b))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-    return _trim(q), _trim(a)
+def _lincomb(ka, a, kb, b):
+    """ka * a + kb * b, or None when it vanishes."""
+    if len(a) < len(b):
+        ka, a, kb, b = kb, b, ka, a
+    out = [ka * x for x in a]
+    for i, y in enumerate(b):
+        out[i] += kb * y
+    while out and not out[-1]:
+        out.pop()
+    return out or None
 
 
-def _poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _integer_poly(h: HalfLaurent, shift: int):
+    """(c, P) with h = c * Q^shift * P and P a primitive int tuple."""
+    scale = lcm(*(c.denominator for c in h._coeffs.values()))
+    out = [0] * (h.degree() - shift + 1)
+    for e, c in h._coeffs.items():
+        out[e - shift] = c.numerator * (scale // c.denominator)
+    content, p = _primitive(out)
+    return Fraction(content, scale), p
 
 
 class QRational:
@@ -237,38 +338,53 @@ class QRational:
     coincide.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_c", "_n", "_d")
 
     def __init__(self, num=0, den=1):
         if isinstance(num, QRational) or isinstance(den, QRational):
             a = num if isinstance(num, QRational) else QRational(num)
             b = den if isinstance(den, QRational) else QRational(den)
-            combined = a / b
-            object.__setattr__(self, "_num", combined._num)
-            object.__setattr__(self, "_den", combined._den)
-            return
-        num = num if isinstance(num, HalfLaurent) else HalfLaurent(num)
-        den = den if isinstance(den, HalfLaurent) else HalfLaurent(den)
-        n, d = _canonical(num, den)
-        object.__setattr__(self, "_num", n)
-        object.__setattr__(self, "_den", d)
+            value = a / b
+            c, n, d = value._c, value._n, value._d
+        elif isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            c = _fr(num) / den
+            n, d = ((1,), (1,)) if c else ((), (1,))
+        else:
+            num = num if isinstance(num, HalfLaurent) else HalfLaurent(num)
+            den = den if isinstance(den, HalfLaurent) else HalfLaurent(den)
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            if num.is_zero():
+                c, n, d = Fraction(0), (), (1,)
+            else:
+                shift = min(num.valuation(), den.valuation())
+                cn, n = _integer_poly(num, shift)
+                cd, d = _integer_poly(den, shift)
+                c = cn / cd
+                n, d, _ = _cancel(n, d)
+        _set_c(self, c)
+        _set_n(self, n)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRational is immutable")
 
     @property
     def numerator(self) -> HalfLaurent:
-        return self._num
+        c = self._c
+        return HalfLaurent({e: c * x for e, x in enumerate(self._n) if x})
 
     @property
     def denominator(self) -> HalfLaurent:
-        return self._den
+        return HalfLaurent({e: x for e, x in enumerate(self._d) if x})
 
     def is_zero(self) -> bool:
-        return self._num.is_zero()
+        return not self._n
 
     def __bool__(self):
-        return bool(self._num)
+        return bool(self._n)
 
     @staticmethod
     def _coerce(x):
@@ -282,10 +398,28 @@ class QRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QRational(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
+        if not other._n:
+            return self
+        if not self._n:
+            return other
+        dx, dy = self._d, other._d
+        if dx == dy:
+            ex = ey = (1,)
+            g = dx
+        else:
+            ex, ey, g = _cancel(dx, dy)
+        # self + other = (kx * Nx * ey + ky * Ny * ex) / (l * g * ex * ey);
+        # Nx * ey + Ny * ex is coprime to ex and ey, so only g can cancel
+        cx, cy = self._c, other._c
+        l = lcm(cx.denominator, cy.denominator)
+        kx = cx.numerator * (l // cx.denominator)
+        ky = cy.numerator * (l // cy.denominator)
+        s = _lincomb(kx, _mul(self._n, ey), ky, _mul(other._n, ex))
+        if s is None:
+            return ZERO
+        k, s = _primitive(s)
+        n, g, _ = _cancel(s, g)
+        return _make(Fraction(k, l), n, _mul(_mul(g, ex), ey))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -300,16 +434,18 @@ class QRational:
         return other - self
 
     def __neg__(self):
-        out = object.__new__(QRational)
-        object.__setattr__(out, "_num", -self._num)
-        object.__setattr__(out, "_den", self._den)
-        return out
+        return _make(-self._c, self._n, self._d)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QRational(self._num * other._num, self._den * other._den)
+        if not (self._n and other._n):
+            return ZERO
+        # both factors are reduced, so only the cross pairs can cancel
+        nx, dy, _ = _cancel(self._n, other._d)
+        ny, dx, _ = _cancel(other._n, self._d)
+        return _make(self._c * other._c, _mul(nx, ny), _mul(dx, dy))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -317,7 +453,7 @@ class QRational:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero QRational")
-        return QRational(self._num * other._den, self._den * other._num)
+        return self * _make(1 / other._c, other._d, other._n)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -346,10 +482,10 @@ class QRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._c == other._c and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        return hash((self._c, self._n, self._d))
 
     def evaluate(self, x) -> Fraction:
         """Exact value at Q = x.
@@ -358,53 +494,41 @@ class QRational:
         removable singularity has already been cancelled; a vanishing
         denominator therefore means the value genuinely diverges.
         """
-        d = self._den.evaluate(x)
+        v = _fr(x)
+        d = _horner(self._d, v)
         if d == 0:
             raise ZeroDivisionError(f"pole at Q = {x}")
-        return self._num.evaluate(x) / d
+        return self._c * _horner(self._n, v) / d
 
     def __str__(self):
-        if self._den == HalfLaurent(1):
-            return _poly_str(self._num)
-        return f"({_poly_str(self._num)})/({_poly_str(self._den)})"
+        num = _terms_str(_dense_terms(self._c, self._n))
+        if self._d == (1,):
+            return num
+        return f"({num})/({_terms_str(_dense_terms(1, self._d))})"
 
     def __repr__(self):
         return f"QRational({str(self)!r})"
 
 
-def _canonical(num: HalfLaurent, den: HalfLaurent):
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return HalfLaurent(), HalfLaurent(1)
-    shift = -min(num.valuation(), den.valuation())
-    a = _to_list(num.shift(shift))
-    b = _to_list(den.shift(shift))
-    g = _poly_gcd(a, b)
-    if len(g) > 1:
-        a, _ = _poly_divmod(a, g)
-        b, _ = _poly_divmod(b, g)
-    # scale so the denominator is integer-primitive with positive lead
-    denoms = 1
-    for c in b:
-        if c:
-            denoms = denoms * c.denominator // _int_gcd(denoms, c.denominator)
-    numers = 0
-    for c in b:
-        if c:
-            numers = _int_gcd(numers, abs(c.numerator * (denoms // c.denominator)))
-    scale = Fraction(denoms, numers)
-    if b[-1] < 0:
-        scale = -scale
-    a = [c * scale for c in a]
-    b = [c * scale for c in b]
-    return _from_list(a), _from_list(b)
+_set_c = QRational._c.__set__
+_set_n = QRational._n.__set__
+_set_d = QRational._d.__set__
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _make(c, n, d) -> QRational:
+    """A QRational from parts already in canonical form."""
+    out = object.__new__(QRational)
+    _set_c(out, c)
+    _set_n(out, n)
+    _set_d(out, d)
+    return out
+
+
+def _horner(p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 ZERO = QRational(0)
@@ -413,7 +537,9 @@ ONE = QRational(1)
 
 def Qpow(k: int) -> QRational:
     """Q^k = q^(k/2) as a QRational."""
-    return QRational(HalfLaurent.monomial(1, k))
+    if k >= 0:
+        return _make(Fraction(1), (0,) * k + (1,), (1,))
+    return _make(Fraction(1), (1,), (0,) * -k + (1,))
 
 
 def qpow(n: int) -> QRational:
@@ -450,9 +576,7 @@ def is_regular_at_infinity(a: QRational) -> bool:
     Equivalently, ``a`` can be written as g1(q^(-1/2)) / g2(q^(-1/2))
     with g2(0) != 0; in canonical form this is just a degree comparison.
     """
-    if a.is_zero():
-        return True
-    return a.numerator.degree() <= a.denominator.degree()
+    return a.is_zero() or len(a._n) <= len(a._d)
 
 
 def reduce_mod_qhalf(a: QRational) -> Fraction:
@@ -463,12 +587,12 @@ def reduce_mod_qhalf(a: QRational) -> Fraction:
     """
     if a.is_zero():
         return Fraction(0)
-    dn, dd = a.numerator.degree(), a.denominator.degree()
+    dn, dd = len(a._n), len(a._d)
     if dn > dd:
         raise ValueError(f"{a} is not regular at q = infinity")
     if dn < dd:
         return Fraction(0)
-    return a.numerator.leading_coefficient() / a.denominator.leading_coefficient()
+    return a._c * a._n[-1] / a._d[-1]
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction:
@@ -487,17 +611,13 @@ def monomial_sqrt(a: QRational) -> QRational:
     a monomial is rejected.  This is the branch used when unitarizing a
     braiding block by block.
     """
-    num_terms = dict(a.numerator.items())
-    den_terms = dict(a.denominator.items())
-    if len(num_terms) != 1 or len(den_terms) != 1:
+    # a primitive monomial with positive lead is Q^e itself, so c is the coefficient
+    if a.is_zero() or any(a._n[:-1]) or any(a._d[:-1]):
         raise ValueError(f"{a} is not a monomial")
-    (en, cn), = num_terms.items()
-    (ed, cd), = den_terms.items()
-    exp = en - ed
+    exp = len(a._n) - len(a._d)
     if exp % 2:
         raise ValueError(f"{a} has odd Q-exponent {exp}")
-    coeff = _fraction_sqrt(cn / cd)
-    return QRational(HalfLaurent.monomial(coeff, exp // 2))
+    return _fraction_sqrt(a._c) * Qpow(exp // 2)
 
 
 # -- canonical string form -------------------------------------------------
@@ -513,17 +633,21 @@ def _term_str(c: Fraction, e: int) -> str:
     return f"{c}*{qpart}"
 
 
-def _poly_str(h: HalfLaurent) -> str:
-    if h.is_zero():
-        return "0"
+def _dense_terms(c, p):
+    """(exponent, coefficient) pairs of c * p, exponents descending."""
+    return [(e, c * p[e]) for e in range(len(p) - 1, -1, -1) if p[e]]
+
+
+def _terms_str(terms) -> str:
+    """Canonical string of (exponent, coefficient) pairs, exponents descending."""
     parts = []
-    for e in sorted(dict(h.items()), reverse=True):
-        c = h.coefficient(e)
-        term = _term_str(abs(c), e) if parts else _term_str(c, e)
+    for e, c in terms:
         if parts:
             parts.append(" - " if c < 0 else " + ")
-        parts.append(term)
-    return "".join(parts)
+            parts.append(_term_str(abs(c), e))
+        else:
+            parts.append(_term_str(c, e))
+    return "".join(parts) or "0"
 
 
 _TERM_RE = re.compile(

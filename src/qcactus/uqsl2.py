@@ -37,6 +37,7 @@ import json
 
 from .qexact import (
     ONE,
+    ZERO,
     QRational,
     Qpow,
     is_regular_at_infinity,
@@ -111,25 +112,24 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        zero = QRational(0)
-        return cls([[zero] * cols for _ in range(rows)])
+        return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else QRational(0) for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, diag) -> "QMatrix":
         diag = list(diag)
         n = len(diag)
-        out = [[QRational(0)] * n for _ in range(n)]
+        out = [[ZERO] * n for _ in range(n)]
         for i, d in enumerate(diag):
             out[i][i] = _coerce_entry(d)
         return cls(out)
 
     @classmethod
     def from_columns(cls, cols, rows: int) -> "QMatrix":
-        out = [[QRational(0)] * len(cols) for _ in range(rows)]
+        out = [[ZERO] * len(cols) for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, v in enumerate(col):
                 out[i][j] = _coerce_entry(v)
@@ -157,7 +157,7 @@ class QMatrix:
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = QRational(0)
+                acc = ZERO
                 for k in range(self.cols):
                     a = self.entries[i][k]
                     if a:
@@ -179,7 +179,7 @@ class QMatrix:
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + other.scale(QRational(-1))
+        return self + other.scale(-ONE)
 
     def scale(self, c) -> "QMatrix":
         c = _coerce_entry(c)
@@ -276,7 +276,7 @@ def _kernel_basis(rows):
     out = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:
-        vec = [QRational(0)] * ncols
+        vec = [ZERO] * ncols
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -mat[r][fc]
@@ -318,9 +318,8 @@ def irreducible(n: int) -> UqModule:
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
     weights = tuple(n - 2 * i for i in range(n + 1))
-    zero = QRational(0)
-    e = [[zero] * (n + 1) for _ in range(n + 1)]
-    f = [[zero] * (n + 1) for _ in range(n + 1)]
+    e = [[ZERO] * (n + 1) for _ in range(n + 1)]
+    f = [[ZERO] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         if i >= 1:
             e[i - 1][i] = quantum_int(n - i + 1)
@@ -339,9 +338,8 @@ def tensor_module(m: UqModule, n: UqModule) -> UqModule:
     dm, dn = m.dim, n.dim
     dim = dm * dn
     weights = [0] * dim
-    zero = QRational(0)
-    e = [[zero] * dim for _ in range(dim)]
-    f = [[zero] * dim for _ in range(dim)]
+    e = [[ZERO] * dim for _ in range(dim)]
+    f = [[ZERO] * dim for _ in range(dim)]
     for a in range(dm):
         for b in range(dn):
             col = b * dm + a
@@ -411,11 +409,11 @@ def highest_weight_vectors(m: UqModule):
         upper = [i for i in range(m.dim) if m.weights[i] == w + 2]
         rows = [[m.e[r, c] for c in cols] for r in upper]
         if not rows:
-            kernel = [[ONE if i == k else QRational(0) for i in range(len(cols))] for k in range(len(cols))]
+            kernel = [[ONE if i == k else ZERO for i in range(len(cols))] for k in range(len(cols))]
         else:
             kernel = _kernel_basis(rows)
         for vec in kernel:
-            full = [QRational(0)] * m.dim
+            full = [ZERO] * m.dim
             for ci, c in enumerate(cols):
                 full[c] = vec[ci]
             out.append((w, full))
@@ -441,9 +439,9 @@ def module_components(m: UqModule):
         cols = [vec]
         cur = vec
         for d in range(1, w + 1):
-            nxt = [QRational(0)] * m.dim
+            nxt = [ZERO] * m.dim
             for r in range(m.dim):
-                acc = QRational(0)
+                acc = ZERO
                 for c in range(m.dim):
                     coeff = m.f[r, c]
                     if coeff and cur[c]:
@@ -492,7 +490,7 @@ def isotypic_frame(m: UqModule, n: UqModule):
 def flip_matrix(m: UqModule, n: UqModule) -> QMatrix:
     """The permutation matrix sending u (x) v to v (x) u."""
     dm, dn = m.dim, n.dim
-    out = [[QRational(0)] * (dm * dn) for _ in range(dm * dn)]
+    out = [[ZERO] * (dm * dn) for _ in range(dm * dn)]
     for a in range(dm):
         for b in range(dn):
             out[a * dn + b][b * dm + a] = ONE
@@ -503,7 +501,7 @@ def _tensor_operator(a: QMatrix, b: QMatrix) -> QMatrix:
     """Operator a (x) b in the product basis with the second index slow."""
     ra, ca = a.rows, a.cols
     rb, cb = b.rows, b.cols
-    out = [[QRational(0)] * (ca * cb) for _ in range(ra * rb)]
+    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
     for i in range(ra):
         for k in range(ca):
             x = a[i, k]
@@ -555,20 +553,19 @@ def _reference_flip_r():
     return QMatrix(rows).scale(Qpow(-1))
 
 
-_calibrated = False
+@lru_cache(maxsize=None)
+def _calibration() -> None:
+    # a failure raises and is not cached, so every later braiding re-checks
+    v1 = irreducible(1)
+    if flip_matrix(v1, v1) @ _r_matrix(v1, v1) != _reference_flip_r():
+        raise CalibrationError(
+            "computed braiding on V_1 (x) V_1 differs from the frozen reference"
+        )
 
 
 @lru_cache(maxsize=None)
 def _flip_r(m: UqModule, n: UqModule) -> QMatrix:
-    global _calibrated
-    if not _calibrated:
-        v1 = irreducible(1)
-        got = flip_matrix(v1, v1) @ _r_matrix(v1, v1)
-        if got != _reference_flip_r():
-            raise CalibrationError(
-                "computed braiding on V_1 (x) V_1 differs from the frozen reference"
-            )
-        _calibrated = True
+    _calibration()
     return flip_matrix(m, n) @ _r_matrix(m, n)
 
 
@@ -688,14 +685,14 @@ def _unitarize(m: UqModule, n: UqModule) -> UnitarizationResult:
     if len(g_cols) != dim:
         raise AssertionError("component blocks do not span the tensor product")
     g = QMatrix.from_columns(
-        [[col.get(i, QRational(0)) for i in range(dim)] for col in g_cols], dim
+        [[col.get(i, ZERO) for i in range(dim)] for col in g_cols], dim
     )
     g_inv = g.inverse()
     total = QMatrix.zeros(dim, dim)
     for start, width, b_mat, emb_out in blocks:
         rows = QMatrix([list(g_inv.entries[start + k]) for k in range(width)])
         emb = QMatrix.from_columns(
-            [[col.get(i, QRational(0)) for i in range(dim)] for col in emb_out], dim
+            [[col.get(i, ZERO) for i in range(dim)] for col in emb_out], dim
         )
         total = total + emb @ b_mat @ rows
     return UnitarizationResult(s1=total, s2=None, inv_sqrt_s1=None, slots=None)
@@ -853,7 +850,7 @@ def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> 
         post *= d
     dim_in = pre * block_in * post
     dim_out = pre * block_out * post
-    out = [[QRational(0)] * dim_in for _ in range(dim_out)]
+    out = [[ZERO] * dim_in for _ in range(dim_out)]
     for p in range(pre):
         for mid in range(block_in):
             for s in range(post):

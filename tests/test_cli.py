@@ -127,6 +127,27 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def _assert_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weight bound must be nonnegative" in captured.err
+
+
+def test_check_kt07_rejects_negative_bound(capsys):
+    _assert_usage_error(capsys, "check", "kt07", "--max", "-1")
+
+
+def test_check_coboundary_rejects_negative_bound(capsys):
+    _assert_usage_error(capsys, "check", "coboundary", "--max", "-3")
+
+
+def test_check_cactus_action_rejects_negative_bound(capsys):
+    _assert_usage_error(capsys, "check", "cactus-action", "--max", "-1")
+
+
 def test_bad_value_combinations_exit_2(capsys):
     code = run(["cactus", "act", "--shape", "1,1,1", "--p", "0", "--q", "5"])
     assert code == 2

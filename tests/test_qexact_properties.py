@@ -1,0 +1,123 @@
+"""Property tests of QRational against the Fraction-Euclid oracle."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qcactus.qexact import ONE, ZERO, HalfLaurent, QRational, parse_qrational
+from qexact_oracle import canonical, canonical_str
+
+settings.register_profile("qexact", max_examples=150, deadline=None, derandomize=True)
+settings.load_profile("qexact")
+
+coefficients = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4])
+)
+laurent = st.dictionaries(st.integers(-4, 6), coefficients, max_size=4).map(HalfLaurent)
+nonzero_laurent = laurent.filter(bool)
+
+
+def _product(polys):
+    out = HalfLaurent(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+# common factors that canonicalization has to find and cancel
+q_powers = st.integers(-3, 3).map(lambda k: HalfLaurent.monomial(1, k))
+scalars = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)).map(HalfLaurent)
+linear = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
+    lambda ab: HalfLaurent({0: ab[0], 1: ab[1]})
+)
+factors = st.lists(st.one_of(q_powers, scalars, linear), max_size=3).map(_product)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(num, den) HalfLaurents, often sharing a nontrivial common factor."""
+    common = draw(factors)
+    return draw(laurent) * common, draw(nonzero_laurent) * common
+
+
+values = fraction_pairs().map(lambda nd: QRational(*nd))
+
+
+@given(fraction_pairs())
+def test_constructor_matches_oracle(pair):
+    num, den = pair
+    x = QRational(num, den)
+    n, d = canonical(num, den)
+    assert x.numerator == n
+    assert x.denominator == d
+    assert str(x) == canonical_str(num, den)
+
+
+@given(fraction_pairs(), fraction_pairs())
+def test_arithmetic_matches_oracle(p, r):
+    (an, ad), (bn, bd) = p, r
+    a, b = QRational(an, ad), QRational(bn, bd)
+    expected = {
+        "add": canonical(an * bd + bn * ad, ad * bd),
+        "sub": canonical(an * bd - bn * ad, ad * bd),
+        "mul": canonical(an * bn, ad * bd),
+    }
+    got = {"add": a + b, "sub": a - b, "mul": a * b}
+    if bn:
+        expected["div"] = canonical(an * bd, ad * bn)
+        got["div"] = a / b
+    for op, (n, d) in expected.items():
+        assert (got[op].numerator, got[op].denominator) == (n, d), op
+
+
+@given(values)
+def test_string_round_trip(x):
+    assert parse_qrational(str(x)) == x
+
+
+@given(values, values, values)
+def test_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a + ZERO == a
+    assert a * ONE == a
+    assert a - a == ZERO
+    assert a + (-a) == ZERO
+    if a:
+        assert a * (ONE / a) == ONE
+        assert (b / a) * a == b
+
+
+@given(fraction_pairs(), factors)
+def test_equal_values_have_equal_hashes(pair, common):
+    num, den = pair
+    x = QRational(num, den)
+    y = QRational(num * common, den * common)
+    assert x == y
+    assert hash(x) == hash(y)
+    if x:
+        z = (x * x) / x
+        assert z == x
+        assert hash(z) == hash(x)
+
+
+# integer polynomials (index = Q-exponent) whose gcd is not found at the
+# first evaluation point of the heuristic gcd, so it has to retry
+RETRY_PAIRS = [
+    ((2, 6, 4, 2, 3, 6, -4, 6), (2, 8, 12, 10, 3, 3, 3, 9)),
+    ((0, -2, 3, 0, -3, 2), (-6, 3, 5, -9, 2)),
+    ((-6, 7, -9, 7, -4, 2), (4, 4, -1, -1, -2, -1, 1)),
+    ((4, 0, -9, 4, 2, -4, 3), (-4, 8, -9, 7, -3, 1)),
+]
+
+
+def test_gcd_retry_pairs_match_oracle():
+    for a, b in RETRY_PAIRS:
+        num = HalfLaurent(dict(enumerate(a)))
+        den = HalfLaurent(dict(enumerate(b)))
+        x = QRational(num, den)
+        assert (x.numerator, x.denominator) == canonical(num, den)
+        assert x.denominator.degree() < den.degree()

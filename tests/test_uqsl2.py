@@ -249,13 +249,14 @@ def test_calibration_guard_trips_on_convention_drift(monkeypatch):
     from qcactus import uqsl2 as mod
     from qcactus.uqsl2 import CalibrationError
 
-    monkeypatch.setattr(mod, "_calibrated", False)
     monkeypatch.setattr(mod, "_reference_flip_r", lambda: QMatrix.identity(4))
+    mod._calibration.cache_clear()
     mod._flip_r.cache_clear()
     try:
         with pytest.raises(CalibrationError):
             braiding_matrix(irreducible(1), irreducible(1))
     finally:
+        mod._calibration.cache_clear()
         mod._flip_r.cache_clear()
 
 
