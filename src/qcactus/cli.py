@@ -174,9 +174,13 @@ def _cmd_check_kt07(args) -> int:
     ok = True
     for m in range(args.max + 1):
         for n in range(args.max + 1):
-            report = uqsl2.verify_kt07(m, n)
-            ok = ok and report.ok
-            results.append(report.as_dict())
+            try:
+                pair = uqsl2.verify_kt07(m, n).as_dict()
+            except uqsl2.LatticeError as exc:
+                # a failed verification, not a usage error; the text names the entry
+                pair = {"m": m, "n": n, "ok": False, "error": str(exc)}
+            ok = ok and pair["ok"]
+            results.append(pair)
     return _emit_report("kt07", ok, {"max_weight": args.max, "pairs": results}, args)
 
 

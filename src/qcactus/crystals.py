@@ -8,16 +8,16 @@ with the lowering operator f moving right, the raising operator e moving
 left, and the statistics wt(b_j) = j, eps(b_j) = (n-j)/2,
 phi(b_j) = (n+j)/2.  A tensor product of chains is a flat word of chain
 elements -- no bracketing is stored, which realizes the monoidal
-structure strictly -- and the operators act through the usual tensor
-rule, applied as a left fold with aggregate eps/phi.
+structure strictly -- and the operators act through the signature
+rule: one left-to-right pass that brackets the minus and plus signs of
+the factors.
 
 On top of that combinatorics this module builds:
 
   * connected-component decomposition of any shape,
   * the chain-reversing involution xi and the commutor it induces,
-  * the commutor defined through highest weight elements and the
-    star involution of the infinity crystal,
-  * the recursive action of the cactus generators s(p,q),
+  * the commutor defined through highest weight elements,
+  * the action of the cactus generators s(p,q),
   * checkers for the coboundary axioms, and
   * the mechanical reconstruction of the braiding obstruction.
 
@@ -51,11 +51,6 @@ __all__ = [
     "schutzenberger",
     "commutor_S",
     "commutor_c",
-    "BInfinityElement",
-    "kashiwara_star",
-    "embed_in_binfinity",
-    "interpret_in_chain",
-    "epsilon_star",
     "cactus_action",
     "cactus_generator_images",
     "unique_component_isomorphism",
@@ -189,57 +184,58 @@ def wt(w: TensorWord) -> int:
     return sum(b.wt for b in w.factors)
 
 
-def _fold_stats(w: TensorWord):
-    """Aggregate (eps, phi) of a word via the tensor rule, left fold."""
-    e_tot, p_tot = w.factors[0].eps, w.factors[0].phi
-    for b in w.factors[1:]:
-        e_tot, p_tot = (
-            e_tot + max(0, b.eps - p_tot),
-            b.phi + max(0, p_tot - b.eps),
-        )
-    return e_tot, p_tot
+def _signature(w: TensorWord):
+    """One bracketing pass over the signature of a word.
+
+    Each factor b contributes eps(b) minus signs, then phi(b) plus signs,
+    and each minus cancels the nearest uncancelled plus to its left.
+    Returns (eps, phi, i_e, i_f): the numbers of uncancelled minus and
+    plus signs, the factor holding the rightmost uncancelled minus (where
+    e acts) and the factor holding the leftmost uncancelled plus (where f
+    acts).  An index means something only when its count is positive.
+    """
+    e_tot = p_tot = i_e = i_f = 0
+    for i, b in enumerate(w.factors):
+        if b.eps > p_tot:
+            e_tot += b.eps - p_tot
+            i_e = i
+        p_tot = max(p_tot - b.eps, 0)
+        if not p_tot:  # every earlier plus is cancelled
+            i_f = i
+        p_tot += b.phi
+    return e_tot, p_tot, i_e, i_f
 
 
 def eps(w: TensorWord) -> int:
-    return _fold_stats(w)[0]
+    return _signature(w)[0]
 
 
 def phi(w: TensorWord) -> int:
-    return _fold_stats(w)[1]
+    return _signature(w)[1]
 
 
 def tensor_f(w: TensorWord):
     """Lowering operator on a tensor word; None when it annihilates.
 
-    The binary rule lowers the left factor when phi(left) > eps(right)
-    and the right factor otherwise; for longer words the first k-1
-    factors are treated as the left factor with their aggregate
-    statistics.
+    f lowers the factor holding the leftmost uncancelled plus sign.
     """
-    if len(w) == 1:
-        out = w.factors[0].f()
-        return TensorWord((out,)) if out else None
-    prefix = w.slice(0, len(w) - 1)
-    last = w.factors[-1]
-    if phi(prefix) > last.eps:
-        lowered = tensor_f(prefix)
-        return TensorWord(lowered.factors + (last,)) if lowered else None
-    out = last.f()
-    return TensorWord(prefix.factors + (out,)) if out else None
+    _, p_tot, _, i = _signature(w)
+    if not p_tot:
+        return None
+    fs = w.factors
+    return TensorWord(fs[:i] + (fs[i].f(),) + fs[i + 1:])
 
 
 def tensor_e(w: TensorWord):
-    """Raising operator on a tensor word; None when it annihilates."""
-    if len(w) == 1:
-        out = w.factors[0].e()
-        return TensorWord((out,)) if out else None
-    prefix = w.slice(0, len(w) - 1)
-    last = w.factors[-1]
-    if phi(prefix) >= last.eps:
-        raised = tensor_e(prefix)
-        return TensorWord(raised.factors + (last,)) if raised else None
-    out = last.e()
-    return TensorWord(prefix.factors + (out,)) if out else None
+    """Raising operator on a tensor word; None when it annihilates.
+
+    e raises the factor holding the rightmost uncancelled minus sign.
+    """
+    e_tot, _, i, _ = _signature(w)
+    if not e_tot:
+        return None
+    fs = w.factors
+    return TensorWord(fs[:i] + (fs[i].e(),) + fs[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -458,56 +454,14 @@ def _commutor_S(shape_a, shape_b) -> CrystalMap:
     return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
 
 
-# -- the infinity crystal and the star involution ---------------------------
-
-@dataclass(frozen=True)
-class BInfinityElement:
-    """Element f^depth applied to the source of the limit chain."""
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-
-    def __str__(self):
-        return f"f^{self.depth} b_inf"
-
-
-def embed_in_binfinity(b: ChainElement) -> BInfinityElement:
-    """The depth-preserving embedding of a chain into the limit chain."""
-    return BInfinityElement(b.eps)
-
-
-def kashiwara_star(b: BInfinityElement) -> BInfinityElement:
-    """The star involution of the limit chain.
-
-    It preserves weight, and the limit chain has one element per weight,
-    so it is the identity; it is kept explicit so the commutor below is
-    built the same way in code as it is defined.
-    """
-    return BInfinityElement(b.depth)
-
-
-def epsilon_star(b: BInfinityElement) -> int:
-    """Smallest highest weight whose chain contains b."""
-    return b.depth
-
-
-def interpret_in_chain(b: BInfinityElement, n: int) -> ChainElement:
-    """Re-read a limit-chain element inside the chain of highest weight n."""
-    if epsilon_star(b) > n:
-        raise ValueError(f"element of depth {b.depth} does not lie in the chain of weight {n}")
-    return ChainElement(n, n - 2 * b.depth)
-
-
 def commutor_c(shape_a, shape_b) -> CrystalMap:
     """The commutor defined through highest weight elements.
 
     For chains of highest weights lam and mu, a source of the tensor
-    product has the form b_lam (x) b with eps(b) <= lam, and it is sent
-    to b_mu (x) b*, with b* the star image of b interpreted in the lam
-    chain; the map then extends down each component by f-equivariance.
+    product has the form b_lam (x) b with b at depth k <= min(lam, mu),
+    and it is sent to b_mu (x) b*, with b* the element at depth k of the
+    lam chain; the map then extends down each component by
+    f-equivariance.
     Composite shapes are first split into components on both sides and
     the same rule is applied block by block.
     """
@@ -525,12 +479,8 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
             mu = cb.highest_weight
             for k in range(min(lam, mu) + 1):
                 b = cb.elements[k]
-                # b viewed in the limit chain, starred, re-read at depth
-                # epsilon_star inside the lam component
-                star = kashiwara_star(BInfinityElement(k))
-                if epsilon_star(star) > lam:
-                    raise AssertionError("starred element escapes the target chain")
-                bstar = ca.elements[star.depth]
+                # the star involution of the sl2 infinity crystal is the identity
+                bstar = ca.elements[k]
                 src = TensorWord(ca.source.factors + b.factors)
                 dst = TensorWord(cb.source.factors + bstar.factors)
                 if tensor_e(src) is not None:
@@ -547,21 +497,30 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
 def cactus_action(shape, p: int, q: int) -> CrystalMap:
     """The action of the cactus generator s(p,q) on a shape.
 
-    Defined recursively: s(p,p) is the identity and s(p,q) is the
-    commutor of factor p against the block p+1..q, composed with
-    s(p+1,q).  The result reverses the interval p..q of the shape.
+    s(p,p) is the identity and s(p,q) is the commutor of factor p against
+    the block p+1..q, composed with s(p+1,q).  Unrolled, that is the
+    commutors of factor r against the block r+1..q, applied for
+    r = q-1 down to p, each on the shape the previous one left; every
+    word is carried through them in turn.  The result reverses the
+    interval p..q of the shape.
     """
     shape = tuple(shape)
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
-    if p == q:
-        return CrystalMap.identity(shape)
-    inner = cactus_action(shape, p + 1, q)
-    mid_shape = inner.codomain
-    sigma = commutor_c((mid_shape[p - 1],), mid_shape[p:q])
-    outer = extend_map(sigma, mid_shape[: p - 1], mid_shape[q:])
-    return outer.compose(inner)
+    steps = []  # (start of the commuted slice, commutor on that slice)
+    cur = shape
+    for r in range(q - 1, p - 1, -1):
+        sigma = commutor_c((cur[r - 1],), cur[r:q])
+        steps.append((r - 1, sigma))
+        cur = cur[: r - 1] + sigma.codomain + cur[q:]
+    table = {}
+    for w in words(shape):
+        fs = w.factors
+        for start, sigma in steps:
+            fs = fs[:start] + sigma(TensorWord(fs[start:q])).factors + fs[q:]
+        table[w] = TensorWord(fs)
+    return CrystalMap(shape, cur, table)
 
 
 def cactus_generator_images(base_shape):
@@ -580,9 +539,7 @@ def cactus_generator_images(base_shape):
         for q in range(p + 1, k + 1):
             table = {}
             for s in orbit:
-                act = cactus_action(s, p, q)
-                for w in words(s):
-                    table[w] = act(w)
+                table.update(cactus_action(s, p, q).items())
             images[(p, q)] = table
     return images
 

@@ -225,7 +225,8 @@ def verify_action(gen_images: dict, relations, equal=None):
     set; ``relations`` is a list of (left word, right word) pairs, each
     word a sequence of generator keys (or an object with ``.letters``).
     Words act on the left, so the last letter is applied first.  Returns
-    the list of RelationFailures, one per (relation, witness) pair.
+    the list of RelationFailures, one per violated relation, each carrying
+    the relation's first witness in ``str`` order of the domain.
     """
     if equal is None:
         equal = lambda x, y: x == y

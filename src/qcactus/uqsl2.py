@@ -154,16 +154,16 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         out = []
-        for i in range(self.rows):
+        for left in self.entries:
+            # the nonzero entries of this row, each with the row of other it meets
+            pairs = [(a, right) for a, right in zip(left, other.entries) if a]
             row = []
             for j in range(other.cols):
                 acc = ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a:
-                        b = other.entries[k][j]
-                        if b:
-                            acc = acc + a * b
+                for a, right in pairs:
+                    b = right[j]
+                    if b:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return QMatrix(out)
@@ -742,8 +742,9 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
     """Reduce a product-frame matrix at q = infinity.
 
     Every entry must be regular at infinity (otherwise the map does not
-    preserve the crystal lattice and a LatticeError is raised), and the
-    reduction must be a signed permutation of the crystal words.
+    preserve the crystal lattice), and the reduction must be a signed
+    permutation of the crystal words; either failure raises a
+    LatticeError naming the offending entry, row or column.
     """
     if a.rows != m.dim * n.dim or a.cols != m.dim * n.dim:
         raise ValueError("matrix does not act on the product basis")
@@ -760,13 +761,13 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
     for i, row in enumerate(reduced):
         for j, v in enumerate(row):
             if v not in (Fraction(0), Fraction(1), Fraction(-1)):
-                raise ValueError(f"reduction has entry {v} at ({i}, {j}); not a signed permutation")
+                raise LatticeError(f"reduction has entry {v} at ({i}, {j}); not a signed permutation")
     size = len(reduced)
     for i in range(size):
         if sum(1 for j in range(size) if reduced[i][j]) != 1:
-            raise ValueError(f"row {i} of the reduction is not a signed permutation row")
+            raise LatticeError(f"row {i} of the reduction is not a signed permutation row")
         if sum(1 for r in range(size) if reduced[r][i]) != 1:
-            raise ValueError(f"column {i} of the reduction is not a signed permutation column")
+            raise LatticeError(f"column {i} of the reduction is not a signed permutation column")
     return [[int(v) for v in row] for row in reduced]
 
 

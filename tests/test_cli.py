@@ -112,6 +112,20 @@ def test_check_kt07_small(capsys):
     assert len(data["pairs"]) == 4
 
 
+def test_check_kt07_lattice_failure_is_a_fail_report(capsys, monkeypatch):
+    # the plain braiding has entries singular at q = infinity, so the
+    # lattice check must fail -- and be reported as a failed check
+    monkeypatch.setattr(uqsl2, "unitarized_matrix", uqsl2.braiding_matrix)
+    code, out = invoke(capsys, "check", "kt07", "--max", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "fail"
+    failed = [pair for pair in data["pairs"] if not pair["ok"]]
+    assert failed
+    assert all("error" in pair for pair in failed)
+    assert any("entry (" in pair["error"] for pair in failed)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rmatrix", "--m", "1", "--n", "1", "--frame", "s3"])

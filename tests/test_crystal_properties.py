@@ -1,0 +1,52 @@
+"""Property tests of the crystal layer against the test-only oracles."""
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+import crystal_oracle as oracle
+from qcactus.crystals import (
+    ChainElement,
+    TensorWord,
+    cactus_action,
+    eps,
+    phi,
+    tensor_e,
+    tensor_f,
+    words,
+)
+
+
+@st.composite
+def tensor_words(draw, max_factors, max_weight):
+    """A word of a random shape: each factor a chain element at a random depth."""
+    shape = draw(st.lists(st.integers(0, max_weight), min_size=1, max_size=max_factors))
+    return TensorWord(tuple(ChainElement(n, n - 2 * draw(st.integers(0, n))) for n in shape))
+
+
+def _assert_tensor_rule_agrees(w):
+    assert eps(w) == oracle.eps(w)
+    assert phi(w) == oracle.phi(w)
+    assert tensor_e(w) == oracle.tensor_e(w)
+    assert tensor_f(w) == oracle.tensor_f(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tensor_words(max_factors=6, max_weight=3))
+def test_signature_rule_matches_left_fold(w):
+    _assert_tensor_rule_agrees(w)
+
+
+def test_signature_rule_matches_left_fold_on_every_three_factor_word():
+    for shape in product(range(4), repeat=3):
+        for w in words(shape):
+            _assert_tensor_rule_agrees(w)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+def test_cactus_action_matches_recursive_definition(shape):
+    k = len(shape)
+    for p in range(1, k + 1):
+        for q in range(p, k + 1):
+            assert cactus_action(shape, p, q) == oracle.cactus_action(shape, p, q)

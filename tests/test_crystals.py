@@ -1,7 +1,6 @@
 import pytest
 
 from qcactus.crystals import (
-    BInfinityElement,
     ChainElement,
     CrystalMap,
     TensorWord,
@@ -16,13 +15,9 @@ from qcactus.crystals import (
     component_of,
     crystal_dot,
     decompose,
-    embed_in_binfinity,
     eps,
-    epsilon_star,
     extend_map,
-    interpret_in_chain,
     involutivity_failures,
-    kashiwara_star,
     phi,
     schutzenberger,
     tensor_e,
@@ -205,16 +200,6 @@ def test_commutor_natural_against_component_inclusions():
             image = sigma_flat(w)
             right = TensorWord(j[image.slice(0, 1)].factors + image.factors[1:])
             assert left == right
-
-
-def test_kashiwara_star_helpers():
-    assert kashiwara_star(BInfinityElement(2)) == BInfinityElement(2)
-    assert kashiwara_star(BInfinityElement(0)) == BInfinityElement(0)
-    assert embed_in_binfinity(ChainElement(3, 1)) == BInfinityElement(1)
-    assert interpret_in_chain(BInfinityElement(1), 3) == ChainElement(3, 1)
-    assert epsilon_star(BInfinityElement(4)) == 4
-    with pytest.raises(ValueError):
-        interpret_in_chain(BInfinityElement(4), 3)
 
 
 def test_cactus_action_examples():

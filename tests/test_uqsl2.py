@@ -324,6 +324,14 @@ def test_lattice_reduce_rejects_plain_braiding():
         lattice_check_and_reduce(braiding_matrix(v1, v1), v1, v1)
 
 
+def test_lattice_reduce_rejects_non_signed_permutations():
+    v1 = irreducible(1)
+    with pytest.raises(LatticeError, match=r"entry 2 at \(0, 0\)"):
+        lattice_check_and_reduce(QMatrix.identity(4).scale(2), v1, v1)
+    with pytest.raises(LatticeError, match="row 0"):
+        lattice_check_and_reduce(QMatrix.zeros(4, 4), v1, v1)
+
+
 def test_lattice_reduce_identity():
     v1 = irreducible(1)
     reduced = lattice_check_and_reduce(QMatrix.identity(4), v1, v1)
