@@ -276,6 +276,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except crystals.CrystalInvariantError as exc:
+        # a failed verification, not a usage error; the text names the word
+        print(f"qcactus: verification failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # bad argument combinations (out-of-range indices, wrong frames)
         print(f"qcactus: error: {exc}", file=sys.stderr)

@@ -26,13 +26,15 @@ are plain word -> word tables.  Everything is immutable after
 construction.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
 import json
 import re
 
 __all__ = [
+    "CrystalInvariantError",
     "ChainElement",
     "TensorWord",
     "chain_crystal",
@@ -65,18 +67,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+class CrystalInvariantError(RuntimeError):
+    """An internal invariant of the crystal combinatorics failed.
+
+    Raised when a decomposition is not a partition into chains or a
+    commutor chain does not match its source; the message names the
+    offending word.  It signals a failed verification, not bad input.
+    """
+
+
+# Interning tables: every distinct chain element and tensor word is one
+# object, so equality is identity and a dict lookup costs one cached hash.
+# setdefault makes racing constructors agree on the stored object.
+_CHAIN_ELEMENTS = {}
+_TENSOR_WORDS = {}
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+@total_ordering
 class ChainElement:
-    """Element b_j of the chain crystal of highest weight n."""
+    """Element b_j of the chain crystal of highest weight n.
 
-    n: int
-    j: int
+    Interned: ChainElement(n, j) returns the one object for (n, j), so
+    equality is identity.  The hash is hash((n, j)), computed once.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "j", "eps", "phi", "_hash")
+
+    def __new__(cls, n: int, j: int):
+        try:
+            return _CHAIN_ELEMENTS[(n, j)]
+        except KeyError:
+            pass
+        if n < 0:
             raise ValueError("highest weight must be nonnegative")
-        if abs(self.j) > self.n or (self.n - self.j) % 2:
-            raise ValueError(f"b_{self.j} does not lie in the chain of weight {self.n}")
+        if abs(j) > n or (n - j) % 2:
+            raise ValueError(f"b_{j} does not lie in the chain of weight {n}")
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "j", j)
+        init(self, "eps", (n - j) // 2)
+        init(self, "phi", (n + j) // 2)
+        init(self, "_hash", hash((n, j)))
+        return _CHAIN_ELEMENTS.setdefault((n, j), self)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return ChainElement, (self.n, self.j)
+
+    def __lt__(self, other):
+        if type(other) is not ChainElement:
+            return NotImplemented
+        return (self.n, self.j) < (other.n, other.j)
 
     def e(self):
         """Raising operator; None at the top of the chain."""
@@ -90,16 +140,11 @@ class ChainElement:
     def wt(self) -> int:
         return self.j
 
-    @property
-    def eps(self) -> int:
-        return (self.n - self.j) // 2
-
-    @property
-    def phi(self) -> int:
-        return (self.n + self.j) // 2
-
     def __str__(self):
         return f"b{self.j}"
+
+    def __repr__(self):
+        return f"ChainElement(n={self.n!r}, j={self.j!r})"
 
 
 def chain_crystal(n: int):
@@ -107,19 +152,39 @@ def chain_crystal(n: int):
     return [ChainElement(n, n - 2 * i) for i in range(n + 1)]
 
 
-@dataclass(frozen=True)
 class TensorWord:
     """A flat tensor word of chain elements.
 
     The shape is the tuple of factor highest weights; tensoring shapes is
-    concatenation, so associativity holds on the nose.
+    concatenation, so associativity holds on the nose.  Interned like
+    ChainElement, keyed by the factors tuple; the hash is
+    hash((factors,)), computed once.
     """
 
-    factors: tuple
+    __slots__ = ("factors", "_hash")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(cls, factors: tuple):
+        try:
+            return _TENSOR_WORDS[factors]
+        except KeyError:
+            pass
+        if not factors:
             raise ValueError("tensor words must have at least one factor")
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash((factors,)))
+        return _TENSOR_WORDS.setdefault(factors, self)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return TensorWord, (self.factors,)
+
+    def __repr__(self):
+        return f"TensorWord(factors={self.factors!r})"
 
     @property
     def shape(self) -> tuple:
@@ -161,15 +226,24 @@ def words(shape):
     Enumeration runs through depth tuples with the *last* factor slowest
     and the first fastest; within each factor, depth 0 is the top of the
     chain.  The same order indexes the product bases of the symbolic
-    modules, which keeps crystal words and matrix rows aligned.
+    modules, which keeps crystal words and matrix rows aligned.  Each
+    shape is enumerated once; every call returns a fresh list.
     """
-    shape = tuple(shape)
+    return list(_words(tuple(shape)))
+
+
+@lru_cache(maxsize=None)
+def _words(shape):
     chains = [chain_crystal(n) for n in shape]
-    out = []
-    for rev in product(*[range(n + 1) for n in reversed(shape)]):
-        depths = tuple(reversed(rev))
-        out.append(TensorWord(tuple(chains[t][d] for t, d in enumerate(depths))))
-    return out
+    return tuple(
+        TensorWord(tuple(chains[t][d] for t, d in enumerate(reversed(rev))))
+        for rev in product(*[range(n + 1) for n in reversed(shape)])
+    )
+
+
+@lru_cache(maxsize=None)
+def _word_set(shape):
+    return frozenset(_words(shape))
 
 
 def word_index(w: TensorWord) -> int:
@@ -263,7 +337,7 @@ def decompose(shape):
 
 @lru_cache(maxsize=None)
 def _decompose(shape):
-    all_words = words(shape)
+    all_words = _words(shape)
     sources = [w for w in all_words if tensor_e(w) is None]
     comps = []
     for src in sorted(sources, key=lambda w: (-wt(w), word_index(w))):
@@ -276,11 +350,13 @@ def _decompose(shape):
             elems.append(cur)
         hw = wt(src)
         if len(elems) != hw + 1:
-            raise AssertionError(f"component of {src} is not a chain of length {hw + 1}")
+            raise CrystalInvariantError(f"component of {src} is not a chain of length {hw + 1}")
         comps.append(Component(hw, src, tuple(elems)))
-    covered = [w for c in comps for w in c.elements]
-    if len(covered) != len(all_words) or len(set(covered)) != len(covered):
-        raise AssertionError(f"components do not partition the words of {shape}")
+    covered, expected = Counter(w for c in comps for w in c.elements), Counter(all_words)
+    off = (covered - expected) | (expected - covered)  # covered twice, missed, or foreign
+    if off:
+        raise CrystalInvariantError(
+            f"components do not partition the words of {shape}: {next(iter(off))}")
     return tuple(comps)
 
 
@@ -310,11 +386,10 @@ class CrystalMap:
     def __init__(self, domain, codomain, table: dict):
         object.__setattr__(self, "domain", tuple(domain))
         object.__setattr__(self, "codomain", tuple(codomain))
-        dom_words = words(self.domain)
-        if set(table) != set(dom_words):
+        if table.keys() != _word_set(self.domain):
             raise ValueError("table is not total on the domain shape")
-        values = list(table.values())
-        if len(set(values)) != len(values) or set(values) != set(words(self.codomain)):
+        codomain = _word_set(self.codomain)
+        if len(table) != len(codomain) or set(table.values()) != codomain:
             raise ValueError("table is not a bijection onto the codomain shape")
         object.__setattr__(self, "_table", dict(table))
 
@@ -329,7 +404,7 @@ class CrystalMap:
 
     @classmethod
     def identity(cls, shape) -> "CrystalMap":
-        return cls(shape, shape, {w: w for w in words(shape)})
+        return cls(shape, shape, {w: w for w in _words(shape)})
 
     def compose(self, other: "CrystalMap") -> "CrystalMap":
         """self after other."""
@@ -381,7 +456,7 @@ class CrystalMap:
             {
                 "domain_shape": list(self.domain),
                 "codomain_shape": list(self.codomain),
-                "map": {str(w): str(self(w)) for w in words(self.domain)},
+                "map": {str(w): str(self(w)) for w in _words(self.domain)},
             },
             indent=2,
         )
@@ -408,7 +483,7 @@ def extend_map(m: CrystalMap, left, right) -> CrystalMap:
     cod = left + m.codomain + right
     k, l = len(left), len(m.domain)
     table = {}
-    for w in words(dom):
+    for w in _words(dom):
         mid = m(w.slice(k, k + l))
         table[w] = TensorWord(w.factors[:k] + mid.factors + w.factors[k + l:])
     return CrystalMap(dom, cod, table)
@@ -447,7 +522,7 @@ def _commutor_S(shape_a, shape_b) -> CrystalMap:
     xi_ba = schutzenberger(shape_b + shape_a)
     k = len(shape_a)
     table = {}
-    for w in words(shape_a + shape_b):
+    for w in _words(shape_a + shape_b):
         a, b = w.slice(0, k), w.slice(k, len(w))
         swapped = TensorWord(xi_b(b).factors + xi_a(a).factors)
         table[w] = xi_ba(swapped)
@@ -484,13 +559,14 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
                 src = TensorWord(ca.source.factors + b.factors)
                 dst = TensorWord(cb.source.factors + bstar.factors)
                 if tensor_e(src) is not None:
-                    raise AssertionError(f"{src} is not a highest weight word")
+                    raise CrystalInvariantError(f"{src} is not a highest weight word")
                 cur_s, cur_d = src, dst
                 while cur_s is not None:
                     table[cur_s] = cur_d
                     cur_s, cur_d = tensor_f(cur_s), tensor_f(cur_d)
                 if cur_d is not None:
-                    raise AssertionError("image chain longer than source chain")
+                    raise CrystalInvariantError(
+                        f"the image chain of {src} is longer than its source chain")
     return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
 
 
@@ -515,7 +591,7 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
         steps.append((r - 1, sigma))
         cur = cur[: r - 1] + sigma.codomain + cur[q:]
     table = {}
-    for w in words(shape):
+    for w in _words(shape):
         fs = w.factors
         for start, sigma in steps:
             fs = fs[:start] + sigma(TensorWord(fs[start:q])).factors + fs[q:]
@@ -597,7 +673,7 @@ def cactus_square_failures(shape_a, shape_b, shape_c, commutor=commutor_c):
         extend_map(commutor(shape_a, shape_b), (), shape_c)
     )
     out = []
-    for w in words(shape_a + shape_b + shape_c):
+    for w in _words(shape_a + shape_b + shape_c):
         if lhs(w) != rhs(w):
             out.append((w, lhs(w), rhs(w)))
     return out
@@ -727,7 +803,7 @@ def crystal_dot(shape) -> str:
         for w in comp.elements:
             lines.append(f'    "{w}";')
         lines.append("  }")
-    for w in words(shape):
+    for w in _words(shape):
         fw = tensor_f(w)
         if fw is not None:
             lines.append(f'  "{w}" -> "{fw}";')

@@ -14,6 +14,7 @@ a witness for every violation.
 """
 
 from dataclasses import dataclass
+import operator
 import re
 
 __all__ = [
@@ -222,40 +223,43 @@ def verify_action(gen_images: dict, relations, equal=None):
     """Check that generator images satisfy a list of relations.
 
     ``gen_images`` maps generator keys to finite maps (dicts) on a common
-    set; ``relations`` is a list of (left word, right word) pairs, each
-    word a sequence of generator keys (or an object with ``.letters``).
-    Words act on the left, so the last letter is applied first.  Returns
-    the list of RelationFailures, one per violated relation, each carrying
-    the relation's first witness in ``str`` order of the domain.
+    set, each a bijection of that set; ``relations`` is a list of
+    (left word, right word) pairs, each word a sequence of generator keys
+    (or an object with ``.letters``).  Words act on the left, so the last
+    letter is applied first; each side of a relation is applied to the
+    whole domain at once.  Returns the list of RelationFailures, one per
+    violated relation, each carrying the relation's first witness in
+    ``str`` order of the domain.
     """
     if equal is None:
-        equal = lambda x, y: x == y
+        equal = operator.eq
     images = dict(gen_images)
-    domains = {frozenset(m) for m in images.values()}
-    if len(domains) > 1:
+    domain = frozenset(next(iter(images.values()), ()))
+    if any(m.keys() != domain for m in images.values()):
         raise ValueError("generator images act on different domains")
-    domain = sorted(next(iter(domains)), key=str) if domains else []
     for g, m in images.items():
-        if len(set(m.values())) != len(m):
+        if set(m.values()) != domain:
             raise ValueError(f"image of generator {g!r} is not invertible")
+    if not domain:
+        return []
+    points = sorted(domain, key=str)
 
-    def apply_word(word, x):
+    def apply_word(word):
+        xs = points
         for letter in reversed(_letters(word)):
             try:
                 m = images[letter]
             except KeyError:
                 raise ValueError(f"no image supplied for generator {letter!r}")
-            x = m[x]
-        return x
+            xs = [m[x] for x in xs]
+        return xs
 
     failures = []
     for left, right in relations:
-        rel = (_letters(left), _letters(right))
-        for x in domain:
-            lhs = apply_word(left, x)
-            rhs = apply_word(right, x)
-            if not equal(lhs, rhs):
-                failures.append(RelationFailure(rel, x, lhs, rhs))
+        lhs, rhs = apply_word(left), apply_word(right)
+        for x, l, r in zip(points, lhs, rhs):
+            if not equal(l, r):
+                failures.append(RelationFailure((_letters(left), _letters(right)), x, l, r))
                 break  # one witness per violated relation
     return failures
 

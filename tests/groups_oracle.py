@@ -1,0 +1,48 @@
+"""Test-only oracle: the relation verifier applied point by point.
+
+This is the straightforward loop that ``qcactus.groups.verify_action``
+is checked against: for each relation and each point of the domain in
+``str`` order, both words are applied letter by letter to that one
+point, and the first point where they disagree is the witness.  The
+library applies each word to the whole domain at once instead.
+"""
+
+from qcactus.groups import RelationFailure
+
+
+def _letters(word):
+    letters = getattr(word, "letters", None)
+    return letters if letters is not None else tuple(word)
+
+
+def verify_action(gen_images: dict, relations, equal=None):
+    if equal is None:
+        equal = lambda x, y: x == y
+    images = dict(gen_images)
+    domains = {frozenset(m) for m in images.values()}
+    if len(domains) > 1:
+        raise ValueError("generator images act on different domains")
+    domain = sorted(next(iter(domains)), key=str) if domains else []
+    for g, m in images.items():
+        if len(set(m.values())) != len(m):
+            raise ValueError(f"image of generator {g!r} is not invertible")
+
+    def apply_word(word, x):
+        for letter in reversed(_letters(word)):
+            try:
+                m = images[letter]
+            except KeyError:
+                raise ValueError(f"no image supplied for generator {letter!r}")
+            x = m[x]
+        return x
+
+    failures = []
+    for left, right in relations:
+        rel = (_letters(left), _letters(right))
+        for x in domain:
+            lhs = apply_word(left, x)
+            rhs = apply_word(right, x)
+            if not equal(lhs, rhs):
+                failures.append(RelationFailure(rel, x, lhs, rhs))
+                break
+    return failures

@@ -126,6 +126,28 @@ def test_check_kt07_lattice_failure_is_a_fail_report(capsys, monkeypatch):
     assert any("entry (" in pair["error"] for pair in failed)
 
 
+def _clear_crystal_caches():
+    for value in vars(crystals).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):
+    # a tensor rule that never lowers breaks every chain of length > 1,
+    # which must surface as a failed verification naming the word
+    monkeypatch.setattr(crystals, "tensor_f", lambda w: None)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "coboundary", "--max", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert "qcactus: verification failed: component of b1⊗b0 is not a chain" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rmatrix", "--m", "1", "--n", "1", "--frame", "s3"])

@@ -9,12 +9,14 @@ from qcactus.crystals import (
     ChainElement,
     TensorWord,
     cactus_action,
+    cactus_generator_images,
     eps,
     phi,
     tensor_e,
     tensor_f,
     words,
 )
+from qcactus.groups import cactus_relation_instances, verify_action
 
 
 @st.composite
@@ -50,3 +52,10 @@ def test_cactus_action_matches_recursive_definition(shape):
     for p in range(1, k + 1):
         for q in range(p, k + 1):
             assert cactus_action(shape, p, q) == oracle.cactus_action(shape, p, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=4))
+def test_cactus_generator_images_satisfy_the_cactus_relations(shape):
+    relations = cactus_relation_instances(len(shape))
+    assert verify_action(cactus_generator_images(shape), relations) == []

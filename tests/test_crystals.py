@@ -1,3 +1,9 @@
+import copy
+import pickle
+import sys
+import threading
+from itertools import product
+
 import pytest
 
 from qcactus.crystals import (
@@ -312,3 +318,83 @@ def test_crystal_dot_output():
 def test_component_of():
     comp = component_of(W((1, 1), 1, -1))
     assert comp.highest_weight == 0
+
+
+def test_words_and_chain_elements_are_interned():
+    w = W((1, 2, 0), 1, 0, 0)
+    assert TensorWord(w.factors) is w
+    assert TensorWord(tuple(ChainElement(b.n, b.j) for b in w.factors)) is w
+    b = ChainElement(2, 0)
+    assert ChainElement(n=2, j=0) is b
+    for obj in (w, b):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    for obj, name in [(w, "factors"), (w, "other"), (b, "j"), (b, "eps")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    # the frozen-dataclass hashes: deterministic, never derived from id()
+    assert hash(b) == hash((2, 0))
+    assert hash(w) == hash((tuple((c.n, c.j) for c in w.factors),))
+    assert repr(b) == "ChainElement(n=2, j=0)"
+    assert repr(W((1,), -1)) == "TensorWord(factors=(ChainElement(n=1, j=-1),))"
+    elements = [ChainElement(2, 0), ChainElement(1, 1), ChainElement(2, -2), ChainElement(1, -1)]
+    assert sorted(elements) == [
+        ChainElement(1, -1), ChainElement(1, 1), ChainElement(2, -2), ChainElement(2, 0)
+    ]
+    assert ChainElement(1, 1) <= ChainElement(1, 1) < ChainElement(2, -2)
+    with pytest.raises(TypeError):
+        ChainElement(1, 1) < (1, 1)
+    assert b != (2, 0) and w != w.factors
+    with pytest.raises(ValueError):
+        TensorWord(())
+
+
+def test_words_returns_a_fresh_list_of_the_interned_words():
+    first, second = words((1, 2)), words((1, 2))
+    assert first is not second
+    assert all(x is y for x, y in zip(first, second)) and len(first) == 6
+    first.clear()
+    assert len(words((1, 2))) == 6
+
+
+def test_interning_agrees_across_threads():
+    shape = (29, 31, 5)  # words that no other test builds
+    barrier = threading.Barrier(8)
+    built = [None] * 8
+
+    def build(i):
+        barrier.wait()
+        built[i] = [TensorWord.from_weights(shape, js)
+                    for js in product(*[range(-n, n + 1, 2) for n in shape])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so constructions race
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built[0]) == 30 * 32 * 6
+    for other in built[1:]:
+        assert all(x is y for x, y in zip(other, built[0]))
+
+
+def test_crystal_map_validates_totality_and_bijectivity():
+    table = dict(commutor_c((1,), (1,)).items())
+    partial = dict(table)
+    partial.pop(W((1, 1), 1, 1))
+    with pytest.raises(ValueError, match="not total"):
+        CrystalMap((1, 1), (1, 1), partial)
+    collapsed = dict(table)
+    collapsed[W((1, 1), 1, 1)] = collapsed[W((1, 1), -1, -1)]
+    with pytest.raises(ValueError, match="not a bijection"):
+        CrystalMap((1, 1), (1, 1), collapsed)
+    with pytest.raises(ValueError, match="not a bijection"):
+        CrystalMap((1, 1), (2,), table)

@@ -105,6 +105,13 @@ def test_non_involution_is_reported_with_witness():
     assert verify_action({(1, 2): cyc}, squares) == []
 
 
+def test_image_leaving_the_domain_is_not_invertible():
+    # injective, but 2 goes outside {1, 2}: not a bijection of the domain
+    squares = [(CactusWord(((1, 2), (1, 2)), 2), CactusWord((), 2))]
+    with pytest.raises(ValueError, match="not invertible"):
+        verify_action({(1, 2): {1: 2, 2: 3}}, squares)
+
+
 def test_mismatched_domains_is_an_error():
     images = {(1, 2): {1: 1}, (1, 3): {1: 1, 2: 2}, (2, 3): {1: 1, 2: 2}}
     with pytest.raises(ValueError):

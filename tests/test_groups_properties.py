@@ -1,0 +1,58 @@
+"""The batched relation verifier against the point-by-point oracle."""
+
+from hypothesis import given, settings, strategies as st
+
+import groups_oracle as oracle
+from qcactus.groups import verify_action
+
+# ints and strings with equal str exercise the tie order of witnesses
+POINTS = [1, 2, 3, 4, 5, "1", "2", "3"]
+GENERATORS = ["a", "b", "c", "d"]
+
+
+def _same_str(x, y):
+    return str(x) == str(y)
+
+
+@st.composite
+def actions(draw):
+    """Generator images on a common domain, relations over them, and one fault.
+
+    Every image is a self-map of the domain; the faults make one image
+    non-injective, drop a point from one image, or let a relation use a
+    generator with no image.
+    """
+    domain = draw(st.lists(st.sampled_from(POINTS), max_size=6, unique=True))
+    gens = draw(st.lists(st.sampled_from(GENERATORS), min_size=1, max_size=3, unique=True))
+    images = {g: dict(zip(domain, draw(st.permutations(domain)))) for g in gens}
+    word = st.lists(st.sampled_from(gens), max_size=4).map(tuple)
+    relations = draw(st.lists(st.tuples(word, word), min_size=1, max_size=6))
+    fault = draw(st.sampled_from(["none", "none", "none", "collapse", "drop-point", "missing"]))
+    target = images[draw(st.sampled_from(gens))]
+    if fault == "collapse" and len(domain) >= 2:
+        a, b = draw(st.lists(st.sampled_from(domain), min_size=2, max_size=2, unique=True))
+        target[a] = target[b]
+    elif fault == "drop-point" and domain and len(gens) >= 2:
+        del target[draw(st.sampled_from(domain))]
+    elif fault == "missing":
+        i = draw(st.integers(0, len(relations) - 1))
+        left, right = relations[i]
+        relations[i] = (left, right + ("z",))  # "z" never has an image
+    equal = draw(st.sampled_from([None, _same_str]))
+    return images, relations, equal
+
+
+def _outcome(verify, images, relations, equal):
+    try:
+        return verify(images, relations, equal)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(actions())
+def test_batched_verifier_matches_pointwise_oracle(case):
+    images, relations, equal = case
+    assert _outcome(verify_action, images, relations, equal) == _outcome(
+        oracle.verify_action, images, relations, equal
+    )
