@@ -176,8 +176,8 @@ def _cmd_check_kt07(args) -> int:
         for n in range(args.max + 1):
             try:
                 pair = uqsl2.verify_kt07(m, n).as_dict()
-            except uqsl2.LatticeError as exc:
-                # a failed verification, not a usage error; the text names the entry
+            except (uqsl2.LatticeError, uqsl2.UnitarizationError) as exc:
+                # a failed verification, not a usage error; the text names the witness
                 pair = {"m": m, "n": n, "ok": False, "error": str(exc)}
             ok = ok and pair["ok"]
             results.append(pair)
@@ -276,8 +276,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except crystals.CrystalInvariantError as exc:
-        # a failed verification, not a usage error; the text names the word
+    except (crystals.CrystalInvariantError, uqsl2.UnitarizationError) as exc:
+        # a failed verification, not a usage error; the text names the witness
         print(f"qcactus: verification failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

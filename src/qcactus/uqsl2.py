@@ -17,23 +17,34 @@ where P multiplies a vector of weights (a, b) by q^(ab/2).  The smallest
 case is pinned against a frozen reference matrix, so any convention
 drift in the construction raises immediately rather than propagating.
 
-Unitarization divides out the square root of the composite of the two
-braiding directions: on each irreducible block that composite is a
-monomial scalar, the square root is taken with its positive branch, and
-the resulting involution preserves the lattice of the crystal basis.
-Reducing its product-frame matrix at q = infinity yields a signed
-permutation of the crystal words, which is compared entry by entry
-against the crystal commutor.
+Unitarization divides out the square root of R^op R, the composite of
+the two braiding directions, by Drinfeld's ribbon formula, the same for
+irreducible and composite factors:
+
+    (R^op R)^(-1/2) on M (x) N = Q^(eps_M eps_N) (T_M^+ (x) T_N^+) T_(M (x) N)^-,
+
+with T^(+-) = sum_lam Q^(+-floor(lam(lam+2)/2)) P_lam over the isotypic
+projectors, a polynomial in the Casimir, and eps the parity of the
+weights.  It takes the positive branch, a monomial on each block.  The
+formula is a theorem and is checked exactly: (R^op R) X^2 must fix every
+highest weight vector, or UnitarizationError is raised.  The resulting
+involution preserves the lattice of the crystal basis.  Reducing its
+product-frame matrix at q = infinity yields a signed permutation of the
+crystal words, which is compared entry by entry against the crystal
+commutor.  Derived matrices are cached by the shapes of the factors, a
+tuple of ints that determines the module, not by the module's entries.
 
 Product bases are enumerated with the last tensor factor slowest, the
 same order used for crystal words, so matrix indices and words align.
 All matrices are exact and immutable.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
+from math import prod
 
 from .qexact import (
     ONE,
@@ -41,7 +52,6 @@ from .qexact import (
     QRational,
     Qpow,
     is_regular_at_infinity,
-    monomial_sqrt,
     parse_qrational,
     qpow,
     quantum_int,
@@ -54,6 +64,7 @@ __all__ = [
     "SingularMatrixError",
     "LatticeError",
     "CalibrationError",
+    "UnitarizationError",
     "UqModule",
     "irreducible",
     "tensor_module",
@@ -87,6 +98,10 @@ class LatticeError(ValueError):
 
 
 class CalibrationError(RuntimeError):
+    pass
+
+
+class UnitarizationError(RuntimeError):
     pass
 
 
@@ -329,41 +344,30 @@ def irreducible(n: int) -> UqModule:
     return UqModule((n,), weights, QMatrix(e), QMatrix(f), labels)
 
 
+def _tensor_operator(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Operator a (x) b in the product basis with the second index slow."""
+    ra, ca = a.rows, a.cols
+    nonzero_b = [(j, l, y) for j, row in enumerate(b.entries) for l, y in enumerate(row) if y]
+    out = [[ZERO] * (ca * b.cols) for _ in range(ra * b.rows)]
+    for i, row in enumerate(a.entries):
+        for k, x in enumerate(row):
+            if x:
+                for j, l, y in nonzero_b:
+                    out[j * ra + i][l * ca + k] = x * y
+    return QMatrix(out)
+
+
 def tensor_module(m: UqModule, n: UqModule) -> UqModule:
     """Tensor product module on the product basis.
 
     The product basis index of (a, b) is b * dim(m) + a: the second
     factor varies slowest, matching the canonical crystal word order.
     """
-    dm, dn = m.dim, n.dim
-    dim = dm * dn
-    weights = [0] * dim
-    e = [[ZERO] * dim for _ in range(dim)]
-    f = [[ZERO] * dim for _ in range(dim)]
-    for a in range(dm):
-        for b in range(dn):
-            col = b * dm + a
-            weights[col] = m.weights[a] + n.weights[b]
-            kb = qpow(n.weights[b])
-            for ra in range(dm):
-                c = m.e[ra, a]
-                if c:
-                    e[b * dm + ra][col] = e[b * dm + ra][col] + c * kb
-                c = m.f[ra, a]
-                if c:
-                    f[b * dm + ra][col] = f[b * dm + ra][col] + c
-            kinv = qpow(-m.weights[a])
-            for rb in range(dn):
-                c = n.e[rb, b]
-                if c:
-                    e[rb * dm + a][col] = e[rb * dm + a][col] + c
-                c = n.f[rb, b]
-                if c:
-                    f[rb * dm + a][col] = f[rb * dm + a][col] + kinv * c
-    labels = tuple(
-        f"{m.labels[idx % dm]}⊗{n.labels[idx // dm]}" for idx in range(dim)
-    )
-    return UqModule(m.shape + n.shape, tuple(weights), QMatrix(e), QMatrix(f), labels)
+    e = _tensor_operator(m.e, n.k_matrix()) + _tensor_operator(QMatrix.identity(m.dim), n.e)
+    f = _tensor_operator(m.f, QMatrix.identity(n.dim)) + _tensor_operator(m.k_matrix(-1), n.f)
+    weights = tuple(a + b for b in n.weights for a in m.weights)
+    labels = tuple(f"{x}⊗{y}" for y in n.labels for x in m.labels)
+    return UqModule(m.shape + n.shape, weights, e, f, labels)
 
 
 @lru_cache(maxsize=None)
@@ -407,12 +411,9 @@ def highest_weight_vectors(m: UqModule):
     for w in sorted(set(m.weights), reverse=True):
         cols = [i for i in range(m.dim) if m.weights[i] == w]
         upper = [i for i in range(m.dim) if m.weights[i] == w + 2]
-        rows = [[m.e[r, c] for c in cols] for r in upper]
-        if not rows:
-            kernel = [[ONE if i == k else ZERO for i in range(len(cols))] for k in range(len(cols))]
-        else:
-            kernel = _kernel_basis(rows)
-        for vec in kernel:
+        # with no weight above, a zero row leaves every coordinate free
+        rows = [[m.e[r, c] for c in cols] for r in upper] or [[ZERO] * len(cols)]
+        for vec in _kernel_basis(rows):
             full = [ZERO] * m.dim
             for ci, c in enumerate(cols):
                 full[c] = vec[ci]
@@ -426,7 +427,6 @@ class ModuleComponent:
     columns: QMatrix  # dim x (highest_weight + 1), divided-power descendants
 
 
-@lru_cache(maxsize=None)
 def module_components(m: UqModule):
     """Split a module into irreducible components.
 
@@ -434,27 +434,23 @@ def module_components(m: UqModule):
     its highest weight vector, so the columns realize the standard basis
     of the abstract irreducible of that highest weight.
     """
+    return _components(m.shape)
+
+
+@lru_cache(maxsize=None)
+def _components(shape):
+    m = module_for_shape(shape)
     comps = []
     for w, vec in highest_weight_vectors(m):
         cols = [vec]
-        cur = vec
         for d in range(1, w + 1):
-            nxt = [ZERO] * m.dim
-            for r in range(m.dim):
-                acc = ZERO
-                for c in range(m.dim):
-                    coeff = m.f[r, c]
-                    if coeff and cur[c]:
-                        acc = acc + coeff * cur[c]
-                nxt[r] = acc
+            lowered = (m.f @ QMatrix.from_columns(cols[-1:], m.dim)).column(0)
             inv = ONE / quantum_int(d)
-            cur = [inv * x for x in nxt]
-            cols.append(cur)
+            cols.append([inv * x for x in lowered])
         comps.append(ModuleComponent(w, QMatrix.from_columns(cols, m.dim)))
     return comps
 
 
-@lru_cache(maxsize=None)
 def isotypic_frame(m: UqModule, n: UqModule):
     """Isotypic basis of a multiplicity-free tensor product.
 
@@ -464,24 +460,19 @@ def isotypic_frame(m: UqModule, n: UqModule):
     lists the top vector, the singlet, the middle triplet vector, and
     the bottom vector in that order.
     """
-    t = tensor_module(m, n)
+    return _isotypic_frame(m.shape + n.shape)
+
+
+@lru_cache(maxsize=None)
+def _isotypic_frame(shape):
+    t = module_for_shape(shape)
     comps = module_components(t)
-    seen = {}
-    for comp in comps:
-        if comp.highest_weight in seen:
-            raise ValueError("tensor product is not multiplicity-free")
-        seen[comp.highest_weight] = comp
-    slots = []
-    for comp in comps:
-        nu = comp.highest_weight
-        for d in range(nu + 1):
-            slots.append((nu - 2 * d, nu))
-    slots.sort(key=lambda s: (-s[0], s[1]))
-    slots = tuple(slots)
-    cols = []
-    for w, nu in slots:
-        comp = seen[nu]
-        cols.append(comp.columns.column((nu - w) // 2))
+    seen = {comp.highest_weight: comp for comp in comps}
+    if len(seen) != len(comps):
+        raise ValueError("tensor product is not multiplicity-free")
+    slots = tuple(sorted(((nu - 2 * d, nu) for nu in seen for d in range(nu + 1)),
+                         key=lambda s: (-s[0], s[1])))
+    cols = [seen[nu].columns.column((nu - w) // 2) for w, nu in slots]
     return QMatrix.from_columns(cols, t.dim), slots
 
 
@@ -494,24 +485,6 @@ def flip_matrix(m: UqModule, n: UqModule) -> QMatrix:
     for a in range(dm):
         for b in range(dn):
             out[a * dn + b][b * dm + a] = ONE
-    return QMatrix(out)
-
-
-def _tensor_operator(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Operator a (x) b in the product basis with the second index slow."""
-    ra, ca = a.rows, a.cols
-    rb, cb = b.rows, b.cols
-    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for k in range(ca):
-            x = a[i, k]
-            if not x:
-                continue
-            for j in range(rb):
-                for l in range(cb):
-                    y = b[j, l]
-                    if y:
-                        out[j * ra + i][l * ca + k] = x * y
     return QMatrix(out)
 
 
@@ -564,9 +537,25 @@ def _calibration() -> None:
 
 
 @lru_cache(maxsize=None)
-def _flip_r(m: UqModule, n: UqModule) -> QMatrix:
+def _flip_r(shape_m, shape_n) -> QMatrix:
     _calibration()
+    m, n = module_for_shape(shape_m), module_for_shape(shape_n)
     return flip_matrix(m, n) @ _r_matrix(m, n)
+
+
+def _in_frame(a: QMatrix, frame: str, source, target) -> QMatrix:
+    """A map between product bases, or conjugated into the isotypic frames.
+
+    ``source`` and ``target`` are the factor pairs of the domain and the
+    codomain; ``frame="s2"`` needs both to be multiplicity-free.
+    """
+    if frame == "s1":
+        return a
+    if frame == "s2":
+        f_source, _ = isotypic_frame(*source)
+        f_target, _ = isotypic_frame(*target)
+        return f_target.inverse() @ a @ f_source
+    raise ValueError(f"unknown frame {frame!r}")
 
 
 def braiding_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
@@ -576,126 +565,117 @@ def braiding_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
     conjugates into the isotypic bases, where the braiding is diagonal
     with one monomial scalar per irreducible block.
     """
-    a = _flip_r(m, n)
-    if frame == "s1":
-        return a
-    if frame == "s2":
-        fmn, _ = isotypic_frame(m, n)
-        fnm, _ = isotypic_frame(n, m)
-        return fnm.inverse() @ a @ fmn
-    raise ValueError(f"unknown frame {frame!r}")
+    return _in_frame(_flip_r(m.shape, n.shape), frame, (m, n), (n, m))
+
+
+def block_scalars(m: UqModule, n: UqModule) -> dict:
+    """Scalar of flip . R on each irreducible block of M (x) N."""
+    _, slots = isotypic_frame(m, n)
+    d = braiding_matrix(m, n, "s2")
+    if not d.is_diagonal():
+        raise ValueError("braiding is not diagonal in the isotypic frames")
+    by_nu = {}
+    for s, (_w, nu) in zip(d.diagonal_entries(), slots):
+        if by_nu.setdefault(nu, s) != s:
+            raise ValueError("braiding is not scalar on an isotypic block")
+    return by_nu
 
 
 # -- unitarization -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitarizationResult:
-    s1: QMatrix
-    s2: QMatrix | None
-    inv_sqrt_s1: QMatrix | None
-    slots: tuple | None
+def _casimir_eigenvalue(lam: int) -> QRational:
+    return qpow(lam + 1) + qpow(-lam - 1)
 
 
-def _scalar_blocks(diag, slots):
-    """Collapse per-slot diagonal entries to one scalar per block."""
-    by_nu = {}
-    for s, (_w, nu) in zip(diag, slots):
-        if nu in by_nu:
-            if by_nu[nu] != s:
-                raise ValueError("braiding is not scalar on an isotypic block")
-        else:
-            by_nu[nu] = s
-    return by_nu
+def _casimir_blocks(shape):
+    """The Newton basis of the Casimir on each weight block of a module.
 
-
-def _unitarize_irreducible(m: UqModule, n: UqModule) -> UnitarizationResult:
-    a_mn = _flip_r(m, n)
-    a_nm = _flip_r(n, m)
-    fmn, slots = isotypic_frame(m, n)
-    fnm, slots_nm = isotypic_frame(n, m)
-    if slots != slots_nm:
-        raise AssertionError("isotypic slot lists disagree between the two orders")
-    fmn_inv = fmn.inverse()
-    fnm_inv = fnm.inverse()
-    d_mn = fnm_inv @ a_mn @ fmn
-    d_nm = fmn_inv @ a_nm @ fnm
-    if not (d_mn.is_diagonal() and d_nm.is_diagonal()):
-        raise ValueError("braiding is not diagonal in the isotypic frames")
-    s_mn = _scalar_blocks(d_mn.diagonal_entries(), slots)
-    s_nm = _scalar_blocks(d_nm.diagonal_entries(), slots)
-    roots = {nu: monomial_sqrt(s_mn[nu] * s_nm[nu]) for nu in s_mn}
-    dbar = QMatrix.diagonal([s_mn[nu] / roots[nu] for (_w, nu) in slots])
-    dbar_rev = QMatrix.diagonal([s_nm[nu] / roots[nu] for (_w, nu) in slots])
-    inv_sqrt_s2 = QMatrix.diagonal([ONE / roots[nu] for (_w, nu) in slots])
-    s1 = fnm @ dbar @ fmn_inv
-    s1_rev = fmn @ dbar_rev @ fnm_inv
-    if s1_rev @ s1 != QMatrix.identity(s1.cols):
-        raise AssertionError("unitarized braiding failed to be an involution")
-    return UnitarizationResult(
-        s1=s1,
-        s2=dbar,
-        inv_sqrt_s1=fmn @ inv_sqrt_s2 @ fmn_inv,
-        slots=tuple(slots),
-    )
-
-
-def _embed_columns(ci: QMatrix, cj: QMatrix, left_dim: int):
-    """Columns embedding a component pair block into a product space.
-
-    ``ci`` and ``cj`` are component column matrices inside the left and
-    right factor; column (d, d') of the block (second index slowest) is
-    the product vector, whose composite row for basis pair (a, b) is
-    b * left_dim + a.
+    The Casimir C = (q - q^-1)^2 FE + qK + q^-1 K^-1 acts on V_lam by
+    c_lam = q^(lam+1) + q^-(lam+1).  C preserves weights, and the
+    weight-w block meets only the components of highest weight lam >= |w|.
+    Yields, per weight, the block's basis indices, those lam in
+    descending order, and B_k = (C - c_lam_0) ... (C - c_lam_(k-1)).
     """
-    di, dj = ci.cols, cj.cols
-    cols = []
-    for dprime in range(dj):
-        for d in range(di):
-            col = {}
-            for a in range(ci.rows):
-                x = ci[a, d]
-                if not x:
-                    continue
-                for b in range(cj.rows):
-                    y = cj[b, dprime]
-                    if y:
-                        col[b * left_dim + a] = x * y
-            cols.append(col)
-    return cols
+    m = module_for_shape(shape)
+    qdiff = qpow(1) - qpow(-1)
+    fe = (m.f @ m.e).scale(qdiff * qdiff)
+    count = Counter(m.weights)
+    present = [lam for lam in sorted(count, reverse=True)
+               if lam >= 0 and count[lam] > count[lam + 2]]
+    for w in sorted(count, reverse=True):
+        idx = [i for i, x in enumerate(m.weights) if x == w]
+        lams = [lam for lam in present if lam >= abs(w)]
+        basis = [QMatrix.identity(len(idx))]
+        for mu in lams[:-1]:
+            # C - c_mu on the block: FE plus c_w - c_mu on the diagonal
+            s = _casimir_eigenvalue(w) - _casimir_eigenvalue(mu)
+            shifted = QMatrix([[fe[i, j] + s if i == j else fe[i, j] for j in idx] for i in idx])
+            basis.append(basis[-1] @ shifted)
+        yield idx, lams, basis
+
+
+def _twist_exponent(lam: int) -> int:
+    return lam * (lam + 2) // 2
+
+
+def _twist(shape, sign: int) -> QMatrix:
+    """T^(+-) = sum of Q^(+-floor(lam(lam+2)/2)) P_lam on the module of a shape.
+
+    P_lam projects onto the isotypic component of highest weight lam, so
+    T = f(C) for the polynomial f through the points (c_lam, Q^(+-...)).
+    On each weight block f is taken in Newton's form, with the divided
+    differences of those values as coefficients: one matrix product per
+    extra eigenvalue, where the Lagrange projectors need one per pair.
+    """
+    dim = module_for_shape(shape).dim
+    out = [[ZERO] * dim for _ in range(dim)]
+    for idx, lams, basis in _casimir_blocks(shape):
+        c = [_casimir_eigenvalue(lam) for lam in lams]
+        coef = [Qpow(sign * _twist_exponent(lam)) for lam in lams]
+        for j in range(1, len(lams)):
+            for i in range(len(lams) - 1, j - 1, -1):
+                coef[i] = (coef[i] - coef[i - 1]) / (c[i] - c[i - j])
+        block = basis[0].scale(coef[0])
+        for b, k in zip(basis[1:], coef[1:]):
+            block = block + b.scale(k)
+        for i, row in zip(idx, block.entries):
+            for j, x in zip(idx, row):
+                out[i][j] = x
+    return QMatrix(out)
 
 
 @lru_cache(maxsize=None)
-def _unitarize(m: UqModule, n: UqModule) -> UnitarizationResult:
-    if len(m.shape) == 1 and len(n.shape) == 1:
-        return _unitarize_irreducible(m, n)
-    comps_m = module_components(m)
-    comps_n = module_components(n)
-    dim = m.dim * n.dim
-    g_cols = []
-    blocks = []
-    for ci in comps_m:
-        vmu = irreducible(ci.highest_weight)
-        for cj in comps_n:
-            vnu = irreducible(cj.highest_weight)
-            width = vmu.dim * vnu.dim
-            start = len(g_cols)
-            g_cols.extend(_embed_columns(ci.columns, cj.columns, m.dim))
-            emb_out = _embed_columns(cj.columns, ci.columns, n.dim)
-            blocks.append((start, width, _unitarize(vmu, vnu).s1, emb_out))
-    if len(g_cols) != dim:
-        raise AssertionError("component blocks do not span the tensor product")
-    g = QMatrix.from_columns(
-        [[col.get(i, ZERO) for i in range(dim)] for col in g_cols], dim
-    )
-    g_inv = g.inverse()
-    total = QMatrix.zeros(dim, dim)
-    for start, width, b_mat, emb_out in blocks:
-        rows = QMatrix([list(g_inv.entries[start + k]) for k in range(width)])
-        emb = QMatrix.from_columns(
-            [[col.get(i, ZERO) for i in range(dim)] for col in emb_out], dim
-        )
-        total = total + emb @ b_mat @ rows
-    return UnitarizationResult(s1=total, s2=None, inv_sqrt_s1=None, slots=None)
+def _unitarization(shape_m, shape_n):
+    """(X, flip . R X) with X = (R^op R)^(-1/2) on M (x) N, by Drinfeld's ribbon formula.
+
+    R^op R = (v (x) v) Delta(v)^-1 for the ribbon element v, which acts
+    on V_lam by Q^(-lam(lam+2)), so X = Q^(eps_M eps_N) (T_M^+ (x) T_N^+)
+    T_(M (x) N)^-; the parity factor restores what the floors drop when
+    both weights are odd.
+    """
+    parity = (sum(shape_m) % 2) * (sum(shape_n) % 2)
+    x = _tensor_operator(_twist(shape_m, 1), _twist(shape_n, 1)) @ _twist(shape_m + shape_n, -1)
+    x = x.scale(Qpow(parity))
+    u = _flip_r(shape_m, shape_n) @ x
+    # (R^op R) X^2 is a module map, so it is the identity once it fixes
+    # every highest weight vector
+    t = module_for_shape(shape_m + shape_n)
+    hws = highest_weight_vectors(t)
+    tops = QMatrix.from_columns([v for _w, v in hws], t.dim)
+    got = _flip_r(shape_n, shape_m) @ (u @ (x @ tops))
+    for k, (w, _v) in enumerate(hws):
+        if got.column(k) != tops.column(k):
+            raise UnitarizationError(
+                f"(R^op R)^(-1/2) on {shape_m} (x) {shape_n} does not square to the inverse "
+                f"of R^op R on highest weight vector {k} of weight {w}"
+            )
+    return x, u
+
+
+def _diagonal_or_raise(a: QMatrix, frame: str, what: str) -> QMatrix:
+    if frame == "s2" and not a.is_diagonal():
+        raise UnitarizationError(f"{what} is not diagonal in the isotypic frames")
+    return a
 
 
 def unitarized_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
@@ -705,35 +685,14 @@ def unitarized_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
     diagonal of block signs; in the product frame its entries stay
     regular at q = infinity, so it preserves the crystal lattice.
     """
-    res = _unitarize(m, n)
-    if frame == "s1":
-        return res.s1
-    if frame == "s2":
-        if res.s2 is None:
-            raise ValueError("isotypic frame only available for irreducible factors")
-        return res.s2
-    raise ValueError(f"unknown frame {frame!r}")
+    a = _in_frame(_unitarization(m.shape, n.shape)[1], frame, (m, n), (n, m))
+    return _diagonal_or_raise(a, frame, "unitarized braiding")
 
 
 def rop_r_inverse_sqrt(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
-    """The inverse square root factor used by the unitarization."""
-    res = _unitarize_irreducible(m, n)
-    if frame == "s1":
-        return res.inv_sqrt_s1
-    if frame == "s2":
-        fmn, _ = isotypic_frame(m, n)
-        return fmn.inverse() @ res.inv_sqrt_s1 @ fmn
-    raise ValueError(f"unknown frame {frame!r}")
-
-
-def block_scalars(m: UqModule, n: UqModule) -> dict:
-    """Scalar of flip . R on each irreducible block of M (x) N."""
-    fmn, slots = isotypic_frame(m, n)
-    fnm, _ = isotypic_frame(n, m)
-    d = fnm.inverse() @ _flip_r(m, n) @ fmn
-    if not d.is_diagonal():
-        raise ValueError("braiding is not diagonal in the isotypic frames")
-    return _scalar_blocks(d.diagonal_entries(), slots)
+    """The inverse square root of R^op R on M (x) N, used by the unitarization."""
+    a = _in_frame(_unitarization(m.shape, n.shape)[0], frame, (m, n), (m, n))
+    return _diagonal_or_raise(a, frame, "(R^op R)^(-1/2)")
 
 
 # -- lattice reduction and the signed comparison ------------------------------
@@ -834,34 +793,11 @@ def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> 
     follows the canonical order (first factor fastest).
     """
     dims = list(dims)
-    out_dims = dims[:start] + list(out_block_dims) + dims[stop:]
-    block_in = 1
-    for d in dims[start:stop]:
-        block_in *= d
-    block_out = 1
-    for d in out_block_dims:
-        block_out *= d
-    if op.rows != block_out or op.cols != block_in:
+    if op.rows != prod(out_block_dims) or op.cols != prod(dims[start:stop]):
         raise ValueError("operator does not match the selected slots")
-    pre = 1
-    for d in dims[:start]:
-        pre *= d
-    post = 1
-    for d in dims[stop:]:
-        post *= d
-    dim_in = pre * block_in * post
-    dim_out = pre * block_out * post
-    out = [[ZERO] * dim_in for _ in range(dim_out)]
-    for p in range(pre):
-        for mid in range(block_in):
-            for s in range(post):
-                col = p + pre * (mid + block_in * s)
-                for rmid in range(block_out):
-                    x = op[rmid, mid]
-                    if x:
-                        row = p + pre * (rmid + block_out * s)
-                        out[row][col] = x
-    return QMatrix(out)
+    pre = QMatrix.identity(prod(dims[:start]))
+    post = QMatrix.identity(prod(dims[stop:]))
+    return _tensor_operator(_tensor_operator(pre, op), post)
 
 
 def evaluate_matrix(a: QMatrix, x) -> list:
@@ -874,7 +810,7 @@ def evaluate_matrix(a: QMatrix, x) -> list:
 def check_yang_baxter() -> bool:
     """(sigma (x) id)(id (x) sigma)(sigma (x) id) on three chain factors."""
     v1 = irreducible(1)
-    sigma = _flip_r(v1, v1)
+    sigma = braiding_matrix(v1, v1)
     s1 = apply_on_slots(sigma, [2, 2, 2], 0, 2, [2, 2])
     s2 = apply_on_slots(sigma, [2, 2, 2], 1, 3, [2, 2])
     return s1 @ s2 @ s1 == s2 @ s1 @ s2

@@ -148,6 +148,49 @@ def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):
     assert "qcactus: verification failed: component of b1⊗b0 is not a chain" in captured.err
 
 
+def _clear_uqsl2_caches():
+    for value in vars(uqsl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _wrong_twist(lam):
+    return lam * (lam + 2) // 2 + 1
+
+
+def test_unitarization_failure_is_a_failed_verification(capsys, monkeypatch):
+    # a twist exponent off by one breaks (R^op R) X^2 = 1, which the exact
+    # self-check must report as a failed verification, not a usage error
+    monkeypatch.setattr(uqsl2, "_twist_exponent", _wrong_twist)
+    _clear_uqsl2_caches()
+    try:
+        code = run(["rmatrix", "--m", "1", "--n", "1", "--unitarize"])
+    finally:
+        monkeypatch.undo()
+        _clear_uqsl2_caches()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("qcactus: verification failed: (R^op R)^(-1/2) on (1,) (x) (1,)")
+
+
+def test_check_kt07_unitarization_failure_is_a_fail_report(capsys, monkeypatch):
+    monkeypatch.setattr(uqsl2, "_twist_exponent", _wrong_twist)
+    _clear_uqsl2_caches()
+    try:
+        code, out = invoke(capsys, "check", "kt07", "--max", "1")
+    finally:
+        monkeypatch.undo()
+        _clear_uqsl2_caches()
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "fail"
+    assert len(data["pairs"]) == 4
+    assert not any(pair["ok"] for pair in data["pairs"])
+    assert all("highest weight vector" in pair["error"] for pair in data["pairs"])
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rmatrix", "--m", "1", "--n", "1", "--frame", "s3"])

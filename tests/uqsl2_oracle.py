@@ -1,0 +1,118 @@
+"""Test-only oracle: the unitarized braiding through isotypic frames.
+
+This is the earlier, independent route to flip . Rbar, kept to check the
+ribbon formula of ``qcactus.uqsl2`` against.  For irreducible factors it
+conjugates both braiding directions into the isotypic frames, where each
+is diagonal with one monomial scalar per block, and divides by the
+positive square root of their product.  For composite factors it splits
+each factor into its irreducible components and assembles the braiding
+from the irreducible blocks through the component embeddings.
+"""
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from qcactus.qexact import ONE, ZERO, monomial_sqrt
+from qcactus.uqsl2 import (
+    QMatrix,
+    UqModule,
+    braiding_matrix,
+    isotypic_frame,
+    module_components,
+    module_for_shape,
+)
+
+
+@dataclass(frozen=True)
+class Unitarization:
+    s1: QMatrix
+    s2: QMatrix | None
+    inv_sqrt_s1: QMatrix | None
+    inv_sqrt_s2: QMatrix | None
+
+
+def _scalar_blocks(diag, slots):
+    by_nu = {}
+    for s, (_w, nu) in zip(diag, slots):
+        if by_nu.setdefault(nu, s) != s:
+            raise AssertionError("braiding is not scalar on an isotypic block")
+    return by_nu
+
+
+def _unitarize_irreducible(m: UqModule, n: UqModule) -> Unitarization:
+    a_mn = braiding_matrix(m, n)
+    a_nm = braiding_matrix(n, m)
+    fmn, slots = isotypic_frame(m, n)
+    fnm, slots_nm = isotypic_frame(n, m)
+    assert slots == slots_nm
+    fmn_inv = fmn.inverse()
+    fnm_inv = fnm.inverse()
+    d_mn = fnm_inv @ a_mn @ fmn
+    d_nm = fmn_inv @ a_nm @ fnm
+    assert d_mn.is_diagonal() and d_nm.is_diagonal()
+    s_mn = _scalar_blocks(d_mn.diagonal_entries(), slots)
+    s_nm = _scalar_blocks(d_nm.diagonal_entries(), slots)
+    roots = {nu: monomial_sqrt(s_mn[nu] * s_nm[nu]) for nu in s_mn}
+    dbar = QMatrix.diagonal([s_mn[nu] / roots[nu] for (_w, nu) in slots])
+    inv_sqrt_s2 = QMatrix.diagonal([ONE / roots[nu] for (_w, nu) in slots])
+    return Unitarization(
+        s1=fnm @ dbar @ fmn_inv,
+        s2=dbar,
+        inv_sqrt_s1=fmn @ inv_sqrt_s2 @ fmn_inv,
+        inv_sqrt_s2=inv_sqrt_s2,
+    )
+
+
+def _embed_columns(ci: QMatrix, cj: QMatrix, left_dim: int):
+    """Product vectors of component column pairs, second index slowest."""
+    cols = []
+    for dprime in range(cj.cols):
+        for d in range(ci.cols):
+            col = {}
+            for a in range(ci.rows):
+                x = ci[a, d]
+                if not x:
+                    continue
+                for b in range(cj.rows):
+                    y = cj[b, dprime]
+                    if y:
+                        col[b * left_dim + a] = x * y
+            cols.append(col)
+    return cols
+
+
+@lru_cache(maxsize=None)
+def _unitarize(shape_m, shape_n) -> Unitarization:
+    m, n = module_for_shape(shape_m), module_for_shape(shape_n)
+    if len(shape_m) == 1 and len(shape_n) == 1:
+        return _unitarize_irreducible(m, n)
+    dim = m.dim * n.dim
+    g_cols = []
+    blocks = []
+    for ci in module_components(m):
+        for cj in module_components(n):
+            width = (ci.highest_weight + 1) * (cj.highest_weight + 1)
+            start = len(g_cols)
+            g_cols.extend(_embed_columns(ci.columns, cj.columns, m.dim))
+            emb_out = _embed_columns(cj.columns, ci.columns, n.dim)
+            inner = _unitarize((ci.highest_weight,), (cj.highest_weight,)).s1
+            blocks.append((start, width, inner, emb_out))
+    assert len(g_cols) == dim, "component blocks do not span the tensor product"
+    g = QMatrix.from_columns([[col.get(i, ZERO) for i in range(dim)] for col in g_cols], dim)
+    g_inv = g.inverse()
+    total = QMatrix.zeros(dim, dim)
+    for start, width, b_mat, emb_out in blocks:
+        rows = QMatrix([list(g_inv.entries[start + k]) for k in range(width)])
+        emb = QMatrix.from_columns([[col.get(i, ZERO) for i in range(dim)] for col in emb_out], dim)
+        total = total + emb @ b_mat @ rows
+    return Unitarization(s1=total, s2=None, inv_sqrt_s1=None, inv_sqrt_s2=None)
+
+
+def unitarized_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
+    res = _unitarize(m.shape, n.shape)
+    return res.s1 if frame == "s1" else res.s2
+
+
+def rop_r_inverse_sqrt(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
+    res = _unitarize_irreducible(m, n)
+    return res.inv_sqrt_s1 if frame == "s1" else res.inv_sqrt_s2
