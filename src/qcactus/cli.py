@@ -45,8 +45,12 @@ def _emit(text: str, args) -> None:
     outdir = os.environ.get("QCACTUS_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        # reported by run() as a usage error, exit 2
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_report(name: str, ok: bool, payload: dict, args) -> int:
@@ -59,23 +63,17 @@ def _emit_report(name: str, ok: bool, payload: dict, args) -> int:
 def _cmd_crystal_graph(args) -> int:
     if args.format == "dot":
         _emit(crystals.crystal_dot(args.shape), args)
-    elif args.format == "json":
+        return 0
+    arrows = [(w, crystals.tensor_f(w)) for w in crystals.words(args.shape)]
+    if args.format == "json":
         data = {
             "shape": list(args.shape),
-            "nodes": [str(w) for w in crystals.words(args.shape)],
-            "edges": [
-                [str(w), str(crystals.tensor_f(w))]
-                for w in crystals.words(args.shape)
-                if crystals.tensor_f(w) is not None
-            ],
+            "nodes": [str(w) for w, _fw in arrows],
+            "edges": [[str(w), str(fw)] for w, fw in arrows if fw is not None],
         }
         _emit(json.dumps(data, indent=2), args)
     else:
-        lines = []
-        for w in crystals.words(args.shape):
-            fw = crystals.tensor_f(w)
-            lines.append(f"{w} -> {fw}" if fw else f"{w} -> 0")
-        _emit("\n".join(lines), args)
+        _emit("\n".join(f"{w} -> {fw}" if fw else f"{w} -> 0" for w, fw in arrows), args)
     return 0
 
 

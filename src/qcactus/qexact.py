@@ -608,8 +608,9 @@ def monomial_sqrt(a: QRational) -> QRational:
     """Square root of a monomial c * Q^(2k) with c a positive rational square.
 
     Returns the root with positive coefficient; anything that is not such
-    a monomial is rejected.  This is the branch used when unitarizing a
-    braiding block by block.
+    a monomial is rejected.  The library no longer calls it: the
+    unitarization takes Drinfeld's ribbon formula instead.  The test-only
+    oracle of block-by-block unitarization and the arithmetic demo use it.
     """
     # a primitive monomial with positive lead is Q^e itself, so c is the coefficient
     if a.is_zero() or any(a._n[:-1]) or any(a._d[:-1]):

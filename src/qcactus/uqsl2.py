@@ -139,7 +139,7 @@ class QMatrix:
         n = len(diag)
         out = [[ZERO] * n for _ in range(n)]
         for i, d in enumerate(diag):
-            out[i][i] = _coerce_entry(d)
+            out[i][i] = d
         return cls(out)
 
     @classmethod
@@ -147,7 +147,7 @@ class QMatrix:
         out = [[ZERO] * len(cols) for _ in range(rows)]
         for j, col in enumerate(cols):
             for i, v in enumerate(col):
-                out[i][j] = _coerce_entry(v)
+                out[i][j] = v
         return cls(out)
 
     @property
@@ -226,18 +226,9 @@ class QMatrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        aug = [list(row) + list(QMatrix.identity(n).entries[i]) for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = ONE / aug[col][col]
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+        aug = [list(row) + list(unit) for row, unit in zip(self.entries, QMatrix.identity(n).entries)]
+        if len(_row_reduce(aug, n)) < n:
+            raise SingularMatrixError("matrix is singular")
         return QMatrix([row[n:] for row in aug])
 
     def to_json(self, frame: str | None = None) -> str:
@@ -265,6 +256,29 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def _row_reduce(rows, ncols: int) -> list:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+
+    Columns past ``ncols`` (an augmented block) follow every row operation.
+    Returns the pivot columns; the k-th pivot sits in row k.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = ONE / rows[rank][col]
+        top = rows[rank] = [inv * x if x else x for x in rows[rank]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != rank and factor:
+                rows[r] = [a - factor * b if b else a for a, b in zip(row, top)]
+        pivots.append(col)
+    return pivots
+
+
 def _kernel_basis(rows):
     """Kernel vectors of a small exact matrix given as a list of rows.
 
@@ -273,24 +287,9 @@ def _kernel_basis(rows):
     """
     mat = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [inv * x for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = _row_reduce(mat, ncols)
     out = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [ZERO] * ncols
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
@@ -315,7 +314,6 @@ class UqModule:
     weights: tuple
     e: QMatrix
     f: QMatrix
-    labels: tuple
 
     @property
     def dim(self) -> int:
@@ -340,20 +338,24 @@ def irreducible(n: int) -> UqModule:
             e[i - 1][i] = quantum_int(n - i + 1)
         if i < n:
             f[i + 1][i] = quantum_int(i + 1)
-    labels = tuple(f"v{j}" for j in weights)
-    return UqModule((n,), weights, QMatrix(e), QMatrix(f), labels)
+    return UqModule((n,), weights, QMatrix(e), QMatrix(f))
 
 
-def _tensor_operator(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Operator a (x) b in the product basis with the second index slow."""
-    ra, ca = a.rows, a.cols
-    nonzero_b = [(j, l, y) for j, row in enumerate(b.entries) for l, y in enumerate(row) if y]
-    out = [[ZERO] * (ca * b.cols) for _ in range(ra * b.rows)]
-    for i, row in enumerate(a.entries):
-        for k, x in enumerate(row):
-            if x:
-                for j, l, y in nonzero_b:
-                    out[j * ra + i][l * ca + k] = x * y
+def _tensor_operator(pairs) -> QMatrix:
+    """Sum of a (x) b over pairs of equal sizes, second index slow, in one grid."""
+    a0, b0 = pairs[0]
+    ra, ca, rb, cb = a0.rows, a0.cols, b0.rows, b0.cols
+    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
+    for a, b in pairs:
+        if (a.rows, a.cols, b.rows, b.cols) != (ra, ca, rb, cb):
+            raise ValueError("terms of a Kronecker sum differ in size")
+        nonzero_b = [(j * ra, l * ca, y)
+                     for j, row in enumerate(b.entries) for l, y in enumerate(row) if y]
+        for i, row in enumerate(a.entries):
+            for k, x in enumerate(row):
+                if x:
+                    for r, c, y in nonzero_b:
+                        out[r + i][c + k] += x * y
     return QMatrix(out)
 
 
@@ -363,11 +365,10 @@ def tensor_module(m: UqModule, n: UqModule) -> UqModule:
     The product basis index of (a, b) is b * dim(m) + a: the second
     factor varies slowest, matching the canonical crystal word order.
     """
-    e = _tensor_operator(m.e, n.k_matrix()) + _tensor_operator(QMatrix.identity(m.dim), n.e)
-    f = _tensor_operator(m.f, QMatrix.identity(n.dim)) + _tensor_operator(m.k_matrix(-1), n.f)
+    e = _tensor_operator([(m.e, n.k_matrix()), (QMatrix.identity(m.dim), n.e)])
+    f = _tensor_operator([(m.f, QMatrix.identity(n.dim)), (m.k_matrix(-1), n.f)])
     weights = tuple(a + b for b in n.weights for a in m.weights)
-    labels = tuple(f"{x}⊗{y}" for y in n.labels for x in m.labels)
-    return UqModule(m.shape + n.shape, weights, e, f, labels)
+    return UqModule(m.shape + n.shape, weights, e, f)
 
 
 @lru_cache(maxsize=None)
@@ -490,20 +491,20 @@ def flip_matrix(m: UqModule, n: UqModule) -> QMatrix:
 
 def _r_matrix(m: UqModule, n: UqModule) -> QMatrix:
     """R on the product basis: weight prefactor times the nilpotent sum."""
-    theta = QMatrix.identity(m.dim * n.dim)
+    # theta = sum_k c_k E^k (x) F^k, with c_0 = 1 and E^0 (x) F^0 = I (x) I
+    terms = []
     coeff = ONE
     e_pow = QMatrix.identity(m.dim)
     f_pow = QMatrix.identity(n.dim)
     k = 0
     qdiff = qpow(1) - qpow(-1)
-    while True:
-        e_pow = m.e @ e_pow
-        f_pow = n.f @ f_pow
-        if e_pow.is_zero() or f_pow.is_zero():
-            break
+    while not (e_pow.is_zero() or f_pow.is_zero()):
+        terms.append((e_pow.scale(coeff), f_pow))
         coeff = coeff * qpow(k) * qdiff / quantum_int(k + 1)
         k += 1
-        theta = theta + _tensor_operator(e_pow, f_pow).scale(coeff)
+        e_pow = m.e @ e_pow
+        f_pow = n.f @ f_pow
+    theta = _tensor_operator(terms)
     prefactor = QMatrix.diagonal(
         [
             Qpow(m.weights[idx % m.dim] * n.weights[idx // m.dim])
@@ -654,7 +655,7 @@ def _unitarization(shape_m, shape_n):
     both weights are odd.
     """
     parity = (sum(shape_m) % 2) * (sum(shape_n) % 2)
-    x = _tensor_operator(_twist(shape_m, 1), _twist(shape_n, 1)) @ _twist(shape_m + shape_n, -1)
+    x = _tensor_operator([(_twist(shape_m, 1), _twist(shape_n, 1))]) @ _twist(shape_m + shape_n, -1)
     x = x.scale(Qpow(parity))
     u = _flip_r(shape_m, shape_n) @ x
     # (R^op R) X^2 is a module map, so it is the identity once it fixes
@@ -763,23 +764,15 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     vm, vn = irreducible(m), irreducible(n)
     reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
     sigma = crystals.commutor_c((m,), (n,))
-    dim = (m + 1) * (n + 1)
-    expected = [[0] * dim for _ in range(dim)]
-    sign_of = {}
+    mismatches = []
     for w in crystals.words((m, n)):
         nu = crystals.component_of(w).highest_weight
-        sign = -1 if ((m + n - nu) // 2) % 2 else 1
+        want = [0] * len(reduced)
+        want[crystals.word_index(sigma(w))] = -1 if ((m + n - nu) // 2) % 2 else 1
         col = crystals.word_index(w)
-        row = crystals.word_index(sigma(w))
-        expected[row][col] = sign
-        sign_of[col] = (w, sign)
-    mismatches = []
-    for col in range(dim):
-        got_col = [reduced[r][col] for r in range(dim)]
-        want_col = [expected[r][col] for r in range(dim)]
-        if got_col != want_col:
-            w, sign = sign_of[col]
-            mismatches.append((w, want_col, got_col))
+        got = [row[col] for row in reduced]
+        if got != want:
+            mismatches.append((w, want, got))
     return Kt07Report(m, n, tuple(mismatches))
 
 
@@ -797,7 +790,7 @@ def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> 
         raise ValueError("operator does not match the selected slots")
     pre = QMatrix.identity(prod(dims[:start]))
     post = QMatrix.identity(prod(dims[stop:]))
-    return _tensor_operator(_tensor_operator(pre, op), post)
+    return _tensor_operator([(_tensor_operator([(pre, op)]), post)])
 
 
 def evaluate_matrix(a: QMatrix, x) -> list:

@@ -258,3 +258,22 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
     code, _ = invoke(capsys, "crystal", "graph", "--shape", "1", "-o", "rel.dot")
     assert code == 0
     assert (tmp_path / "rel.dot").exists()
+
+
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.dot"
+    code = run(["crystal", "graph", "--shape", "1", "-o", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"qcactus: error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_missing_output_directory_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    outdir = tmp_path / "missing"
+    monkeypatch.setenv("QCACTUS_OUTDIR", str(outdir))
+    code = run(["crystal", "graph", "--shape", "1", "--format", "json", "-o", "out.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"qcactus: error: cannot write {outdir / 'out.json'}: ")
+    assert "Traceback" not in err

@@ -239,6 +239,12 @@ def test_check_coboundary_small():
     assert report.ok
 
 
+def test_check_coboundary_over_no_triples_does_not_pass():
+    report = check_coboundary([])
+    assert report.triples_checked == 0
+    assert not report.ok
+
+
 def test_check_coboundary_composite_triples():
     report = check_coboundary([((1, 1), (1,), (2,)), ((2,), (1, 1), (1,))])
     assert report.ok

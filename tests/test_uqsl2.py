@@ -439,6 +439,24 @@ def test_kt07_all_small_pairs():
             assert verify_kt07(m, n).ok
 
 
+def test_kt07_reports_each_mismatched_column(monkeypatch):
+    # the bare flip sends every word to its reverse with sign +1, which
+    # differs from the signed commutor on the two middle words of V1 (x) V1
+    monkeypatch.setattr(uqsl2, "unitarized_matrix", flip_matrix)
+    assert verify_kt07(1, 1).as_dict()["mismatches"] == [
+        {"word": "b-1⊗b1", "expected": [0, 1, 0, 0], "got": [0, 0, 1, 0]},
+        {"word": "b1⊗b-1", "expected": [0, 0, -1, 0], "got": [0, 1, 0, 0]},
+    ]
+    # on V1 (x) V2 the flip is not symmetric, so each reported column must
+    # be the column of its word, not the row
+    v1, v2 = irreducible(1), irreducible(2)
+    flip = lattice_check_and_reduce(flip_matrix(v1, v2), v1, v2)
+    report = verify_kt07(1, 2)
+    assert report.mismatches
+    for w, _want, got in report.mismatches:
+        assert got == [row[crystals.word_index(w)] for row in flip]
+
+
 # -- matrix utilities --------------------------------------------------------------
 
 def test_qmatrix_inverse_and_errors():
