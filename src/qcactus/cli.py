@@ -274,7 +274,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (crystals.CrystalInvariantError, uqsl2.UnitarizationError) as exc:
+    except (crystals.CrystalInvariantError, uqsl2.CalibrationError,
+            uqsl2.UnitarizationError) as exc:
         # a failed verification, not a usage error; the text names the witness
         print(f"qcactus: verification failed: {exc}", file=sys.stderr)
         return 1

@@ -489,11 +489,7 @@ def schutzenberger(shape) -> CrystalMap:
     the element at depth m-d; this negates weights and swaps e with f,
     which forces the map on every chain.
     """
-    return _schutzenberger(tuple(shape))
-
-
-@lru_cache(maxsize=None)
-def _schutzenberger(shape) -> CrystalMap:
+    shape = tuple(shape)
     table = {}
     for comp in decompose(shape):
         m = comp.highest_weight
@@ -505,11 +501,7 @@ def _schutzenberger(shape) -> CrystalMap:
 def commutor_S(shape_a, shape_b) -> CrystalMap:
     """The commutor built from the involution xi:
     a (x) b  |->  xi(xi(b) (x) xi(a))."""
-    return _commutor_S(tuple(shape_a), tuple(shape_b))
-
-
-@lru_cache(maxsize=None)
-def _commutor_S(shape_a, shape_b) -> CrystalMap:
+    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
     xi_a = schutzenberger(shape_a)
     xi_b = schutzenberger(shape_b)
     xi_ba = schutzenberger(shape_b + shape_a)

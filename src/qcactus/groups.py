@@ -14,7 +14,6 @@ a witness for every violation.
 """
 
 from dataclasses import dataclass
-import operator
 import re
 
 __all__ = [
@@ -219,7 +218,7 @@ def _letters(word):
     return letters if letters is not None else tuple(word)
 
 
-def verify_action(gen_images: dict, relations, equal=None):
+def verify_action(gen_images: dict, relations):
     """Check that generator images satisfy a list of relations.
 
     ``gen_images`` maps generator keys to finite maps (dicts) on a common
@@ -231,8 +230,6 @@ def verify_action(gen_images: dict, relations, equal=None):
     violated relation, each carrying the relation's first witness in
     ``str`` order of the domain.
     """
-    if equal is None:
-        equal = operator.eq
     images = dict(gen_images)
     domain = frozenset(next(iter(images.values()), ()))
     if any(m.keys() != domain for m in images.values()):
@@ -258,7 +255,7 @@ def verify_action(gen_images: dict, relations, equal=None):
     for left, right in relations:
         lhs, rhs = apply_word(left), apply_word(right)
         for x, l, r in zip(points, lhs, rhs):
-            if not equal(l, r):
+            if l != r:
                 failures.append(RelationFailure((_letters(left), _letters(right)), x, l, r))
                 break  # one witness per violated relation
     return failures

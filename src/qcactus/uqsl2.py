@@ -31,8 +31,14 @@ highest weight vector, or UnitarizationError is raised.  The resulting
 involution preserves the lattice of the crystal basis.  Reducing its
 product-frame matrix at q = infinity yields a signed permutation of the
 crystal words, which is compared entry by entry against the crystal
-commutor.  Derived matrices are cached by the shapes of the factors, a
-tuple of ints that determines the module, not by the module's entries.
+commutor.
+
+Modules, braidings and isotypic frames are cached by the shapes of the
+factors, a tuple of ints that determines the module, not by the
+module's entries; the unitarization and the module components, which no
+caller asks for twice, are recomputed per call.  One Gauss-Jordan
+elimination serves inverses, kernels, and frame changes, which solve
+against the target frame rather than invert it.
 
 Product bases are enumerated with the last tensor factor slowest, the
 same order used for crystal words, so matrix indices and words align.
@@ -223,13 +229,7 @@ class QMatrix:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
     def inverse(self) -> "QMatrix":
-        if self.rows != self.cols:
-            raise ValueError("only square matrices invert")
-        n = self.rows
-        aug = [list(row) + list(unit) for row, unit in zip(self.entries, QMatrix.identity(n).entries)]
-        if len(_row_reduce(aug, n)) < n:
-            raise SingularMatrixError("matrix is singular")
-        return QMatrix([row[n:] for row in aug])
+        return _solve(self, QMatrix.identity(self.rows))
 
     def to_json(self, frame: str | None = None) -> str:
         data = {
@@ -277,6 +277,17 @@ def _row_reduce(rows, ncols: int) -> list:
                 rows[r] = [a - factor * b if b else a for a, b in zip(row, top)]
         pivots.append(col)
     return pivots
+
+
+def _solve(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a^-1 b, by one elimination over the rows of [a | b]."""
+    if a.rows != a.cols:
+        raise ValueError("only square matrices invert")
+    n = a.rows
+    aug = [list(left) + list(right) for left, right in zip(a.entries, b.entries)]
+    if len(_row_reduce(aug, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    return QMatrix([row[n:] for row in aug])
 
 
 def _kernel_basis(rows):
@@ -435,12 +446,6 @@ def module_components(m: UqModule):
     its highest weight vector, so the columns realize the standard basis
     of the abstract irreducible of that highest weight.
     """
-    return _components(m.shape)
-
-
-@lru_cache(maxsize=None)
-def _components(shape):
-    m = module_for_shape(shape)
     comps = []
     for w, vec in highest_weight_vectors(m):
         cols = [vec]
@@ -555,7 +560,7 @@ def _in_frame(a: QMatrix, frame: str, source, target) -> QMatrix:
     if frame == "s2":
         f_source, _ = isotypic_frame(*source)
         f_target, _ = isotypic_frame(*target)
-        return f_target.inverse() @ a @ f_source
+        return _solve(f_target, a @ f_source)
     raise ValueError(f"unknown frame {frame!r}")
 
 
@@ -645,7 +650,6 @@ def _twist(shape, sign: int) -> QMatrix:
     return QMatrix(out)
 
 
-@lru_cache(maxsize=None)
 def _unitarization(shape_m, shape_n):
     """(X, flip . R X) with X = (R^op R)^(-1/2) on M (x) N, by Drinfeld's ribbon formula.
 

@@ -15,9 +15,7 @@ def _letters(word):
     return letters if letters is not None else tuple(word)
 
 
-def verify_action(gen_images: dict, relations, equal=None):
-    if equal is None:
-        equal = lambda x, y: x == y
+def verify_action(gen_images: dict, relations):
     images = dict(gen_images)
     domains = {frozenset(m) for m in images.values()}
     if len(domains) > 1:
@@ -42,7 +40,7 @@ def verify_action(gen_images: dict, relations, equal=None):
         for x in domain:
             lhs = apply_word(left, x)
             rhs = apply_word(right, x)
-            if not equal(lhs, rhs):
+            if lhs != rhs:
                 failures.append(RelationFailure(rel, x, lhs, rhs))
                 break
     return failures

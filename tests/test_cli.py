@@ -191,6 +191,24 @@ def test_check_kt07_unitarization_failure_is_a_fail_report(capsys, monkeypatch):
     assert all("highest weight vector" in pair["error"] for pair in data["pairs"])
 
 
+def test_calibration_failure_is_a_failed_verification(capsys, monkeypatch):
+    # a construction that drifts from the frozen V_1 (x) V_1 braiding is a
+    # failed verification, reported in one line and not as a traceback;
+    # _calibration and _flip_r must not keep a result across the fault
+    monkeypatch.setattr(uqsl2, "_reference_flip_r", lambda: uqsl2.QMatrix.identity(4))
+    _clear_uqsl2_caches()
+    try:
+        code = run(["rmatrix", "--m", "1", "--n", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_uqsl2_caches()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("qcactus: verification failed: computed braiding on V_1 (x) V_1 "
+                            "differs from the frozen reference\n")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rmatrix", "--m", "1", "--n", "1", "--frame", "s3"])

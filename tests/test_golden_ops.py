@@ -6,10 +6,11 @@ fixed crystal, kt07 and braid checks, the two unitarized ``rmatrix``
 orientations, every library unitarization of composite factors, and one
 crystal operation of each drawn class.
 
-``S2_SHA256`` pins, for every m, n <= 3, the JSON of ``rmatrix --frame s2``
-without and with ``--unitarize``.  These outputs go through the isotypic
-frames, so they exercise ``QMatrix.inverse`` and the kernel elimination
-that finds highest weight vectors.
+``S2_SHA256`` pins, for every m, n <= 3 and for V_5 (x) V_4, the JSON of
+``rmatrix --frame s2`` without and with ``--unitarize``.  These outputs go
+through the isotypic frames, so they exercise the elimination that
+changes frames (a solve against the target frame) and the one that finds
+highest weight vectors.
 """
 
 import hashlib
@@ -72,6 +73,8 @@ S2_SHA256 = {
              "2f317cd2519c5f01447c668892126291688dc9b05db678b6a6f274270945b5fa"),
     (3, 3): ("fa53f6523db599ad5e70d962fa5f68aa8823ad2ef1251719cd25f2f2fbe22130",
              "256b7565ae0a322a3ae86e7d324c7a44d55963b16c476b78dd2ab50bc070a70f"),
+    (5, 4): ("283c04d8ff93a7535cf6b8055890fefe49b27d0006273efd8329272f4a5aed4e",
+             "b5376a83b2666a37af5095501b75d1f549fb79a43257aa6a37e117281a09ced5"),
 }
 
 

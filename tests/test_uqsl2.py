@@ -346,7 +346,7 @@ def test_caches_are_keyed_by_shape():
     v1, v11 = irreducible(1), module_for_shape((1, 1))
     built = tensor_module(v1, v11)
     assert built == module_for_shape((1, 1, 1))
-    assert module_components(built) is module_components(module_for_shape((1, 1, 1)))
+    assert module_components(built) == module_components(module_for_shape((1, 1, 1)))
     v2, v01, v20 = irreducible(2), module_for_shape((0, 1)), module_for_shape((2, 0))
     assert isotypic_frame(v2, v01) is isotypic_frame(v20, v1)
     assert braiding_matrix(tensor_module(v1, v1), v1) is braiding_matrix(v11, v1)

@@ -2,9 +2,10 @@
 
 Matrices are small, with entries c * Q^k for small rationals c; in about
 half of them every k is zero, so the entries are plain rationals.  The
-elimination behind ``QMatrix.inverse`` and ``_kernel_basis`` and the
-Kronecker-sum builder are checked against their defining properties, and
-kernel dimensions against ranks computed by sympy over Q(Q).
+elimination behind ``_solve`` (and so ``QMatrix.inverse``) and
+``_kernel_basis`` and the Kronecker-sum builder are checked against their
+defining properties, and kernel dimensions against ranks computed by
+sympy over Q(Q).
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qcactus.qexact import ONE, ZERO, Qpow
-from qcactus.uqsl2 import QMatrix, SingularMatrixError, _kernel_basis, _tensor_operator
+from qcactus.uqsl2 import QMatrix, SingularMatrixError, _kernel_basis, _solve, _tensor_operator
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -57,6 +58,17 @@ def test_inverse_is_two_sided(a):
 
 
 @SETTINGS
+@given(square_matrices(), st.integers(1, 3), st.data())
+def test_solve_returns_the_preimage(a, width, data):
+    b = data.draw(matrices(a.rows, width))
+    try:
+        x = _solve(a, b)
+    except SingularMatrixError:
+        assume(False)
+    assert a @ x == b
+
+
+@SETTINGS
 @given(square_matrices(min_size=2), st.data())
 def test_a_dependent_row_makes_the_matrix_singular(a, data):
     n = a.rows
@@ -67,6 +79,20 @@ def test_a_dependent_row_makes_the_matrix_singular(a, data):
                for c in range(n)]
     with pytest.raises(SingularMatrixError, match="matrix is singular"):
         QMatrix(rows).inverse()
+
+
+@SETTINGS
+@given(square_matrices(min_size=2), st.integers(1, 3), st.data())
+def test_solve_against_a_dependent_row_is_singular(a, width, data):
+    n = a.rows
+    j = data.draw(st.integers(0, n - 1))
+    weights = [data.draw(coefficients) * Qpow(data.draw(st.integers(-2, 2))) for _ in range(n)]
+    rows = [list(row) for row in a.entries]
+    rows[j] = [sum((weights[i] * rows[i][c] for i in range(n) if i != j), ZERO)
+               for c in range(n)]
+    b = data.draw(matrices(n, width))
+    with pytest.raises(SingularMatrixError, match="matrix is singular"):
+        _solve(QMatrix(rows), b)
 
 
 def test_kernel_basis_is_a_normalized_ordered_basis_of_the_kernel():
