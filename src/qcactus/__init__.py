@@ -12,56 +12,100 @@ The package has four layers:
               unitarization, and the reduction at q = infinity that
               recovers the signed crystal commutor.
 
+Importing the package loads no layer.  A layer loads on first use of its
+name or of a name the package re-exports from it (``qcactus.uqsl2``,
+``qcactus.QMatrix``), and ``from qcactus import *`` loads all four.  The
+crystal side does not need the quantum one: ``groups`` and ``crystals``
+import only the standard library, and ``uqsl2`` imports ``crystals``
+only to compare with the crystal commutor.
+
+A failed verification inside a layer -- a broken crystal invariant, a
+drifted reference braiding, a unitarization that fails its exact
+self-check -- raises a subclass of ``VerificationError``; the command
+line reports it with exit status 1.
+
 The command line entry point lives in qcactus.cli.
 """
 
-from .qexact import (
-    HalfLaurent,
-    QRational,
-    Qpow,
-    qpow,
-    quantum_int,
-    quantum_factorial,
-    is_regular_at_infinity,
-    reduce_mod_qhalf,
-    monomial_sqrt,
-    parse_qrational,
-)
-from .groups import (
-    Permutation,
-    BraidWord,
-    CactusWord,
-    s_hat,
-    cactus_relation_instances,
-    project_to_symmetric,
-    verify_action,
-)
-from .crystals import (
-    ChainElement,
-    TensorWord,
-    CrystalMap,
-    chain_crystal,
-    words,
-    tensor_e,
-    tensor_f,
-    decompose,
-    schutzenberger,
-    commutor_S,
-    commutor_c,
-    cactus_action,
-    check_coboundary,
-    braiding_obstruction,
-    crystal_dot,
-)
-from .uqsl2 import (
-    QMatrix,
-    UqModule,
-    irreducible,
-    tensor_module,
-    braiding_matrix,
-    unitarized_matrix,
-    lattice_check_and_reduce,
-    verify_kt07,
-)
+import sys
 
 __version__ = "0.1.0"
+
+
+class VerificationError(RuntimeError):
+    """A verification failed inside a layer; the message names the witness."""
+
+
+_EXPORTS = {
+    "qexact": (
+        "HalfLaurent",
+        "QRational",
+        "Qpow",
+        "qpow",
+        "quantum_int",
+        "quantum_factorial",
+        "is_regular_at_infinity",
+        "reduce_mod_qhalf",
+        "monomial_sqrt",
+        "parse_qrational",
+    ),
+    "groups": (
+        "Permutation",
+        "BraidWord",
+        "CactusWord",
+        "s_hat",
+        "cactus_relation_instances",
+        "project_to_symmetric",
+        "verify_action",
+    ),
+    "crystals": (
+        "ChainElement",
+        "TensorWord",
+        "CrystalMap",
+        "chain_crystal",
+        "words",
+        "tensor_e",
+        "tensor_f",
+        "decompose",
+        "schutzenberger",
+        "commutor_S",
+        "commutor_c",
+        "cactus_action",
+        "check_coboundary",
+        "braiding_obstruction",
+        "crystal_dot",
+    ),
+    "uqsl2": (
+        "QMatrix",
+        "UqModule",
+        "irreducible",
+        "tensor_module",
+        "braiding_matrix",
+        "unitarized_matrix",
+        "lattice_check_and_reduce",
+        "verify_kt07",
+    ),
+}
+
+# every lazily resolved name, layers included, and the layer that defines it
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in (layer, *names)}
+
+__all__ = ["VerificationError", *_LAYER_OF]
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet bound in this module
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's machinery, unlike importlib.import_module, is
+    # what -X importtime reports, so a layer's load stays visible there
+    __import__(f"{__name__}.{layer}")
+    module = sys.modules[f"{__name__}.{layer}"]
+    value = module if name == layer else getattr(module, name)
+    globals()[name] = value  # later lookups find it bound, as an eager import left it
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

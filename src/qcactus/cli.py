@@ -13,7 +13,9 @@ import os
 import sys
 from itertools import combinations_with_replacement
 
-from . import crystals, groups, uqsl2
+# each command imports only the layers it runs, so that a crystal command
+# never loads qexact or uqsl2 and rmatrix never loads crystals or groups
+from . import VerificationError
 
 
 def _parse_shape(text: str) -> tuple:
@@ -61,6 +63,8 @@ def _emit_report(name: str, ok: bool, payload: dict, args) -> int:
 
 
 def _cmd_crystal_graph(args) -> int:
+    from . import crystals
+
     if args.format == "dot":
         _emit(crystals.crystal_dot(args.shape), args)
         return 0
@@ -78,6 +82,8 @@ def _cmd_crystal_graph(args) -> int:
 
 
 def _cmd_crystal_decompose(args) -> int:
+    from . import crystals
+
     comps = crystals.decompose(args.shape)
     if args.format == "json":
         data = {
@@ -103,6 +109,8 @@ def _cmd_crystal_decompose(args) -> int:
 
 
 def _cmd_commutor(args) -> int:
+    from . import crystals
+
     builder = crystals.commutor_c if args.variant == "c" else crystals.commutor_S
     m = builder(args.a, args.b)
     if args.format == "json":
@@ -114,6 +122,8 @@ def _cmd_commutor(args) -> int:
 
 
 def _cmd_cactus_act(args) -> int:
+    from . import crystals
+
     m = crystals.cactus_action(args.shape, args.p, args.q)
     if args.format == "json":
         _emit(m.to_json(), args)
@@ -125,6 +135,8 @@ def _cmd_cactus_act(args) -> int:
 
 
 def _cmd_rmatrix(args) -> int:
+    from . import uqsl2
+
     vm = uqsl2.irreducible(args.m)
     vn = uqsl2.irreducible(args.n)
     frame = args.frame
@@ -140,11 +152,15 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _cmd_check_coboundary(args) -> int:
+    from . import crystals
+
     report = crystals.check_coboundary(crystals.weight_bounded_triples(args.max))
     return _emit_report("coboundary", report.ok, report.as_dict(), args)
 
 
 def _cmd_check_cactus_action(args) -> int:
+    from . import crystals, groups
+
     bound = args.max
     factors = args.factors
     relations = groups.cactus_relation_instances(factors)
@@ -162,12 +178,16 @@ def _cmd_check_cactus_action(args) -> int:
 
 
 def _cmd_check_obstruction(args) -> int:
+    from . import crystals
+
     witness = crystals.braiding_obstruction()
     # a confirmed obstruction is the expected outcome
     return _emit_report("braiding-obstruction", witness.distinct, witness.as_dict(), args)
 
 
 def _cmd_check_kt07(args) -> int:
+    from . import uqsl2
+
     results = []
     ok = True
     for m in range(args.max + 1):
@@ -183,6 +203,8 @@ def _cmd_check_kt07(args) -> int:
 
 
 def _cmd_check_yang_baxter(args) -> int:
+    from . import uqsl2
+
     ok = uqsl2.check_yang_baxter()
     return _emit_report("yang-baxter", ok, {}, args)
 
@@ -274,8 +296,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (crystals.CrystalInvariantError, uqsl2.CalibrationError,
-            uqsl2.UnitarizationError) as exc:
+    except VerificationError as exc:
         # a failed verification, not a usage error; the text names the witness
         print(f"qcactus: verification failed: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,8 @@ from itertools import product
 import json
 import re
 
+from . import VerificationError
+
 __all__ = [
     "CrystalInvariantError",
     "ChainElement",
@@ -67,7 +69,7 @@ __all__ = [
 ]
 
 
-class CrystalInvariantError(RuntimeError):
+class CrystalInvariantError(VerificationError):
     """An internal invariant of the crystal combinatorics failed.
 
     Raised when a decomposition is not a partition into chains or a

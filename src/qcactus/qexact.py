@@ -668,7 +668,10 @@ def _parse_poly(s: str) -> HalfLaurent:
         m = _TERM_RE.match(raw)
         if not m or (m.group("coeff") is None and m.group("q") is None):
             raise ValueError(f"cannot parse term {raw!r}")
-        c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {raw!r}") from None
         if m.group("sign") == "-":
             c = -c
         if m.group("q"):
@@ -680,9 +683,15 @@ def _parse_poly(s: str) -> HalfLaurent:
 
 
 def parse_qrational(s: str) -> QRational:
-    """Parse the canonical string form, e.g. ``"(Q^4 - 1)/(Q^4 + 1)"``."""
+    """Parse the canonical string form, e.g. ``"(Q^4 - 1)/(Q^4 + 1)"``.
+
+    Malformed text, a zero denominator included, raises ValueError.
+    """
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         idx = s.index(")/(")
-        return QRational(_parse_poly(s[1:idx]), _parse_poly(s[idx + 3:-1]))
+        den = _parse_poly(s[idx + 3:-1])
+        if den.is_zero():
+            raise ValueError(f"zero denominator in {s!r}")
+        return QRational(_parse_poly(s[1:idx]), den)
     return QRational(_parse_poly(s))

@@ -63,7 +63,7 @@ from .qexact import (
     quantum_int,
     reduce_mod_qhalf,
 )
-from . import crystals
+from . import VerificationError
 
 __all__ = [
     "QMatrix",
@@ -103,11 +103,11 @@ class LatticeError(ValueError):
     pass
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(VerificationError):
     pass
 
 
-class UnitarizationError(RuntimeError):
+class UnitarizationError(VerificationError):
     pass
 
 
@@ -765,6 +765,8 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     here through its own combinatorial route, so the two sides are
     independent up to the shared word order.
     """
+    from . import crystals  # the only use; rmatrix and the braidings run without it
+
     vm, vn = irreducible(m), irreducible(n)
     reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
     sigma = crystals.commutor_c((m,), (n,))

@@ -1,6 +1,12 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
+
+import qcactus
 
 from qcactus import crystals, uqsl2
 from qcactus.cli import run
@@ -295,3 +301,47 @@ def test_missing_output_directory_is_a_usage_error(capsys, tmp_path, monkeypatch
     assert code == 2
     assert err.startswith(f"qcactus: error: cannot write {outdir / 'out.json'}: ")
     assert "Traceback" not in err
+
+
+# Run one command in a fresh interpreter, stdout discarded, and print its
+# exit status and the qcactus modules it loaded.
+_LOADED_BY = """
+import os, sys
+from qcactus import cli
+argv = {argv!r}
+code = 0
+cli.build_parser()
+if argv is not None:
+    sys.stdout = open(os.devnull, "w")
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout = sys.__stdout__
+print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("qcactus.")))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, "0 cli"),
+    ("crystal graph --shape 1,1", "0 cli crystals"),
+    ("crystal decompose --shape 1,1", "0 cli crystals"),
+    ("commutor --a 1 --b 1", "0 cli crystals"),
+    ("cactus act --shape 1,1 --p 1 --q 2", "0 cli crystals"),
+    ("check coboundary --max 1", "0 cli crystals"),
+    ("check braiding-obstruction", "0 cli crystals"),
+    ("check cactus-action --factors 3 --max 1", "0 cli crystals groups"),
+    ("rmatrix --m 1 --n 1", "0 cli qexact uqsl2"),
+    ("check yang-baxter", "0 cli qexact uqsl2"),
+    ("check kt07 --max 0", "0 cli crystals qexact uqsl2"),
+    # a usage error raised inside the crystal layer still loads no uqsl2
+    ("cactus act --shape 1,1 --p 2 --q 1", "2 cli crystals"),
+])
+def test_each_command_loads_only_its_layers(argv, loaded):
+    # a crystal command must not pay for compiling qexact and uqsl2
+    argv = None if argv is None else argv.split()
+    src = str(Path(qcactus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY.format(argv=argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == loaded.split(), proc.stderr

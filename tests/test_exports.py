@@ -1,16 +1,19 @@
 """The public names of each layer resolve.
 
 Tools that walk a layer's ``__all__`` (and the package itself, which
-re-exports from the layers) break on a stale name left behind when a
-definition is deleted, so every listed name must exist.  The benchmark's
-tracer (``perfbench/tracer.py``, loaded here read-only) names the
-functions and methods it times, and each of those must resolve too.
+re-exports from the layers, loading each on first use) break on a stale
+name left behind when a definition is deleted, so every listed name must
+exist.  The benchmark's tracer (``perfbench/tracer.py``, loaded here
+read-only) names the functions and methods it times, and each of those
+must resolve too.
 """
 
-import ast
 import importlib
 import importlib.util
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -26,15 +29,55 @@ def test_every_name_in_all_resolves(layer):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-def test_package_reexports_exist_in_their_layers():
-    tree = ast.parse(Path(qcactus.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} == set(LAYERS)
-    for node in imports:
-        mod = importlib.import_module(f"qcactus.{node.module}")
-        for alias in node.names:
-            assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
-            assert hasattr(qcactus, alias.asname or alias.name)
+# the names ``from qcactus import *`` bound when the package imported its
+# layers eagerly, plus the common base of the verification errors
+STAR_NAMES = [
+    "BraidWord", "CactusWord", "ChainElement", "CrystalMap", "HalfLaurent", "Permutation",
+    "QMatrix", "QRational", "Qpow", "TensorWord", "UqModule", "VerificationError",
+    "braiding_matrix", "braiding_obstruction", "cactus_action", "cactus_relation_instances",
+    "chain_crystal", "check_coboundary", "commutor_S", "commutor_c", "crystal_dot", "crystals",
+    "decompose", "groups", "irreducible", "is_regular_at_infinity", "lattice_check_and_reduce",
+    "monomial_sqrt", "parse_qrational", "project_to_symmetric", "qexact", "qpow",
+    "quantum_factorial", "quantum_int", "reduce_mod_qhalf", "s_hat", "schutzenberger",
+    "tensor_e", "tensor_f", "tensor_module", "unitarized_matrix", "uqsl2", "verify_action",
+    "verify_kt07", "words",
+]
+
+
+def test_package_exports_resolve_to_their_layers():
+    assert sorted(qcactus.__all__) == STAR_NAMES
+    assert set(STAR_NAMES) <= set(dir(qcactus))
+    layers = {layer: importlib.import_module(f"qcactus.{layer}") for layer in LAYERS}
+    for layer, mod in layers.items():
+        assert getattr(qcactus, layer) is mod
+    for name in set(STAR_NAMES) - set(LAYERS) - {"VerificationError"}:
+        homes = [mod for mod in layers.values() if name in mod.__all__]
+        assert len(homes) == 1, name
+        assert getattr(qcactus, name) is getattr(homes[0], name)
+    star = {}
+    exec("from qcactus import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == STAR_NAMES
+    assert all(star[name] is getattr(qcactus, name) for name in STAR_NAMES)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qcactus.no_such_name
+
+
+def test_a_fresh_import_resolves_a_layer_by_attribute():
+    src = str(Path(qcactus.__file__).resolve().parent.parent)
+    code = "import qcactus; print(qcactus.uqsl2.irreducible(1).dim)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+
+
+def test_verification_errors_share_one_base():
+    from qcactus import crystals, uqsl2
+
+    for error in (crystals.CrystalInvariantError, uqsl2.CalibrationError,
+                  uqsl2.UnitarizationError):
+        assert issubclass(error, qcactus.VerificationError)
+        assert issubclass(error, RuntimeError)
 
 
 def _load_tracer():

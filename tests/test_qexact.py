@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,19 @@ def test_division_by_zero_is_an_error():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         QRational(1, 0)
+
+
+def test_zero_denominator_in_text_is_malformed_text():
+    # parsed text is outside input: a zero denominator is a ValueError naming
+    # the text, not a ZeroDivisionError leaked from Fraction or QRational
+    from qcactus.uqsl2 import QMatrix
+
+    for text in ("1/0", "0/0", "(Q)/(0)"):
+        with pytest.raises(ValueError, match="zero denominator in .*" + re.escape(text)):
+            parse_qrational(text)
+    entries = '{"rows": 1, "cols": 2, "entries": [["1", "1/0"]]}'
+    with pytest.raises(ValueError, match="zero denominator in term '1/0'"):
+        QMatrix.from_json(entries)
 
 
 def test_canonical_form_is_reduced():
