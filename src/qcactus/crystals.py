@@ -29,7 +29,7 @@ construction.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import product
+from itertools import permutations, product
 import json
 import re
 
@@ -595,8 +595,7 @@ def cactus_generator_images(base_shape):
     """
     base_shape = tuple(base_shape)
     k = len(base_shape)
-    orbit = sorted({perm for perm in product(*[set(base_shape)] * k)
-                    if sorted(perm) == sorted(base_shape)})
+    orbit = sorted(set(permutations(base_shape)))
     images = {}
     for p in range(1, k + 1):
         for q in range(p + 1, k + 1):
@@ -644,25 +643,26 @@ def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
     return out
 
 
-def cactus_square_failures(shape_a, shape_b, shape_c, commutor=commutor_c):
+def cactus_square_failures(shape_a, shape_b, shape_c):
     """Witnesses violating the compatibility square on A (x) B (x) C.
 
-    The two routes
+    Each word is carried through the two routes, one commutor at a time:
         A B C -> A C B -> C B A   (swap B,C inside, then A across C B)
         A B C -> B A C -> C B A   (swap A,B, then B A across C)
-    must agree pointwise.
+    and the two images must agree.
     """
-    shape_a, shape_b, shape_c = tuple(shape_a), tuple(shape_b), tuple(shape_c)
-    lhs = commutor(shape_a, shape_c + shape_b).compose(
-        extend_map(commutor(shape_b, shape_c), shape_a, ())
-    )
-    rhs = commutor(shape_b + shape_a, shape_c).compose(
-        extend_map(commutor(shape_a, shape_b), (), shape_c)
-    )
+    a, b, c = tuple(shape_a), tuple(shape_b), tuple(shape_c)
+    # built in this order, so that a broken invariant names the same word
+    outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
+    outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
+    i, j = len(a), len(a) + len(b)
     out = []
-    for w in _words(shape_a + shape_b + shape_c):
-        if lhs(w) != rhs(w):
-            out.append((w, lhs(w), rhs(w)))
+    for w in _words(a + b + c):
+        fs = w.factors
+        lhs = outer_l(TensorWord(fs[:i] + inner_l(TensorWord(fs[i:])).factors))
+        rhs = outer_r(TensorWord(inner_r(TensorWord(fs[:j])).factors + fs[j:]))
+        if lhs is not rhs:
+            out.append((w, lhs, rhs))
     return out
 
 
@@ -761,8 +761,8 @@ def braiding_obstruction() -> ObstructionWitness:
     probe = TensorWord((b1,) + j[ChainElement(2, 0)].factors)  # b1 (x) b-1 (x) b1
     forced = TensorWord(j[x.factors[0]].factors + x.factors[1:])
 
-    hexagon_map = extend_map(sigma11, (1,), ()).compose(extend_map(sigma11, (), (1,)))
-    hexagon = hexagon_map(probe)
+    fs = sigma11(probe.slice(0, 2)).factors + probe.factors[2:]
+    hexagon = TensorWord(fs[:1] + sigma11(TensorWord(fs[1:])).factors)
 
     return ObstructionWitness(
         sigma_11_identity=sigma11.is_identity(),

@@ -171,7 +171,8 @@ class HalfLaurent:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # equal values hash equal across HalfLaurent, QRational and numbers
+        return hash(QRational(self))
 
     def evaluate(self, x) -> Fraction:
         """Value at Q = x for a nonzero exact rational x (exact)."""
@@ -485,6 +486,8 @@ class QRational:
         return self._c == other._c and self._n == other._n and self._d == other._d
 
     def __hash__(self):
+        if self._d == (1,) and self._n in ((), (1,)):
+            return hash(self._c)  # a constant hashes as the number it equals
         return hash((self._c, self._n, self._d))
 
     def evaluate(self, x) -> Fraction:

@@ -13,9 +13,10 @@ The braiding on a tensor product is flip composed with the R-matrix
 
     R = P . sum_k  q^(k(k-1)/2) (q - q^-1)^k / [k]!  E^k (x) F^k,
 
-where P multiplies a vector of weights (a, b) by q^(ab/2).  The smallest
-case is pinned against a frozen reference matrix, so any convention
-drift in the construction raises immediately rather than propagating.
+where P multiplies a vector of weights (a, b) by q^(ab/2).  flip . R is
+built in one pass over the rows of the sum: each is scaled by P and
+stored at its flipped index.  The smallest case is pinned against a
+frozen reference matrix, so any convention drift raises immediately.
 
 Unitarization divides out the square root of R^op R, the composite of
 the two braiding directions, by Drinfeld's ribbon formula, the same for
@@ -382,10 +383,13 @@ def tensor_module(m: UqModule, n: UqModule) -> UqModule:
     return UqModule(m.shape + n.shape, weights, e, f)
 
 
-@lru_cache(maxsize=None)
 def module_for_shape(shape) -> UqModule:
     """The tensor product of irreducibles along a shape, left to right."""
-    shape = tuple(shape)
+    return _module_for_shape(tuple(shape))
+
+
+@lru_cache(maxsize=None)
+def _module_for_shape(shape) -> UqModule:
     if not shape:
         raise ValueError("shape must be nonempty")
     out = irreducible(shape[0])
@@ -494,8 +498,8 @@ def flip_matrix(m: UqModule, n: UqModule) -> QMatrix:
     return QMatrix(out)
 
 
-def _r_matrix(m: UqModule, n: UqModule) -> QMatrix:
-    """R on the product basis: weight prefactor times the nilpotent sum."""
+def _assemble_flip_r(m: UqModule, n: UqModule) -> QMatrix:
+    """flip . R from M (x) N to N (x) M, on the product bases."""
     # theta = sum_k c_k E^k (x) F^k, with c_0 = 1 and E^0 (x) F^0 = I (x) I
     terms = []
     coeff = ONE
@@ -509,14 +513,10 @@ def _r_matrix(m: UqModule, n: UqModule) -> QMatrix:
         k += 1
         e_pow = m.e @ e_pow
         f_pow = n.f @ f_pow
-    theta = _tensor_operator(terms)
-    prefactor = QMatrix.diagonal(
-        [
-            Qpow(m.weights[idx % m.dim] * n.weights[idx // m.dim])
-            for idx in range(m.dim * n.dim)
-        ]
-    )
-    return prefactor @ theta
+    theta = _tensor_operator(terms).entries
+    # row a dim N + b of flip . R is row b dim M + a of theta, times P on v_a (x) v_b
+    return QMatrix([[Qpow(wa * wb) * x if x else x for x in theta[b * m.dim + a]]
+                    for a, wa in enumerate(m.weights) for b, wb in enumerate(n.weights)])
 
 
 def _reference_flip_r():
@@ -536,7 +536,7 @@ def _reference_flip_r():
 def _calibration() -> None:
     # a failure raises and is not cached, so every later braiding re-checks
     v1 = irreducible(1)
-    if flip_matrix(v1, v1) @ _r_matrix(v1, v1) != _reference_flip_r():
+    if _assemble_flip_r(v1, v1) != _reference_flip_r():
         raise CalibrationError(
             "computed braiding on V_1 (x) V_1 differs from the frozen reference"
         )
@@ -545,8 +545,7 @@ def _calibration() -> None:
 @lru_cache(maxsize=None)
 def _flip_r(shape_m, shape_n) -> QMatrix:
     _calibration()
-    m, n = module_for_shape(shape_m), module_for_shape(shape_n)
-    return flip_matrix(m, n) @ _r_matrix(m, n)
+    return _assemble_flip_r(module_for_shape(shape_m), module_for_shape(shape_n))
 
 
 def _in_frame(a: QMatrix, frame: str, source, target) -> QMatrix:
@@ -641,12 +640,11 @@ def _twist(shape, sign: int) -> QMatrix:
         for j in range(1, len(lams)):
             for i in range(len(lams) - 1, j - 1, -1):
                 coef[i] = (coef[i] - coef[i - 1]) / (c[i] - c[i - j])
-        block = basis[0].scale(coef[0])
-        for b, k in zip(basis[1:], coef[1:]):
-            block = block + b.scale(k)
-        for i, row in zip(idx, block.entries):
-            for j, x in zip(idx, row):
-                out[i][j] = x
+        for b, k in zip(basis, coef):
+            for i, row in zip(idx, b.entries):
+                for j, x in zip(idx, row):
+                    if x:
+                        out[i][j] += k * x
     return QMatrix(out)
 
 
@@ -659,8 +657,8 @@ def _unitarization(shape_m, shape_n):
     both weights are odd.
     """
     parity = (sum(shape_m) % 2) * (sum(shape_n) % 2)
-    x = _tensor_operator([(_twist(shape_m, 1), _twist(shape_n, 1))]) @ _twist(shape_m + shape_n, -1)
-    x = x.scale(Qpow(parity))
+    t_m = _twist(shape_m, 1).scale(Qpow(parity))
+    x = _tensor_operator([(t_m, _twist(shape_n, 1))]) @ _twist(shape_m + shape_n, -1)
     u = _flip_r(shape_m, shape_n) @ x
     # (R^op R) X^2 is a module map, so it is the identity once it fixes
     # every highest weight vector

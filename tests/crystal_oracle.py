@@ -6,10 +6,12 @@ word as one left factor with aggregate eps/phi and recurses on that
 prefix; it shares no code with the library's single signature pass.  The
 cactus action here is the defining recursion
 s(p,q) = (id (x) sigma (x) id) . s(p+1,q), built from whole crystal maps,
-against which the library's unrolled loop is compared.
+against which the library's unrolled loop is compared.  The cactus
+square here composes whole crystal maps for its two routes, against
+which the library's word-by-word check is compared.
 """
 
-from qcactus.crystals import CrystalMap, TensorWord, commutor_c, extend_map
+from qcactus.crystals import CrystalMap, TensorWord, commutor_c, extend_map, words
 
 
 def _fold_stats(w: TensorWord):
@@ -69,3 +71,15 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     sigma = commutor_c((mid_shape[p - 1],), mid_shape[p:q])
     outer = extend_map(sigma, mid_shape[: p - 1], mid_shape[q:])
     return outer.compose(inner)
+
+
+def cactus_square_failures(shape_a, shape_b, shape_c, commutor=commutor_c):
+    """Words where sigma_(A,CB) (1 (x) sigma_(B,C)) and sigma_(BA,C) (sigma_(A,B) (x) 1) differ."""
+    shape_a, shape_b, shape_c = tuple(shape_a), tuple(shape_b), tuple(shape_c)
+    lhs = commutor(shape_a, shape_c + shape_b).compose(
+        extend_map(commutor(shape_b, shape_c), shape_a, ())
+    )
+    rhs = commutor(shape_b + shape_a, shape_c).compose(
+        extend_map(commutor(shape_a, shape_b), (), shape_c)
+    )
+    return [(w, lhs(w), rhs(w)) for w in words(shape_a + shape_b + shape_c) if lhs(w) != rhs(w)]

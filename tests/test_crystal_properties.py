@@ -2,19 +2,25 @@
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystal_oracle as oracle
+from qcactus import crystals
 from qcactus.crystals import (
     ChainElement,
+    CrystalMap,
     TensorWord,
     cactus_action,
     cactus_generator_images,
+    cactus_square_failures,
+    commutor_c,
     eps,
     phi,
     tensor_e,
     tensor_f,
     words,
+    wt,
 )
 from qcactus.groups import cactus_relation_instances, verify_action
 
@@ -59,3 +65,41 @@ def test_cactus_action_matches_recursive_definition(shape):
 def test_cactus_generator_images_satisfy_the_cactus_relations(shape):
     relations = cactus_relation_instances(len(shape))
     assert verify_action(cactus_generator_images(shape), relations) == []
+
+
+def _swap_two_images(m: CrystalMap, pick: int) -> CrystalMap:
+    """m with the images of two words of one weight swapped: still a bijection."""
+    by_weight = {}
+    for w in words(m.domain):
+        by_weight.setdefault(wt(w), []).append(w)
+    classes = [ws for ws in by_weight.values() if len(ws) > 1]
+    if not classes:
+        return m
+    ws = classes[pick % len(classes)]
+    w1, w2 = ws[pick % len(ws)], ws[(pick + 1) % len(ws)]
+    table = dict(m.items())
+    table[w1], table[w2] = table[w2], table[w1]
+    return CrystalMap(m.domain, m.codomain, table)
+
+
+shapes_1_2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shapes_1_2, shapes_1_2, shapes_1_2, st.integers(0, 3), st.integers(0, 7))
+def test_cactus_square_matches_composed_maps_under_a_fault(a, b, c, role, pick):
+    assert cactus_square_failures(a, b, c) == oracle.cactus_square_failures(a, b, c) == []
+    # corrupt the commutor of one of the square's four pairs of shapes
+    roles = [(a, c + b), (b, c), (b + a, c), (a, b)]
+    target = roles[role]
+    faulty = _swap_two_images(commutor_c(*target), pick)
+
+    def commutor(x, y):
+        return faulty if (tuple(x), tuple(y)) == target else commutor_c(x, y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crystals, "commutor_c", commutor)
+        got = cactus_square_failures(a, b, c)
+    assert got == oracle.cactus_square_failures(a, b, c, commutor=commutor)
+    if faulty != commutor_c(*target) and roles.count(target) == 1:
+        assert got

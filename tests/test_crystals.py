@@ -262,7 +262,9 @@ def test_corrupted_commutor_is_caught():
     assert not bad.is_isomorphism()
 
 
-def test_cactus_square_failure_reporting():
+def test_cactus_square_failure_reporting(monkeypatch):
+    from qcactus import crystals
+
     assert cactus_square_failures((1,), (1,), (2,)) == []
 
     def corrupted(a, b):
@@ -276,7 +278,8 @@ def test_cactus_square_failure_reporting():
         table[w1], table[w2] = table[w2], table[w1]
         return CrystalMap((1, 1), (1, 1), table)
 
-    bad = cactus_square_failures((1,), (1,), (1,), commutor=corrupted)
+    monkeypatch.setattr(crystals, "commutor_c", corrupted)
+    bad = cactus_square_failures((1,), (1,), (1,))
     assert bad
 
 

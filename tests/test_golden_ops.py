@@ -11,6 +11,10 @@ crystal operation of each drawn class.
 through the isotypic frames, so they exercise the elimination that
 changes frames (a solve against the target frame) and the one that finds
 highest weight vectors.
+
+``PINNED_SHA256`` pins the stdout of crystal checks outside the
+benchmark pool: a coboundary check one bound past the benchmark's, and
+the braiding obstruction.
 """
 
 import hashlib
@@ -78,6 +82,15 @@ S2_SHA256 = {
 }
 
 
+# stdout sha256 of crystal checks that exit 0, outside the benchmark pool
+PINNED_SHA256 = {
+    "check coboundary --max 6":
+        "a4db40be5b84a594005900c653e5d0af7554296ac24cb8b195428cb37a208296",
+    "check braiding-obstruction":
+        "74ddf4033bd3d74700c639aa41c26d9ce2ff724d229279ae3be89e2d51617ed9",
+}
+
+
 def _shape(text):
     return tuple(int(part) for part in text.split(","))
 
@@ -98,6 +111,14 @@ def test_operation_matches_recorded_output(op, golden, capsys):
     out = capsys.readouterr().out
     assert status == want["status"]
     assert _sha256(out) == want["sha256"]
+
+
+@pytest.mark.parametrize("op", sorted(PINNED_SHA256))
+def test_pinned_operation_output(op, capsys):
+    status = run(op.split())
+    out = capsys.readouterr().out
+    assert status == 0
+    assert _sha256(out) == PINNED_SHA256[op]
 
 
 @pytest.mark.parametrize("pair", UNITARIZE)

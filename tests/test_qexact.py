@@ -210,3 +210,15 @@ def test_hashable_and_structural_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_values_that_compare_equal_hash_equal():
+    half = Fraction(1, 2)
+    pairs = [(QRational(3), 3), (ZERO, 0), (QRational(half), half), (HalfLaurent(3), 3),
+             (HalfLaurent(3), QRational(3)), (HalfLaurent({1: 1}), Qpow(1)),
+             (HalfLaurent({-2: half, 0: 1}), 1 + Qpow(-2) / 2)]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    assert {3: "x"}[QRational(3)] == "x"
+    assert QRational(3) in {3}
+    assert ZERO in {0} and HalfLaurent(3) in {QRational(3)}

@@ -244,6 +244,19 @@ def test_classical_limit_of_braiding_is_flip():
         assert at_one == flip
 
 
+def test_braiding_matches_flip_after_prefactor_after_theta():
+    # the dense route: flip_matrix @ (diag(Q^(w_a w_b)) @ theta)
+    shapes = [(0,), (1,), (2,), (3,), (1, 1), (2, 1)]
+    for sm in shapes:
+        for sn in shapes:
+            m, n = module_for_shape(sm), module_for_shape(sn)
+            assert braiding_matrix(m, n) == oracle.flip_r(m, n), (sm, sn)
+
+
+def test_module_for_shape_accepts_any_sequence():
+    assert module_for_shape([1, 2]) is module_for_shape((1, 2))
+
+
 def test_yang_baxter_exactly():
     assert check_yang_baxter()
 

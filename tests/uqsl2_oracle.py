@@ -1,7 +1,12 @@
-"""Test-only oracle: the unitarized braiding through isotypic frames.
+"""Test-only oracles: flip . R by dense products, and the unitarized braiding.
 
-This is the earlier, independent route to flip . Rbar, kept to check the
-ribbon formula of ``qcactus.uqsl2`` against.  For irreducible factors it
+``flip_r`` builds the braiding as the library once did: the nilpotent
+sum theta, then dense products with the diagonal weight prefactor and
+with the flip permutation matrix.
+
+The unitarized braiding goes through isotypic frames.  This is the
+earlier, independent route to flip . Rbar, kept to check the ribbon
+formula of ``qcactus.uqsl2`` against.  For irreducible factors it
 conjugates both braiding directions into the isotypic frames, where each
 is diagonal with one monomial scalar per block, and divides by the
 positive square root of their product.  For composite factors it splits
@@ -12,15 +17,32 @@ from the irreducible blocks through the component embeddings.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from qcactus.qexact import ONE, ZERO, monomial_sqrt
+from qcactus.qexact import ONE, ZERO, Qpow, monomial_sqrt, qpow, quantum_int
 from qcactus.uqsl2 import (
     QMatrix,
     UqModule,
+    _tensor_operator,
     braiding_matrix,
+    flip_matrix,
     isotypic_frame,
     module_components,
     module_for_shape,
 )
+
+
+def flip_r(m: UqModule, n: UqModule) -> QMatrix:
+    """flip_matrix(m, n) @ (diag(Q^(w_a w_b)) @ theta), theta = sum_k c_k E^k (x) F^k."""
+    terms = []
+    coeff = ONE
+    e_pow, f_pow = QMatrix.identity(m.dim), QMatrix.identity(n.dim)
+    k = 0
+    while not (e_pow.is_zero() or f_pow.is_zero()):
+        terms.append((e_pow.scale(coeff), f_pow))
+        coeff = coeff * qpow(k) * (qpow(1) - qpow(-1)) / quantum_int(k + 1)
+        k += 1
+        e_pow, f_pow = m.e @ e_pow, n.f @ f_pow
+    prefactor = QMatrix.diagonal([Qpow(wa * wb) for wb in n.weights for wa in m.weights])
+    return flip_matrix(m, n) @ (prefactor @ _tensor_operator(terms))
 
 
 @dataclass(frozen=True)
