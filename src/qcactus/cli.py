@@ -39,6 +39,17 @@ def _weight_bound(text: str) -> int:
     return bound
 
 
+def _factor_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad factor count {text!r}; expected an integer")
+    if count < 2:
+        # the cactus group on fewer than two fruits has no generator to check
+        raise argparse.ArgumentTypeError("need at least 2 factors")
+    return count
+
+
 def _emit(text: str, args) -> None:
     path = getattr(args, "output", None)
     if path is None:
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     cob.set_defaults(func=_cmd_check_coboundary)
 
     ca = check_sub.add_parser("cactus-action", help="cactus group presentation on tensor words")
-    ca.add_argument("--factors", type=int, default=3)
+    ca.add_argument("--factors", type=_factor_count, default=3)
     ca.add_argument("--max", type=_weight_bound, default=2)
     add_output(ca)
     ca.set_defaults(func=_cmd_check_cactus_action)

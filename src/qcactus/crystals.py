@@ -557,6 +557,24 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
     return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
 
 
+def _on_slice(indices, shape, start, sigma):
+    """Carry word indices of a shape through sigma on its factors from start on.
+
+    Indices are word_index values, first factor fastest: the factors
+    before the slice give the index modulo lo, their number of words, and
+    the slice gives the next digit.  Sigma moves a word whose slice has
+    index m in its domain by lo * (word_index(sigma(slice)) - m); the
+    words themselves are never built.
+    """
+    lo = 1
+    for n in shape[:start]:
+        lo *= n + 1
+    dom = _words(sigma.domain)
+    size = len(dom)
+    delta = [lo * (word_index(sigma(w)) - m) for m, w in enumerate(dom)]
+    return [i + delta[i // lo % size] for i in indices]
+
+
 def cactus_action(shape, p: int, q: int) -> CrystalMap:
     """The action of the cactus generator s(p,q) on a shape.
 
@@ -564,26 +582,22 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     the block p+1..q, composed with s(p+1,q).  Unrolled, that is the
     commutors of factor r against the block r+1..q, applied for
     r = q-1 down to p, each on the shape the previous one left; every
-    word is carried through them in turn.  The result reverses the
-    interval p..q of the shape.
+    word is carried through them in turn, by its index, and named only
+    at the end.  The result reverses the interval p..q of the shape.
     """
     shape = tuple(shape)
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
-    steps = []  # (start of the commuted slice, commutor on that slice)
+    domain = _words(shape)
+    indices = range(len(domain))
     cur = shape
     for r in range(q - 1, p - 1, -1):
         sigma = commutor_c((cur[r - 1],), cur[r:q])
-        steps.append((r - 1, sigma))
+        indices = _on_slice(indices, cur, r - 1, sigma)
         cur = cur[: r - 1] + sigma.codomain + cur[q:]
-    table = {}
-    for w in _words(shape):
-        fs = w.factors
-        for start, sigma in steps:
-            fs = fs[:start] + sigma(TensorWord(fs[start:q])).factors + fs[q:]
-        table[w] = TensorWord(fs)
-    return CrystalMap(shape, cur, table)
+    image = _words(cur)
+    return CrystalMap(shape, cur, {w: image[i] for w, i in zip(domain, indices)})
 
 
 def cactus_generator_images(base_shape):
@@ -646,24 +660,21 @@ def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
 def cactus_square_failures(shape_a, shape_b, shape_c):
     """Witnesses violating the compatibility square on A (x) B (x) C.
 
-    Each word is carried through the two routes, one commutor at a time:
+    Each word is carried by its index through the two routes, one
+    commutor at a time:
         A B C -> A C B -> C B A   (swap B,C inside, then A across C B)
         A B C -> B A C -> C B A   (swap A,B, then B A across C)
-    and the two images must agree.
+    and the two images must agree; only the witnesses are named.
     """
     a, b, c = tuple(shape_a), tuple(shape_b), tuple(shape_c)
     # built in this order, so that a broken invariant names the same word
     outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
     outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
-    i, j = len(a), len(a) + len(b)
-    out = []
-    for w in _words(a + b + c):
-        fs = w.factors
-        lhs = outer_l(TensorWord(fs[:i] + inner_l(TensorWord(fs[i:])).factors))
-        rhs = outer_r(TensorWord(inner_r(TensorWord(fs[:j])).factors + fs[j:]))
-        if lhs is not rhs:
-            out.append((w, lhs, rhs))
-    return out
+    domain, image = _words(a + b + c), _words(c + b + a)
+    indices = range(len(domain))
+    lhs = _on_slice(_on_slice(indices, a + b + c, len(a), inner_l), a + c + b, 0, outer_l)
+    rhs = _on_slice(_on_slice(indices, a + b + c, 0, inner_r), b + a + c, 0, outer_r)
+    return [(w, image[l], image[r]) for w, l, r in zip(domain, lhs, rhs) if l != r]
 
 
 @dataclass(frozen=True)

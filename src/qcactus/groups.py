@@ -222,12 +222,13 @@ def verify_action(gen_images: dict, relations):
     """Check that generator images satisfy a list of relations.
 
     ``gen_images`` maps generator keys to finite maps (dicts) on a common
-    set, each a bijection of that set; ``relations`` is a list of
+    nonempty set, each a bijection of that set; ``relations`` is a list of
     (left word, right word) pairs, each word a sequence of generator keys
     (or an object with ``.letters``).  Words act on the left, so the last
-    letter is applied first; each side of a relation is applied to the
-    whole domain at once.  Returns the list of RelationFailures, one per
-    violated relation, each carrying the relation's first witness in
+    letter is applied first.  The domain is numbered once, in ``str``
+    order, and each side of a relation carries the whole list of numbers
+    at once by list indexing.  Returns the list of RelationFailures, one
+    per violated relation, each carrying the relation's first witness in
     ``str`` order of the domain.
     """
     images = dict(gen_images)
@@ -237,27 +238,33 @@ def verify_action(gen_images: dict, relations):
     for g, m in images.items():
         if set(m.values()) != domain:
             raise ValueError(f"image of generator {g!r} is not invertible")
+    relations = [(_letters(left), _letters(right)) for left, right in relations]
+    for left, right in relations:
+        for letter in left[::-1] + right[::-1]:  # the order the words apply them
+            if letter not in images:
+                raise ValueError(f"no image supplied for generator {letter!r}")
     if not domain:
-        return []
+        # a check over no points proves nothing
+        raise ValueError("generator images act on an empty domain")
     points = sorted(domain, key=str)
+    number = {x: i for i, x in enumerate(points)}
+    perms = {g: [number[m[x]] for x in points] for g, m in images.items()}
+    identity = list(range(len(points)))
 
     def apply_word(word):
-        xs = points
-        for letter in reversed(_letters(word)):
-            try:
-                m = images[letter]
-            except KeyError:
-                raise ValueError(f"no image supplied for generator {letter!r}")
-            xs = [m[x] for x in xs]
+        xs = identity
+        for letter in reversed(word):
+            m = perms[letter]
+            xs = [m[i] for i in xs]
         return xs
 
     failures = []
-    for left, right in relations:
-        lhs, rhs = apply_word(left), apply_word(right)
-        for x, l, r in zip(points, lhs, rhs):
-            if l != r:
-                failures.append(RelationFailure((_letters(left), _letters(right)), x, l, r))
-                break  # one witness per violated relation
+    for rel in relations:
+        lhs, rhs = apply_word(rel[0]), apply_word(rel[1])
+        if lhs != rhs:
+            # one witness per violated relation
+            x = next(x for x, l, r in zip(identity, lhs, rhs) if l != r)
+            failures.append(RelationFailure(rel, points[x], points[lhs[x]], points[rhs[x]]))
     return failures
 
 

@@ -61,14 +61,14 @@ def tensor_e(w: TensorWord):
     return TensorWord(prefix.factors + (out,)) if out else None
 
 
-def cactus_action(shape, p: int, q: int) -> CrystalMap:
+def cactus_action(shape, p: int, q: int, commutor=commutor_c) -> CrystalMap:
     """s(p,p) is the identity; s(p,q) is factor p commuted past p+1..q after s(p+1,q)."""
     shape = tuple(shape)
     if p == q:
         return CrystalMap.identity(shape)
-    inner = cactus_action(shape, p + 1, q)
+    inner = cactus_action(shape, p + 1, q, commutor)
     mid_shape = inner.codomain
-    sigma = commutor_c((mid_shape[p - 1],), mid_shape[p:q])
+    sigma = commutor((mid_shape[p - 1],), mid_shape[p:q])
     outer = extend_map(sigma, mid_shape[: p - 1], mid_shape[q:])
     return outer.compose(inner)
 

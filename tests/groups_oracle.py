@@ -4,7 +4,9 @@ This is the straightforward loop that ``qcactus.groups.verify_action``
 is checked against: for each relation and each point of the domain in
 ``str`` order, both words are applied letter by letter to that one
 point, and the first point where they disagree is the witness.  The
-library applies each word to the whole domain at once instead.
+library numbers the domain and applies each word to the whole list of
+numbers at once instead.  An empty domain is an error, after every
+letter has been looked up.
 """
 
 from qcactus.groups import RelationFailure
@@ -33,6 +35,15 @@ def verify_action(gen_images: dict, relations):
                 raise ValueError(f"no image supplied for generator {letter!r}")
             x = m[x]
         return x
+
+    if not domain:
+        # no point reaches a letter: look each one up in the order apply_word meets them
+        for left, right in relations:
+            for word in (left, right):
+                for letter in reversed(_letters(word)):
+                    if letter not in images:
+                        raise ValueError(f"no image supplied for generator {letter!r}")
+        raise ValueError("generator images act on an empty domain")
 
     failures = []
     for left, right in relations:

@@ -251,6 +251,16 @@ def test_check_cactus_action_rejects_negative_bound(capsys):
     _assert_usage_error(capsys, "check", "cactus-action", "--max", "-1")
 
 
+@pytest.mark.parametrize("count", ["1", "0", "-2"])
+def test_check_cactus_action_rejects_fewer_than_two_factors(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "cactus-action", "--factors", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --factors: need at least 2 factors" in captured.err
+
+
 def test_bad_value_combinations_exit_2(capsys):
     code = run(["cactus", "act", "--shape", "1,1,1", "--p", "0", "--q", "5"])
     assert code == 2

@@ -103,3 +103,31 @@ def test_cactus_square_matches_composed_maps_under_a_fault(a, b, c, role, pick):
     assert got == oracle.cactus_square_failures(a, b, c, commutor=commutor)
     if faulty != commutor_c(*target) and roles.count(target) == 1:
         assert got
+
+
+shapes_2_4 = st.lists(st.integers(0, 2), min_size=2, max_size=4).map(tuple)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes_2_4, st.integers(0, 5), st.integers(0, 2), st.integers(0, 7))
+def test_cactus_action_matches_recursive_definition_under_a_fault(shape, interval, step, pick):
+    k = len(shape)
+    intervals = [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    p, q = intervals[interval % len(intervals)]
+    # the (factor, block) pair of shapes each step commutes, in the order they apply
+    steps, cur = [], shape
+    for r in range(q - 1, p - 1, -1):
+        steps.append(((cur[r - 1],), cur[r:q]))
+        cur = cur[: r - 1] + cur[r:q] + (cur[r - 1],) + cur[q:]
+    target = steps[step % len(steps)]
+    faulty = _swap_two_images(commutor_c(*target), pick)
+
+    def commutor(x, y):
+        return faulty if (tuple(x), tuple(y)) == target else commutor_c(x, y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crystals, "commutor_c", commutor)
+        got = cactus_action(shape, p, q)
+    assert got == oracle.cactus_action(shape, p, q, commutor=commutor)
+    if faulty != commutor_c(*target) and steps.count(target) == 1:
+        assert got != cactus_action(shape, p, q)

@@ -13,8 +13,9 @@ changes frames (a solve against the target frame) and the one that finds
 highest weight vectors.
 
 ``PINNED_SHA256`` pins the stdout of crystal checks outside the
-benchmark pool: a coboundary check one bound past the benchmark's, and
-the braiding obstruction.
+benchmark pool: a coboundary check one bound past the benchmark's, the
+braiding obstruction, and two cactus-action checks with deeper step
+chains than the benchmark's.
 """
 
 import hashlib
@@ -88,6 +89,10 @@ PINNED_SHA256 = {
         "a4db40be5b84a594005900c653e5d0af7554296ac24cb8b195428cb37a208296",
     "check braiding-obstruction":
         "74ddf4033bd3d74700c639aa41c26d9ce2ff724d229279ae3be89e2d51617ed9",
+    "check cactus-action --factors 5 --max 2":
+        "50fb3f863b4e8cd12d8780f3dd4226aec7f132c9c6dc05e3c1ca0281afd4309b",
+    "check cactus-action --factors 3 --max 4":
+        "a968737c8cd6db0d39e990807010e977410ac778549c68db2eb9f520c828bb37",
 }
 
 

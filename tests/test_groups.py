@@ -143,3 +143,19 @@ def test_permutation_basics():
     assert p.inverse() * p == Permutation.identity(3)
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+def test_missing_generator_image_is_an_error_on_an_empty_domain():
+    # the same message as on a nonempty domain: an empty one does not hide it
+    for domain in ({1: 1}, {}):
+        with pytest.raises(ValueError, match=r"no image supplied for generator \(1, 3\)"):
+            verify_action({(1, 2): domain}, cactus_relation_instances(3))
+
+
+def test_empty_domain_is_an_error():
+    # a check over no points proves nothing
+    images = {pq: {} for pq in [(1, 2), (1, 3), (2, 3)]}
+    with pytest.raises(ValueError, match="empty domain"):
+        verify_action(images, cactus_relation_instances(3))
+    with pytest.raises(ValueError, match="empty domain"):
+        verify_action({}, [])
