@@ -180,8 +180,10 @@ def _cmd_check_cactus_action(args) -> int:
     failures = []
     checked = 0
     for combo in combinations_with_replacement(range(bound + 1), factors):
-        images = crystals.cactus_generator_images(combo)
-        failures.extend(f.as_dict() for f in groups.verify_action(images, relations))
+        name, images = crystals._cactus_generator_indices(combo)
+        for f in groups._verify_numbered(images, relations, name):
+            # words of different shapes in one orbit can print alike
+            failures.append(dict(f.as_dict(), shape=list(f.witness.shape)))
         checked += 1
     payload = {"factors": factors, "max_weight": bound, "base_shapes": checked,
                "failures": failures}

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import permutations, product
 import json
+from math import prod
 import re
 
 from . import VerificationError
@@ -243,9 +244,9 @@ def _words(shape):
     )
 
 
-@lru_cache(maxsize=None)
-def _word_set(shape):
-    return frozenset(_words(shape))
+def _size(shape) -> int:
+    """The number of words of a shape."""
+    return prod(n + 1 for n in shape)
 
 
 def word_index(w: TensorWord) -> int:
@@ -280,6 +281,25 @@ def _signature(w: TensorWord):
             i_f = i
         p_tot += b.phi
     return e_tot, p_tot, i_e, i_f
+
+
+@lru_cache(maxsize=None)
+def _table(shape):
+    """(f, top, weight) by word_index: the index of f(w) or -1, whether e kills w, wt(w).
+
+    The bracketing pass of _signature runs over the depth digits, one factor
+    at a time for all word prefixes, keeping (eps, phi, stride of the factor
+    f acts on); f moves an index by that stride, and wt = phi - eps.
+    """
+    states, stride = [(0, 0, 1)], 1
+    for n in shape:
+        states = [(e_tot + d - p_tot, n - d, stride) if d >= p_tot  # every plus cancelled
+                  else (e_tot, p_tot + n - 2 * d, step)
+                  for d in range(n + 1) for e_tot, p_tot, step in states]
+        stride *= n + 1
+    return (tuple(i + step if p_tot else -1 for i, (_, p_tot, step) in enumerate(states)),
+            tuple(not e_tot for e_tot, _, _ in states),
+            tuple(p_tot - e_tot for e_tot, p_tot, _ in states))
 
 
 def eps(w: TensorWord) -> int:
@@ -336,81 +356,103 @@ def decompose(shape):
 
 @lru_cache(maxsize=None)
 def _decompose(shape):
-    all_words = _words(shape)
-    sources = [w for w in all_words if tensor_e(w) is None]
-    comps = []
-    for src in sorted(sources, key=lambda w: (-wt(w), word_index(w))):
-        elems = [src]
-        cur = src
-        while True:
-            cur = tensor_f(cur)
-            if cur is None:
-                break
-            elems.append(cur)
-        hw = wt(src)
-        if len(elems) != hw + 1:
-            raise CrystalInvariantError(f"component of {src} is not a chain of length {hw + 1}")
-        comps.append(Component(hw, src, tuple(elems)))
-    covered, expected = Counter(w for c in comps for w in c.elements), Counter(all_words)
-    off = (covered - expected) | (expected - covered)  # covered twice, missed, or foreign
-    if off:
-        raise CrystalInvariantError(
-            f"components do not partition the words of {shape}: {next(iter(off))}")
-    return tuple(comps)
+    ws = _words(shape)
+    return tuple(Component(hw, ws[chain[0]], tuple(ws[i] for i in chain))
+                 for hw, chain in _chains(shape))
 
 
 @lru_cache(maxsize=None)
-def _component_lookup(shape):
-    return {w: comp for comp in decompose(shape) for w in comp.elements}
+def _chains(shape):
+    """decompose on word indices: (highest weight, f-chain of indices) pairs."""
+    f, top, weight = _table(shape)
+    chains = []
+    for src in sorted((i for i, t in enumerate(top) if t), key=lambda i: -weight[i]):
+        chain = [src]
+        while f[chain[-1]] >= 0:
+            chain.append(f[chain[-1]])
+        if len(chain) != weight[src] + 1:
+            raise CrystalInvariantError(
+                f"component of {_words(shape)[src]} is not a chain of length {weight[src] + 1}")
+        chains.append((weight[src], tuple(chain)))
+    covered = Counter(i for _, chain in chains for i in chain)
+    off = next((i for i in range(len(f)) if covered[i] != 1), None)  # covered twice or missed
+    if off is not None:
+        raise CrystalInvariantError(
+            f"components do not partition the words of {shape}: {_words(shape)[off]}")
+    return tuple(chains)
 
 
 def component_of(w: TensorWord) -> Component:
-    return _component_lookup(w.shape)[w]
+    shape, i = w.shape, word_index(w)
+    return next(c for c, (_, chain) in zip(decompose(shape), _chains(shape)) if i in chain)
+
+
+def _crystal_map(domain, codomain, index) -> "CrystalMap":
+    """The CrystalMap sending word i of the domain to word index[i] of the codomain."""
+    m = object.__new__(CrystalMap)
+    m._store(domain, codomain, index)
+    return m
 
 
 class CrystalMap:
     """A bijective word -> word table between two shapes.
 
+    Stored as the word_index of the image of each domain word, in the
+    order of words(domain); words are named only when the map is read.
     Composition, inverses and pointwise equality are available, plus a
     checker for the crystal morphism conditions (commuting with e and f,
     preserving wt, eps and phi).
     """
 
-    __slots__ = ("domain", "codomain", "_table")
+    __slots__ = ("domain", "codomain", "_index")
 
     def __init__(self, domain, codomain, table: dict):
-        object.__setattr__(self, "domain", tuple(domain))
-        object.__setattr__(self, "codomain", tuple(codomain))
-        if table.keys() != _word_set(self.domain):
+        domain, codomain = tuple(domain), tuple(codomain)
+        dom = _words(domain)
+        if table.keys() != set(dom):
             raise ValueError("table is not total on the domain shape")
-        codomain = _word_set(self.codomain)
-        if len(table) != len(codomain) or set(table.values()) != codomain:
+        spot = {v: j for j, v in enumerate(_words(codomain))}
+        # a value outside the codomain gets an index past its end
+        self._store(domain, codomain, [spot.get(table[w], len(spot)) for w in dom])
+
+    def _store(self, domain, codomain, index):
+        """Keep index as the map, after checking on ints that it is total and bijective."""
+        if -1 in index:
+            raise ValueError("table is not total on the domain shape")
+        if sorted(index) != list(range(_size(codomain))):
             raise ValueError("table is not a bijection onto the codomain shape")
-        object.__setattr__(self, "_table", dict(table))
+        for name, value in zip(self.__slots__, (domain, codomain, tuple(index))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CrystalMap is immutable")
 
     def __call__(self, w: TensorWord) -> TensorWord:
-        return self._table[w]
+        i = word_index(w)
+        if i >= len(self._index) or _words(self.domain)[i] is not w:
+            raise KeyError(w)
+        return _words(self.codomain)[self._index[i]]
 
     def items(self):
-        return self._table.items()
+        cod = _words(self.codomain)
+        return [(w, cod[j]) for w, j in zip(_words(self.domain), self._index)]
 
     @classmethod
     def identity(cls, shape) -> "CrystalMap":
-        return cls(shape, shape, {w: w for w in _words(shape)})
+        shape = tuple(shape)
+        return _crystal_map(shape, shape, range(_size(shape)))
 
     def compose(self, other: "CrystalMap") -> "CrystalMap":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("shapes do not compose")
-        return CrystalMap(
-            other.domain, self.codomain, {w: self(other(w)) for w, _ in other.items()}
-        )
+        return _crystal_map(other.domain, self.codomain, [self._index[j] for j in other._index])
 
     def inverse(self) -> "CrystalMap":
-        return CrystalMap(self.codomain, self.domain, {v: w for w, v in self.items()})
+        index = [0] * len(self._index)
+        for i, j in enumerate(self._index):
+            index[j] = i
+        return _crystal_map(self.codomain, self.domain, index)
 
     def __eq__(self, other):
         if not isinstance(other, CrystalMap):
@@ -418,14 +460,14 @@ class CrystalMap:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and self._table == other._table
+            and self._index == other._index
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, frozenset(self._table.items())))
+        return hash((self.domain, self.codomain, self._index))
 
     def is_identity(self) -> bool:
-        return self.domain == self.codomain and all(v == w for w, v in self.items())
+        return self.domain == self.codomain and self._index == tuple(range(len(self._index)))
 
     def morphism_failures(self):
         """Words violating the crystal morphism conditions."""
@@ -451,7 +493,7 @@ class CrystalMap:
             {
                 "domain_shape": list(self.domain),
                 "codomain_shape": list(self.codomain),
-                "map": {str(w): str(self(w)) for w in _words(self.domain)},
+                "map": {str(w): str(v) for w, v in self.items()},
             },
             indent=2,
         )
@@ -468,7 +510,7 @@ class CrystalMap:
         return cls(dom, cod, table)
 
     def __repr__(self):
-        return f"CrystalMap({self.domain} -> {self.codomain}, {len(self._table)} words)"
+        return f"CrystalMap({self.domain} -> {self.codomain}, {len(self._index)} words)"
 
 
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
@@ -492,28 +534,24 @@ def schutzenberger(shape) -> CrystalMap:
     which forces the map on every chain.
     """
     shape = tuple(shape)
-    table = {}
-    for comp in decompose(shape):
-        m = comp.highest_weight
-        for d, w in enumerate(comp.elements):
-            table[w] = comp.elements[m - d]
-    return CrystalMap(shape, shape, table)
+    index = [0] * _size(shape)
+    for _, chain in _chains(shape):
+        for i, j in zip(chain, reversed(chain)):
+            index[i] = j
+    return _crystal_map(shape, shape, index)
 
 
 def commutor_S(shape_a, shape_b) -> CrystalMap:
     """The commutor built from the involution xi:
     a (x) b  |->  xi(xi(b) (x) xi(a))."""
     shape_a, shape_b = tuple(shape_a), tuple(shape_b)
-    xi_a = schutzenberger(shape_a)
-    xi_b = schutzenberger(shape_b)
-    xi_ba = schutzenberger(shape_b + shape_a)
-    k = len(shape_a)
-    table = {}
-    for w in _words(shape_a + shape_b):
-        a, b = w.slice(0, k), w.slice(k, len(w))
-        swapped = TensorWord(xi_b(b).factors + xi_a(a).factors)
-        table[w] = xi_ba(swapped)
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
+    xi_a = schutzenberger(shape_a)._index
+    xi_b = schutzenberger(shape_b)._index
+    xi_ba = schutzenberger(shape_b + shape_a)._index
+    size_a, size_b = len(xi_a), len(xi_b)
+    # word i is a (x) b with a = i % size_a and b = i // size_a
+    index = [xi_ba[xi_b[i // size_a] + size_b * xi_a[i % size_a]] for i in range(size_a * size_b)]
+    return _crystal_map(shape_a + shape_b, shape_b + shape_a, index)
 
 
 def commutor_c(shape_a, shape_b) -> CrystalMap:
@@ -532,29 +570,28 @@ def commutor_c(shape_a, shape_b) -> CrystalMap:
 
 @lru_cache(maxsize=None)
 def _commutor_c(shape_a, shape_b) -> CrystalMap:
-    comps_a = decompose(shape_a)
-    comps_b = decompose(shape_b)
-    table = {}
-    for ca in comps_a:
-        lam = ca.highest_weight
-        for cb in comps_b:
-            mu = cb.highest_weight
+    chains_a, chains_b = _chains(shape_a), _chains(shape_b)
+    f_ab, top_ab, _ = _table(shape_a + shape_b)
+    f_ba = _table(shape_b + shape_a)[0]
+    size_a, size_b = _size(shape_a), _size(shape_b)
+    index = [-1] * len(f_ab)
+    for lam, ca in chains_a:
+        for mu, cb in chains_b:
             for k in range(min(lam, mu) + 1):
-                b = cb.elements[k]
                 # the star involution of the sl2 infinity crystal is the identity
-                bstar = ca.elements[k]
-                src = TensorWord(ca.source.factors + b.factors)
-                dst = TensorWord(cb.source.factors + bstar.factors)
-                if tensor_e(src) is not None:
-                    raise CrystalInvariantError(f"{src} is not a highest weight word")
-                cur_s, cur_d = src, dst
-                while cur_s is not None:
-                    table[cur_s] = cur_d
-                    cur_s, cur_d = tensor_f(cur_s), tensor_f(cur_d)
-                if cur_d is not None:
+                src = s = ca[0] + size_a * cb[k]
+                d = cb[0] + size_b * ca[k]
+                if not top_ab[src]:
                     raise CrystalInvariantError(
-                        f"the image chain of {src} is longer than its source chain")
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
+                        f"{_words(shape_a + shape_b)[src]} is not a highest weight word")
+                while s >= 0 and d >= 0:
+                    index[s] = d
+                    s, d = f_ab[s], f_ba[d]
+                if s != d:
+                    raise CrystalInvariantError(
+                        f"the image chain of {_words(shape_a + shape_b)[src]} is "
+                        f"{'longer' if d >= 0 else 'shorter'} than its source chain")
+    return _crystal_map(shape_a + shape_b, shape_b + shape_a, index)
 
 
 def _on_slice(indices, shape, start, sigma):
@@ -563,16 +600,12 @@ def _on_slice(indices, shape, start, sigma):
     Indices are word_index values, first factor fastest: the factors
     before the slice give the index modulo lo, their number of words, and
     the slice gives the next digit.  Sigma moves a word whose slice has
-    index m in its domain by lo * (word_index(sigma(slice)) - m); the
+    index m in its domain by lo * (sigma's image index of m - m); the
     words themselves are never built.
     """
-    lo = 1
-    for n in shape[:start]:
-        lo *= n + 1
-    dom = _words(sigma.domain)
-    size = len(dom)
-    delta = [lo * (word_index(sigma(w)) - m) for m, w in enumerate(dom)]
-    return [i + delta[i // lo % size] for i in indices]
+    lo = _size(shape[:start])
+    delta = [lo * (j - m) for m, j in enumerate(sigma._index)]
+    return [i + delta[i // lo % len(delta)] for i in indices]
 
 
 def cactus_action(shape, p: int, q: int) -> CrystalMap:
@@ -582,22 +615,19 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     the block p+1..q, composed with s(p+1,q).  Unrolled, that is the
     commutors of factor r against the block r+1..q, applied for
     r = q-1 down to p, each on the shape the previous one left; every
-    word is carried through them in turn, by its index, and named only
-    at the end.  The result reverses the interval p..q of the shape.
+    word is carried through them in turn, by its index, and is named
+    only when read.  The result reverses the interval p..q of the shape.
     """
     shape = tuple(shape)
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
-    domain = _words(shape)
-    indices = range(len(domain))
-    cur = shape
+    indices, cur = range(_size(shape)), shape
     for r in range(q - 1, p - 1, -1):
         sigma = commutor_c((cur[r - 1],), cur[r:q])
         indices = _on_slice(indices, cur, r - 1, sigma)
         cur = cur[: r - 1] + sigma.codomain + cur[q:]
-    image = _words(cur)
-    return CrystalMap(shape, cur, {w: image[i] for w, i in zip(domain, indices)})
+    return _crystal_map(shape, cur, indices)
 
 
 def cactus_generator_images(base_shape):
@@ -607,17 +637,23 @@ def cactus_generator_images(base_shape):
     permutation of the base shape, so the images compose and can be fed
     straight to the relation verifier.
     """
-    base_shape = tuple(base_shape)
-    k = len(base_shape)
+    name, images = _cactus_generator_indices(tuple(base_shape))
+    return {pq: {name(i): name(j) for i, j in enumerate(image)} for pq, image in images.items()}
+
+
+def _cactus_generator_indices(base_shape):
+    """cactus_generator_images on points numbered by (orbit position, word_index):
+    (name, {(p, q): list of image numbers}), name(x) being the word numbered x."""
     orbit = sorted(set(permutations(base_shape)))
+    size = _size(base_shape)
     images = {}
-    for p in range(1, k + 1):
-        for q in range(p + 1, k + 1):
-            table = {}
+    for p in range(1, len(base_shape) + 1):
+        for q in range(p + 1, len(base_shape) + 1):
+            image = images[(p, q)] = []
             for s in orbit:
-                table.update(cactus_action(s, p, q).items())
-            images[(p, q)] = table
-    return images
+                m = cactus_action(s, p, q)
+                image += [orbit.index(m.codomain) * size + i for i in m._index]
+    return (lambda x: _words(orbit[x // size])[x % size]), images
 
 
 def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
@@ -626,24 +662,20 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
     Exists iff both decompositions are multiplicity-free with matching
     highest weights; otherwise a ValueError explains which weight fails.
     """
-    comps_a = decompose(tuple(shape_a))
-    comps_b = decompose(tuple(shape_b))
-    by_hw_a = {}
-    by_hw_b = {}
-    for c in comps_a:
-        by_hw_a.setdefault(c.highest_weight, []).append(c)
-    for c in comps_b:
-        by_hw_b.setdefault(c.highest_weight, []).append(c)
-    if set(by_hw_a) != set(by_hw_b):
-        raise ValueError(f"shapes {tuple(shape_a)} and {tuple(shape_b)} are not isomorphic")
-    table = {}
-    for hw, group_a in by_hw_a.items():
-        group_b = by_hw_b[hw]
-        if len(group_a) != 1 or len(group_b) != 1:
+    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    chains_a, chains_b = _chains(shape_a), _chains(shape_b)
+    hws_a, hws_b = Counter(hw for hw, _ in chains_a), Counter(hw for hw, _ in chains_b)
+    if hws_a.keys() != hws_b.keys():
+        raise ValueError(f"shapes {shape_a} and {shape_b} are not isomorphic")
+    for hw in hws_a:
+        if hws_a[hw] != 1 or hws_b[hw] != 1:
             raise ValueError(f"highest weight {hw} occurs with multiplicity; no unique isomorphism")
-        for w, v in zip(group_a[0].elements, group_b[0].elements):
-            table[w] = v
-    return CrystalMap(tuple(shape_a), tuple(shape_b), table)
+    chain_b = dict(chains_b)
+    index = [0] * _size(shape_a)
+    for hw, chain in chains_a:
+        for i, j in zip(chain, chain_b[hw]):
+            index[i] = j
+    return _crystal_map(shape_a, shape_b, index)
 
 
 # -- coboundary checks -------------------------------------------------------
@@ -670,11 +702,11 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
     # built in this order, so that a broken invariant names the same word
     outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
     outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
-    domain, image = _words(a + b + c), _words(c + b + a)
-    indices = range(len(domain))
+    indices = range(_size(a + b + c))
     lhs = _on_slice(_on_slice(indices, a + b + c, len(a), inner_l), a + c + b, 0, outer_l)
     rhs = _on_slice(_on_slice(indices, a + b + c, 0, inner_r), b + a + c, 0, outer_r)
-    return [(w, image[l], image[r]) for w, l, r in zip(domain, lhs, rhs) if l != r]
+    return [(_words(a + b + c)[i], _words(c + b + a)[l], _words(c + b + a)[r])
+            for i, l, r in zip(indices, lhs, rhs) if l != r]
 
 
 @dataclass(frozen=True)
@@ -802,9 +834,7 @@ def crystal_dot(shape) -> str:
         for w in comp.elements:
             lines.append(f'    "{w}";')
         lines.append("  }")
-    for w in _words(shape):
-        fw = tensor_f(w)
-        if fw is not None:
-            lines.append(f'  "{w}" -> "{fw}";')
+    ws = _words(shape)
+    lines += [f'  "{w}" -> "{ws[j]}";' for w, j in zip(ws, _table(shape)[0]) if j >= 0]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -225,31 +225,36 @@ def verify_action(gen_images: dict, relations):
     nonempty set, each a bijection of that set; ``relations`` is a list of
     (left word, right word) pairs, each word a sequence of generator keys
     (or an object with ``.letters``).  Words act on the left, so the last
-    letter is applied first.  The domain is numbered once, in ``str``
-    order, and each side of a relation carries the whole list of numbers
-    at once by list indexing.  Returns the list of RelationFailures, one
-    per violated relation, each carrying the relation's first witness in
-    ``str`` order of the domain.
+    letter is applied first.  The domain is numbered once, in the key order
+    of the first image, and each side of a relation carries the whole list
+    of numbers at once by list indexing.  Returns one RelationFailure per
+    violated relation, carrying its first witness in ``str`` order of the
+    domain, points with the same ``str`` in numbering order.
     """
     images = dict(gen_images)
-    domain = frozenset(next(iter(images.values()), ()))
-    if any(m.keys() != domain for m in images.values()):
+    points = list(next(iter(images.values()), ()))
+    number = {x: i for i, x in enumerate(points)}
+    if any(m.keys() != number.keys() for m in images.values()):
         raise ValueError("generator images act on different domains")
-    for g, m in images.items():
-        if set(m.values()) != domain:
+    perms = {g: [number.get(m[x], -1) for x in points] for g, m in images.items()}
+    return _verify_numbered(perms, relations, points.__getitem__)
+
+
+def _verify_numbered(perms: dict, relations, name):
+    """verify_action on the points 0 .. n-1, each generator key mapped to its
+    list of images; points are named, by name(i), only in failures."""
+    identity = list(range(len(next(iter(perms.values()), ()))))
+    for g, m in perms.items():
+        if sorted(m) != identity:
             raise ValueError(f"image of generator {g!r} is not invertible")
     relations = [(_letters(left), _letters(right)) for left, right in relations]
     for left, right in relations:
         for letter in left[::-1] + right[::-1]:  # the order the words apply them
-            if letter not in images:
+            if letter not in perms:
                 raise ValueError(f"no image supplied for generator {letter!r}")
-    if not domain:
+    if not identity:
         # a check over no points proves nothing
         raise ValueError("generator images act on an empty domain")
-    points = sorted(domain, key=str)
-    number = {x: i for i, x in enumerate(points)}
-    perms = {g: [number[m[x]] for x in points] for g, m in images.items()}
-    identity = list(range(len(points)))
 
     def apply_word(word):
         xs = identity
@@ -262,9 +267,9 @@ def verify_action(gen_images: dict, relations):
     for rel in relations:
         lhs, rhs = apply_word(rel[0]), apply_word(rel[1])
         if lhs != rhs:
-            # one witness per violated relation
-            x = next(x for x, l, r in zip(identity, lhs, rhs) if l != r)
-            failures.append(RelationFailure(rel, points[x], points[lhs[x]], points[rhs[x]]))
+            # one witness per violated relation: the first in str order
+            x = min((x for x in identity if lhs[x] != rhs[x]), key=lambda x: (str(name(x)), x))
+            failures.append(RelationFailure(rel, name(x), name(lhs[x]), name(rhs[x])))
     return failures
 
 

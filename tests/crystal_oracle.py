@@ -4,14 +4,28 @@ These are the straightforward definitions that ``qcactus.crystals`` is
 checked against.  The tensor rule here treats the first k-1 factors of a
 word as one left factor with aggregate eps/phi and recurses on that
 prefix; it shares no code with the library's single signature pass.  The
-cactus action here is the defining recursion
+decomposition and the commutor here grow f-chains word by word with that
+tensor rule, against which the library's walks over word indices are
+compared.  The cactus action here is the defining recursion
 s(p,q) = (id (x) sigma (x) id) . s(p+1,q), built from whole crystal maps,
 against which the library's unrolled loop is compared.  The cactus
 square here composes whole crystal maps for its two routes, against
 which the library's word-by-word check is compared.
 """
 
-from qcactus.crystals import CrystalMap, TensorWord, commutor_c, extend_map, words
+from collections import Counter
+
+from qcactus.crystals import (
+    Component,
+    CrystalInvariantError,
+    CrystalMap,
+    TensorWord,
+    commutor_c,
+    extend_map,
+    word_index,
+    words,
+    wt,
+)
 
 
 def _fold_stats(w: TensorWord):
@@ -59,6 +73,56 @@ def tensor_e(w: TensorWord):
         return TensorWord(raised.factors + (last,)) if raised else None
     out = last.e()
     return TensorWord(prefix.factors + (out,)) if out else None
+
+
+def decompose(shape):
+    """Components as the f-chains grown from the words e kills, largest highest weight first."""
+    shape = tuple(shape)
+    all_words = words(shape)
+    sources = [w for w in all_words if tensor_e(w) is None]
+    comps = []
+    for src in sorted(sources, key=lambda w: (-wt(w), word_index(w))):
+        elems = [src]
+        cur = src
+        while True:
+            cur = tensor_f(cur)
+            if cur is None:
+                break
+            elems.append(cur)
+        hw = wt(src)
+        if len(elems) != hw + 1:
+            raise CrystalInvariantError(f"component of {src} is not a chain of length {hw + 1}")
+        comps.append(Component(hw, src, tuple(elems)))
+    covered, expected = Counter(w for c in comps for w in c.elements), Counter(all_words)
+    off = (covered - expected) | (expected - covered)  # covered twice, missed, or foreign
+    if off:
+        raise CrystalInvariantError(
+            f"components do not partition the words of {shape}: {next(iter(off))}")
+    return tuple(comps)
+
+
+def commutor_c_words(shape_a, shape_b) -> CrystalMap:
+    """The highest weight commutor, built word by word: the source b_lam (x) b, with
+    b at depth k, goes to b_mu (x) b* with b* at depth k, then down both f-chains."""
+    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    table = {}
+    for ca in decompose(shape_a):
+        lam = ca.highest_weight
+        for cb in decompose(shape_b):
+            mu = cb.highest_weight
+            for k in range(min(lam, mu) + 1):
+                src = TensorWord(ca.source.factors + cb.elements[k].factors)
+                dst = TensorWord(cb.source.factors + ca.elements[k].factors)
+                if tensor_e(src) is not None:
+                    raise CrystalInvariantError(f"{src} is not a highest weight word")
+                cur_s, cur_d = src, dst
+                while cur_s is not None:
+                    table[cur_s] = cur_d
+                    cur_s, cur_d = tensor_f(cur_s), tensor_f(cur_d)
+                if cur_d is not None:
+                    raise CrystalInvariantError(
+                        f"the image chain of {src} is longer than its source chain")
+    return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
 
 
 def cactus_action(shape, p: int, q: int, commutor=commutor_c) -> CrystalMap:

@@ -2,8 +2,9 @@
 
 This is the straightforward loop that ``qcactus.groups.verify_action``
 is checked against: for each relation and each point of the domain in
-``str`` order, both words are applied letter by letter to that one
-point, and the first point where they disagree is the witness.  The
+``str`` order, points with the same ``str`` in the key order of the
+first image, both words are applied letter by letter to that one point,
+and the first point where they disagree is the witness.  The
 library numbers the domain and applies each word to the whole list of
 numbers at once instead.  An empty domain is an error, after every
 letter has been looked up.
@@ -22,7 +23,7 @@ def verify_action(gen_images: dict, relations):
     domains = {frozenset(m) for m in images.values()}
     if len(domains) > 1:
         raise ValueError("generator images act on different domains")
-    domain = sorted(next(iter(domains)), key=str) if domains else []
+    domain = sorted(next(iter(images.values()), ()), key=str)  # stable: ties keep key order
     for g, m in images.items():
         if len(set(m.values())) != len(m):
             raise ValueError(f"image of generator {g!r} is not invertible")

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 import json
 import os
 from pathlib import Path
@@ -6,9 +7,10 @@ import sys
 
 import pytest
 
+import groups_oracle
 import qcactus
 
-from qcactus import crystals, uqsl2
+from qcactus import crystals, groups, uqsl2
 from qcactus.cli import run
 
 
@@ -104,6 +106,34 @@ def test_check_cactus_action(capsys):
     assert data["base_shapes"] == 4
 
 
+def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypatch):
+    # b-1⊗b0⊗b0 is a word of both (1,0,2) and (1,2,0), in the orbit of
+    # (0,2,1); this fault breaks one relation at both, so the report must
+    # take the first in orbit order and name its shape, as the oracle does
+    table = dict(crystals.commutor_c((1,), (2,)).items())
+    w1, w2 = (crystals.TensorWord.parse(t, (1, 2)) for t in ("b-1⊗b0", "b1⊗b-2"))
+    table[w1], table[w2] = table[w2], table[w1]
+    faulty = crystals.CrystalMap((1, 2), (2, 1), table)
+    commutor_c = crystals.commutor_c
+
+    def commutor(a, b):
+        return faulty if (tuple(a), tuple(b)) == ((1,), (2,)) else commutor_c(a, b)
+
+    monkeypatch.setattr(crystals, "commutor_c", commutor)
+    code, out = invoke(capsys, "check", "cactus-action", "--factors", "3", "--max", "2")
+    relations = groups.cactus_relation_instances(3)
+    want = []
+    for combo in combinations_with_replacement(range(3), 3):
+        images = crystals.cactus_generator_images(combo)
+        want += [dict(f.as_dict(), shape=list(f.witness.shape))
+                 for f in groups_oracle.verify_action(images, relations)]
+    monkeypatch.undo()
+    assert code == 1
+    assert json.loads(out)["failures"] == want
+    assert {"relation": [[[1, 3], [1, 2]], [[2, 3], [1, 3]]], "witness": "b-1⊗b0⊗b0",
+            "left": "b0⊗b-1⊗b0", "right": "b-2⊗b1⊗b0", "shape": [1, 0, 2]} in want
+
+
 def test_check_yang_baxter(capsys):
     code, out = invoke(capsys, "check", "yang-baxter")
     assert code == 0
@@ -141,7 +171,13 @@ def _clear_crystal_caches():
 def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):
     # a tensor rule that never lowers breaks every chain of length > 1,
     # which must surface as a failed verification naming the word
-    monkeypatch.setattr(crystals, "tensor_f", lambda w: None)
+    table = crystals._table
+
+    def never_lowers(shape):
+        f, top, weight = table(shape)
+        return (-1,) * len(f), top, weight
+
+    monkeypatch.setattr(crystals, "_table", never_lowers)
     _clear_crystal_caches()
     try:
         code = run(["check", "coboundary", "--max", "1"])

@@ -15,10 +15,12 @@ from qcactus.crystals import (
     cactus_generator_images,
     cactus_square_failures,
     commutor_c,
+    decompose,
     eps,
     phi,
     tensor_e,
     tensor_f,
+    word_index,
     words,
     wt,
 )
@@ -49,6 +51,29 @@ def test_signature_rule_matches_left_fold_on_every_three_factor_word():
     for shape in product(range(4), repeat=3):
         for w in words(shape):
             _assert_tensor_rule_agrees(w)
+
+
+shapes_1_5 = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shapes_1_5)
+def test_index_table_matches_the_word_operators(shape):
+    f, top, weight = crystals._table(shape)
+    for i, w in enumerate(words(shape)):
+        fw = tensor_f(w)
+        assert f[i] == (-1 if fw is None else word_index(fw))
+        assert top[i] == (tensor_e(w) is None)
+        assert weight[i] == wt(w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes_1_5, st.integers(1, 4))
+def test_decompose_and_commutor_match_the_word_route(shape, cut):
+    assert decompose(shape) == oracle.decompose(shape)
+    if len(shape) > 1:
+        a, b = shape[:min(cut, len(shape) - 1)], shape[min(cut, len(shape) - 1):]
+        assert commutor_c(a, b) == oracle.commutor_c_words(a, b)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -12,10 +12,12 @@ through the isotypic frames, so they exercise the elimination that
 changes frames (a solve against the target frame) and the one that finds
 highest weight vectors.
 
-``PINNED_SHA256`` pins the stdout of crystal checks outside the
-benchmark pool: a coboundary check one bound past the benchmark's, the
-braiding obstruction, and two cactus-action checks with deeper step
-chains than the benchmark's.
+``PINNED_SHA256`` pins the stdout of crystal commands outside the
+benchmark pool: coboundary checks one and three bounds past the
+benchmark's, the braiding obstruction, two cactus-action checks with
+deeper step chains than the benchmark's, both commutor variants on a
+pair of two-factor shapes, and an action and a decomposition of shapes
+with weight-0 factors, whose digits have a single value.
 """
 
 import hashlib
@@ -83,10 +85,20 @@ S2_SHA256 = {
 }
 
 
-# stdout sha256 of crystal checks that exit 0, outside the benchmark pool
+# stdout sha256 of crystal commands that exit 0, outside the benchmark pool
 PINNED_SHA256 = {
     "check coboundary --max 6":
         "a4db40be5b84a594005900c653e5d0af7554296ac24cb8b195428cb37a208296",
+    "check coboundary --max 8":
+        "1063c11a8c2c9159000f20dc385fa9f937dd4c5bf578691e42c3dbf2ce5922ff",
+    "commutor --a 1,2 --b 2,1 --variant c":
+        "e34fef3f06e56e2faf6ec0f02c809bda154d8bd87a4019782db970a296071a66",
+    "commutor --a 1,2 --b 2,1 --variant S":
+        "e34fef3f06e56e2faf6ec0f02c809bda154d8bd87a4019782db970a296071a66",
+    "cactus act --shape 0,2,1,0,2 --p 1 --q 5":
+        "957bfe4f62509b36d0d5ad73cae2b13b88d322b61c8cb78400d17745949aebc6",
+    "crystal decompose --shape 2,0,1,1 --format text":
+        "22cdf6b02a73f9bf24c672e3564c8457eaf3502b2b6cceed6711856dd27a51a9",
     "check braiding-obstruction":
         "74ddf4033bd3d74700c639aa41c26d9ce2ff724d229279ae3be89e2d51617ed9",
     "check cactus-action --factors 5 --max 2":
