@@ -16,8 +16,8 @@ Importing the package loads no layer.  A layer loads on first use of its
 name or of a name the package re-exports from it (``qcactus.uqsl2``,
 ``qcactus.QMatrix``), and ``from qcactus import *`` loads all four.  The
 crystal side does not need the quantum one: ``groups`` and ``crystals``
-import only the standard library, and ``uqsl2`` imports ``crystals``
-only to compare with the crystal commutor.
+import only the standard library and ``Record``, and ``uqsl2`` imports
+``crystals`` only to compare with the crystal commutor.
 
 A failed verification inside a layer -- a broken crystal invariant, a
 drifted reference braiding, a unitarization that fails its exact
@@ -34,6 +34,50 @@ __version__ = "0.1.0"
 
 class VerificationError(RuntimeError):
     """A verification failed inside a layer; the message names the witness."""
+
+
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    Built by position or keyword in field order, it compares and hashes by
+    its fields and prints as ``Name(field=value, ...)``.  Written by hand, so
+    that no launch loads ``inspect`` and ``ast`` to generate record classes.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self):
+        """Raise ValueError on field values the record cannot hold."""
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 _EXPORTS = {

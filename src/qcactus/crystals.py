@@ -27,14 +27,13 @@ construction.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import permutations, product
 import json
 from math import prod
 import re
 
-from . import VerificationError
+from . import Record, VerificationError
 
 __all__ = [
     "CrystalInvariantError",
@@ -86,10 +85,6 @@ _CHAIN_ELEMENTS = {}
 _TENSOR_WORDS = {}
 
 
-def _immutable(self, *args):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 @total_ordering
 class ChainElement:
     """Element b_j of the chain crystal of highest weight n.
@@ -118,7 +113,7 @@ class ChainElement:
         init(self, "_hash", hash((n, j)))
         return _CHAIN_ELEMENTS.setdefault((n, j), self)
 
-    __setattr__ = __delattr__ = _immutable
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __hash__(self):
         return self._hash
@@ -178,7 +173,7 @@ class TensorWord:
         object.__setattr__(self, "_hash", hash((factors,)))
         return _TENSOR_WORDS.setdefault(factors, self)
 
-    __setattr__ = __delattr__ = _immutable
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __hash__(self):
         return self._hash
@@ -334,13 +329,10 @@ def tensor_e(w: TensorWord):
     return TensorWord(fs[:i] + (fs[i].e(),) + fs[i + 1:])
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A connected component: a chain from its source element."""
 
-    highest_weight: int
-    source: TensorWord
-    elements: tuple  # source, f(source), f^2(source), ...
+    __slots__ = ("highest_weight", "source", "elements")  # source, f(source), f^2(source), ...
 
 
 def decompose(shape):
@@ -424,8 +416,7 @@ class CrystalMap:
         for name, value in zip(self.__slots__, (domain, codomain, tuple(index))):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CrystalMap is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __call__(self, w: TensorWord) -> TensorWord:
         i = word_index(w)
@@ -646,13 +637,15 @@ def _cactus_generator_indices(base_shape):
     (name, {(p, q): list of image numbers}), name(x) being the word numbered x."""
     orbit = sorted(set(permutations(base_shape)))
     size = _size(base_shape)
+    offset = {s: k * size for k, s in enumerate(orbit)}
     images = {}
     for p in range(1, len(base_shape) + 1):
         for q in range(p + 1, len(base_shape) + 1):
             image = images[(p, q)] = []
             for s in orbit:
                 m = cactus_action(s, p, q)
-                image += [orbit.index(m.codomain) * size + i for i in m._index]
+                start = offset[m.codomain]
+                image += [start + i for i in m._index]
     return (lambda x: _words(orbit[x // size])[x % size]), images
 
 
@@ -681,12 +674,14 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
 # -- coboundary checks -------------------------------------------------------
 
 def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
-    """Words where backward(forward(w)) != w."""
-    out = []
-    for w, v in forward.items():
-        if backward(v) != w:
-            out.append((w, backward(v)))
-    return out
+    """(w, backward(forward(w))) for each word w, in word order, that it does
+    not fix; compared by index, and only the failures are named."""
+    if backward.domain != forward.codomain:
+        raise KeyError(_words(forward.codomain)[forward._index[0]])  # as backward(v) would
+    back, home = backward._index, backward.codomain == forward.domain
+    dom, cod = _words(forward.domain), _words(backward.codomain)
+    return [(dom[i], cod[back[j]])
+            for i, j in enumerate(forward._index) if back[j] != i or not home]
 
 
 def cactus_square_failures(shape_a, shape_b, shape_c):
@@ -709,10 +704,8 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
             for i, l, r in zip(indices, lhs, rhs) if l != r]
 
 
-@dataclass(frozen=True)
-class CoboundaryReport:
-    triples_checked: int
-    failures: tuple
+class CoboundaryReport(Record):
+    __slots__ = ("triples_checked", "failures")
 
     @property
     def ok(self) -> bool:
@@ -760,16 +753,11 @@ def weight_bounded_triples(max_weight: int):
 
 # -- the braiding obstruction ------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    """Record of the mechanical proof that chains admit no braiding."""
+class ObstructionWitness(Record):
+    """Record of the mechanical proof that chains admit no braiding: sigma(b1 (x) b0),
+    and the values naturality and the hexagon force on the probe b1 (x) b-1 (x) b1."""
 
-    sigma_11_identity: bool
-    sigma_12_value: TensorWord  # image of b1 (x) b0
-    probe: TensorWord  # b1 (x) b-1 (x) b1
-    forced: TensorWord  # value forced by naturality
-    hexagon: TensorWord  # value forced by the hexagon composite
-    distinct: bool
+    __slots__ = ("sigma_11_identity", "sigma_12_value", "probe", "forced", "hexagon", "distinct")
 
     def as_dict(self):
         return {

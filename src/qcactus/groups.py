@@ -13,8 +13,9 @@ for the generators and checks a list of relations pointwise, reporting
 a witness for every violation.
 """
 
-from dataclasses import dataclass
 import re
+
+from . import Record
 
 __all__ = [
     "Permutation",
@@ -29,13 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {1, .., n}, stored as the tuple of images."""
 
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self):
+    def _validate(self):
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
@@ -77,14 +77,12 @@ def s_hat(p: int, q: int, n: int) -> Permutation:
     )
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Word in braid generators; letters are (index, +-1) pairs."""
 
-    letters: tuple
-    n: int
+    __slots__ = ("letters", "n")
 
-    def __post_init__(self):
+    def _validate(self):
         for i, e in self.letters:
             if not 1 <= i <= self.n - 1:
                 raise ValueError(f"generator index {i} out of range for n={self.n}")
@@ -105,17 +103,15 @@ class BraidWord:
         return "".join(("g" if e == 1 else "G") + str(i) for i, e in self.letters)
 
 
-@dataclass(frozen=True)
-class CactusWord:
+class CactusWord(Record):
     """Word in cactus generators; letters are (p, q) interval pairs.
 
     The generators are involutions, so no exponents are stored.
     """
 
-    letters: tuple
-    n: int
+    __slots__ = ("letters", "n")
 
-    def __post_init__(self):
+    def _validate(self):
         for p, q in self.letters:
             if not 1 <= p < q <= self.n:
                 raise ValueError(f"bad interval ({p},{q}) for n={self.n}")
@@ -194,12 +190,8 @@ def project_to_symmetric(word) -> Permutation:
     raise TypeError(f"expected BraidWord or CactusWord, got {type(word).__name__}")
 
 
-@dataclass(frozen=True)
-class RelationFailure:
-    relation: tuple
-    witness: object
-    left_value: object
-    right_value: object
+class RelationFailure(Record):
+    __slots__ = ("relation", "witness", "left_value", "right_value")
 
     def as_dict(self):
         return {

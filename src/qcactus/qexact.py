@@ -38,6 +38,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 import re
 
+from . import Record
+
 __all__ = [
     "HalfLaurent",
     "QRational",
@@ -91,8 +93,7 @@ class HalfLaurent:
                 data[0] = v
         object.__setattr__(self, "_coeffs", data)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfLaurent is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
 
     @classmethod
     def monomial(cls, coeff, exp: int = 0) -> "HalfLaurent":
@@ -369,8 +370,7 @@ class QRational:
         _set_n(self, n)
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QRational is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
 
     @property
     def numerator(self) -> HalfLaurent:
@@ -504,6 +504,8 @@ class QRational:
         return self._c * _horner(self._n, v) / d
 
     def __str__(self):
+        if not self._n:  # zero, canonically over (1,): most entries of a braiding
+            return "0"
         num = _terms_str(_dense_terms(self._c, self._n))
         if self._d == (1,):
             return num

@@ -47,7 +47,6 @@ All matrices are exact and immutable.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
@@ -64,7 +63,7 @@ from .qexact import (
     quantum_int,
     reduce_mod_qhalf,
 )
-from . import VerificationError
+from . import Record, VerificationError
 
 __all__ = [
     "QMatrix",
@@ -129,8 +128,7 @@ class QMatrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
@@ -313,8 +311,7 @@ def _kernel_basis(rows):
     return out
 
 
-@dataclass(frozen=True)
-class UqModule:
+class UqModule(Record):
     """A weight module with exact E and F action matrices.
 
     K is determined by the weights: it scales the weight-j basis vector
@@ -322,10 +319,7 @@ class UqModule:
     ``module_relations_ok`` in the test suite for every module built here.
     """
 
-    shape: tuple
-    weights: tuple
-    e: QMatrix
-    f: QMatrix
+    __slots__ = ("shape", "weights", "e", "f")
 
     @property
     def dim(self) -> int:
@@ -437,10 +431,8 @@ def highest_weight_vectors(m: UqModule):
     return out
 
 
-@dataclass(frozen=True)
-class ModuleComponent:
-    highest_weight: int
-    columns: QMatrix  # dim x (highest_weight + 1), divided-power descendants
+class ModuleComponent(Record):
+    __slots__ = ("highest_weight", "columns")  # dim x (highest_weight + 1), divided powers
 
 
 def module_components(m: UqModule):
@@ -733,11 +725,8 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
     return [[int(v) for v in row] for row in reduced]
 
 
-@dataclass(frozen=True)
-class Kt07Report:
-    m: int
-    n: int
-    mismatches: tuple
+class Kt07Report(Record):
+    __slots__ = ("m", "n", "mismatches")
 
     @property
     def ok(self) -> bool:

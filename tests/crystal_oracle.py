@@ -10,7 +10,9 @@ compared.  The cactus action here is the defining recursion
 s(p,q) = (id (x) sigma (x) id) . s(p+1,q), built from whole crystal maps,
 against which the library's unrolled loop is compared.  The cactus
 square here composes whole crystal maps for its two routes, against
-which the library's word-by-word check is compared.
+which the library's word-by-word check is compared.  Involutivity here
+names every word and its image, against which the library's comparison
+of word indices is compared.
 """
 
 from collections import Counter
@@ -147,3 +149,8 @@ def cactus_square_failures(shape_a, shape_b, shape_c, commutor=commutor_c):
         extend_map(commutor(shape_a, shape_b), (), shape_c)
     )
     return [(w, lhs(w), rhs(w)) for w in words(shape_a + shape_b + shape_c) if lhs(w) != rhs(w)]
+
+
+def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
+    """(w, backward(forward(w))) for each word w, in word order, that it does not fix."""
+    return [(w, backward(v)) for w, v in forward.items() if backward(v) != w]

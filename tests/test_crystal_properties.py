@@ -17,6 +17,7 @@ from qcactus.crystals import (
     commutor_c,
     decompose,
     eps,
+    involutivity_failures,
     phi,
     tensor_e,
     tensor_f,
@@ -108,6 +109,29 @@ def _swap_two_images(m: CrystalMap, pick: int) -> CrystalMap:
 
 
 shapes_1_2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shapes_1_2, shapes_1_2, st.integers(0, 7))
+def test_involutivity_matches_the_word_route_under_a_fault(a, b, pick):
+    forward, backward = commutor_c(a, b), commutor_c(b, a)
+    assert involutivity_failures(forward, backward) == []
+    assert oracle.involutivity_failures(forward, backward) == []
+    faulty = _swap_two_images(backward, pick)
+    got = involutivity_failures(forward, faulty)
+    assert got == oracle.involutivity_failures(forward, faulty)
+    assert len(got) == (0 if faulty == backward else 2)
+    # a backward map that lands off the forward domain fixes no word
+    off = CrystalMap.identity(b + a)
+    if b + a != a + b:
+        assert involutivity_failures(forward, off) == oracle.involutivity_failures(forward, off)
+        assert len(involutivity_failures(forward, off)) == len(forward.items())
+    # one that does not start where forward ends cannot be applied at all
+    with pytest.raises(KeyError) as info:
+        involutivity_failures(forward, CrystalMap.identity(a + b + (0,)))
+    with pytest.raises(KeyError) as word_route:
+        oracle.involutivity_failures(forward, CrystalMap.identity(a + b + (0,)))
+    assert info.value.args == word_route.value.args
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
