@@ -418,6 +418,9 @@ class CrystalMap:
 
     __setattr__ = __delattr__ = Record.__setattr__
 
+    def __reduce__(self):
+        return _crystal_map, (self.domain, self.codomain, self._index)
+
     def __call__(self, w: TensorWord) -> TensorWord:
         i = word_index(w)
         if i >= len(self._index) or _words(self.domain)[i] is not w:

@@ -7,23 +7,33 @@ the values:
   HalfLaurent -- a Laurent polynomial in Q with exact rational coefficients,
                  kept as a sparse exponent -> Fraction map; it is the
                  input and output type (numerators, denominators, parsing);
-  QRational   -- a rational function c * N / D, where c is one Fraction and
-                 N, D are dense tuples of ints, index i holding the
-                 coefficient of Q^i.
+  QRational   -- a rational function a/b * Q^e * n(Q^s) / d(Q^s), graded:
+                 a/b is an integer content, e the net Q-exponent, and n, d
+                 dense tuples of ints in x = Q^s, index i holding the
+                 coefficient of x^i.
 
-Canonical form: N and D are primitive (coefficient gcd 1) with positive
-leading coefficients, coprime over the rationals, and not both divisible
-by Q; zero is c = 0, N = (), D = (1,).  The numerator c * N and the
-integer-primitive denominator D are therefore unique, so equality of
-values is structural equality of the stored data, which is what every
-verification routine in this package relies on.
+Canonical form: b > 0 and gcd(a, b) = 1; n and d have nonzero constant
+terms, are primitive (coefficient gcd 1) with positive leading
+coefficients, and are coprime; the stride s is the gcd of the exponents
+of the nonzero terms of n(Q^s) and d(Q^s) together, and 1 when both are
+constant.  Zero is a = 0, b = 1, e = 0, s = 1, n = (), d = (1,).  Every
+value has exactly one such form, so equality of values is structural
+equality of the stored data, which is what every verification routine in
+this package relies on.
 
-Field arithmetic never leaves the integers.  Products are int
-convolutions; sums are integer combinations over the cofactors of the
-two denominators; common factors are found by the heuristic integer gcd
-(evaluation at a power of two, accepted only when exact division proves
-it) and divided out.  The gcd is skipped when either side is a
-monomial in Q, which covers every Laurent polynomial.
+The grading pays because the operands of a braiding are powers of Q
+times polynomials in Q^2 or Q^4: stored densely in Q they would be mostly
+zeros, and a monomial is just (a, b, e, 1, (1,), (1,)), so multiplying by
+one is O(1).  Field arithmetic never leaves the integers.  Products are
+int convolutions, taken at the gcd of the two strides; sums are integer
+combinations over the cofactors of the two denominators, with the
+exponents aligned and a cancelled constant term moved into e; common
+factors are found by the heuristic integer gcd (evaluation at a power of
+two, accepted only when exact division proves it) and divided out.  A
+product or sum can have a larger stride than its operands, as
+(1 + Q^2)(1 - Q^2) = 1 - Q^4 has, so each result is decimated again.
+The gcd is skipped when either side is constant, which covers every
+Laurent polynomial.
 
 The subring of elements regular at q = infinity consists of the fractions
 whose numerator Q-degree does not exceed the denominator Q-degree; on it,
@@ -94,6 +104,9 @@ class HalfLaurent:
         object.__setattr__(self, "_coeffs", data)
 
     __setattr__ = __delattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        return HalfLaurent, (self._coeffs,)
 
     @classmethod
     def monomial(cls, coeff, exp: int = 0) -> "HalfLaurent":
@@ -192,7 +205,7 @@ class HalfLaurent:
         return f"HalfLaurent({dict(sorted(self._coeffs.items()))!r})"
 
 
-# -- dense integer polynomials: nonempty int tuples, index = Q-exponent -----
+# -- dense integer polynomials: nonempty int tuples, index = exponent of x --
 
 def _mul(a, b):
     """Product of two nonzero polynomials (int convolution)."""
@@ -294,39 +307,54 @@ def _gcd_quotients(a, b):
 def _cancel(a, b):
     """(a / g, b / g, g) for g the gcd of two primitive polynomials.
 
-    The common power of Q is split off first; after that a monomial on
-    either side is coprime to the other, so the gcd is only computed when
-    both sides have two or more terms.
+    Both have nonzero constant terms, so a constant on either side is
+    coprime to the other, and the gcd is only computed when both sides
+    have two or more terms.
     """
-    v = 0
-    while not (a[v] or b[v]):
-        v += 1
-    if v:
-        a, b = a[v:], b[v:]
-    g = (1,)
-    if any(a[:-1]) and any(b[:-1]):
-        a, b, g = _gcd_quotients(a, b)
-    return a, b, (0,) * v + g
+    if len(a) > 1 and len(b) > 1:
+        return _gcd_quotients(a, b)
+    return a, b, (1,)
 
 
-def _lincomb(ka, a, kb, b):
-    """ka * a + kb * b, or None when it vanishes."""
-    if len(a) < len(b):
-        ka, a, kb, b = kb, b, ka, a
-    out = [ka * x for x in a]
-    for i, y in enumerate(b):
+def _lincomb(ka, a, kb, b, k):
+    """ka * a + kb * x^k * b, or None when it vanishes."""
+    out = [ka * y for y in a]
+    if len(out) < len(b) + k:
+        out.extend([0] * (len(b) + k - len(out)))
+    for i, y in enumerate(b, k):
         out[i] += kb * y
     while out and not out[-1]:
         out.pop()
     return out or None
 
 
-def _integer_poly(h: HalfLaurent, shift: int):
-    """(c, P) with h = c * Q^shift * P and P a primitive int tuple."""
+def _inflate(p, k):
+    """p(x^k) for a polynomial p(x)."""
+    if k == 1 or len(p) == 1:
+        return p
+    out = [0] * ((len(p) - 1) * k + 1)
+    out[::k] = p
+    return tuple(out)
+
+
+def _joint_stride(n, d):
+    """The gcd of the exponents of the nonzero terms of n and d; 0 when both are constant."""
+    t = 0
+    for p in (n, d):
+        for i in range(1, len(p)):
+            if p[i]:
+                t = gcd(t, i)
+                if t == 1:
+                    return 1
+    return t
+
+
+def _integer_poly(h: HalfLaurent, shift: int, stride: int):
+    """(c, P) with h = c * Q^shift * P(Q^stride) and P a primitive int tuple."""
     scale = lcm(*(c.denominator for c in h._coeffs.values()))
-    out = [0] * (h.degree() - shift + 1)
+    out = [0] * ((h.degree() - shift) // stride + 1)
     for e, c in h._coeffs.items():
-        out[e - shift] = c.numerator * (scale // c.denominator)
+        out[(e - shift) // stride] = c.numerator * (scale // c.denominator)
     content, p = _primitive(out)
     return Fraction(content, scale), p
 
@@ -340,52 +368,62 @@ class QRational:
     coincide.
     """
 
-    __slots__ = ("_c", "_n", "_d")
+    __slots__ = ("_a", "_b", "_e", "_s", "_n", "_d")
 
     def __init__(self, num=0, den=1):
         if isinstance(num, QRational) or isinstance(den, QRational):
             a = num if isinstance(num, QRational) else QRational(num)
             b = den if isinstance(den, QRational) else QRational(den)
-            value = a / b
-            c, n, d = value._c, value._n, value._d
+            parts = (a / b)._parts()
         elif isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
             if not den:
                 raise ZeroDivisionError("zero denominator")
             c = _fr(num) / den
-            n, d = ((1,), (1,)) if c else ((), (1,))
+            parts = (c.numerator, c.denominator, 0, 1, (1,), (1,)) if c else _ZERO_PARTS
         else:
             num = num if isinstance(num, HalfLaurent) else HalfLaurent(num)
             den = den if isinstance(den, HalfLaurent) else HalfLaurent(den)
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
             if num.is_zero():
-                c, n, d = Fraction(0), (), (1,)
+                parts = _ZERO_PARTS
             else:
-                shift = min(num.valuation(), den.valuation())
-                cn, n = _integer_poly(num, shift)
-                cd, d = _integer_poly(den, shift)
-                c = cn / cd
+                vn, vd = num.valuation(), den.valuation()
+                s = 0
+                for h, v in ((num, vn), (den, vd)):
+                    for e in h._coeffs:
+                        s = gcd(s, e - v)
+                s = s or 1
+                cn, n = _integer_poly(num, vn, s)
+                cd, d = _integer_poly(den, vd, s)
                 n, d, _ = _cancel(n, d)
-        _set_c(self, c)
-        _set_n(self, n)
-        _set_d(self, d)
+                c = cn / cd
+                parts = (c.numerator, c.denominator, vn - vd, *_decimate(s, n, d))
+        _store(self, *parts)
 
     __setattr__ = __delattr__ = Record.__setattr__
 
+    def _parts(self):
+        return self._a, self._b, self._e, self._s, self._n, self._d
+
+    def __reduce__(self):
+        return _make, self._parts()
+
     @property
     def numerator(self) -> HalfLaurent:
-        c = self._c
-        return HalfLaurent({e: c * x for e, x in enumerate(self._n) if x})
+        a, b, s, top = self._a, self._b, self._s, max(self._e, 0)
+        return HalfLaurent({top + i * s: Fraction(a * x, b) for i, x in enumerate(self._n) if x})
 
     @property
     def denominator(self) -> HalfLaurent:
-        return HalfLaurent({e: x for e, x in enumerate(self._d) if x})
+        s, top = self._s, max(-self._e, 0)
+        return HalfLaurent({top + i * s: x for i, x in enumerate(self._d) if x})
 
     def is_zero(self) -> bool:
-        return not self._n
+        return not self._a
 
     def __bool__(self):
-        return bool(self._n)
+        return bool(self._a)
 
     @staticmethod
     def _coerce(x):
@@ -396,31 +434,45 @@ class QRational:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other._n:
+        if not isinstance(other, QRational):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other._a:
             return self
-        if not self._n:
+        if not self._a:
             return other
-        dx, dy = self._d, other._d
+        x, y = (self, other) if self._e <= other._e else (other, self)
+        shift = y._e - x._e
+        nx, dx, ny, dy = x._n, x._d, y._n, y._d
+        # the common stride; a monomial fits every stride
+        sx = x._s if len(nx) > 1 or len(dx) > 1 else 0
+        sy = y._s if len(ny) > 1 or len(dy) > 1 else 0
+        s = gcd(sx, sy, shift) or 1
+        if sx > s:
+            nx, dx = _inflate(nx, sx // s), _inflate(dx, sx // s)
+        if sy > s:
+            ny, dy = _inflate(ny, sy // s), _inflate(dy, sy // s)
         if dx == dy:
-            ex = ey = (1,)
+            cx = cy = (1,)
             g = dx
         else:
-            ex, ey, g = _cancel(dx, dy)
-        # self + other = (kx * Nx * ey + ky * Ny * ex) / (l * g * ex * ey);
-        # Nx * ey + Ny * ex is coprime to ex and ey, so only g can cancel
-        cx, cy = self._c, other._c
-        l = lcm(cx.denominator, cy.denominator)
-        kx = cx.numerator * (l // cx.denominator)
-        ky = cy.numerator * (l // cy.denominator)
-        s = _lincomb(kx, _mul(self._n, ey), ky, _mul(other._n, ex))
-        if s is None:
+            cx, cy, g = _cancel(dx, dy)
+        # with X = Q^s and k = shift / s, x + y is
+        # Q^(x._e) (kx * nx * cy + ky * X^k * ny * cx) / (l * g * cx * cy);
+        # the sum is coprime to cx and cy, so only g can cancel
+        bx, by = x._b, y._b
+        l = lcm(bx, by)
+        total = _lincomb(x._a * (l // bx), _mul(nx, cy), y._a * (l // by), _mul(ny, cx), shift // s)
+        if total is None:
             return ZERO
-        k, s = _primitive(s)
-        n, g, _ = _cancel(s, g)
-        return _make(Fraction(k, l), n, _mul(_mul(g, ex), ey))
+        v = 0
+        while not total[v]:  # a cancelled constant term, only when shift == 0
+            v += 1
+        k, n = _primitive(total[v:] if v else total)
+        n, g, _ = _cancel(n, g)
+        h = gcd(k, l)
+        return _make(k // h, l // h, x._e + v * s, *_decimate(s, n, _mul(_mul(g, cx), cy)))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -435,26 +487,48 @@ class QRational:
         return other - self
 
     def __neg__(self):
-        return _make(-self._c, self._n, self._d)
+        return _make(-self._a, self._b, self._e, self._s, self._n, self._d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not (self._n and other._n):
+        if not isinstance(other, QRational):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        ax, ay = self._a, other._a
+        if not (ax and ay):
             return ZERO
+        bx, by = self._b, other._b
+        if bx == by == 1:
+            a, b = ax * ay, 1
+        else:
+            gx, gy = gcd(ax, by), gcd(ay, bx)
+            a, b = (ax // gx) * (ay // gy), (bx // gy) * (by // gx)
+        e = self._e + other._e
+        nx, dx, ny, dy = self._n, self._d, other._n, other._d
+        if len(ny) == 1 == len(dy):
+            return _make(a, b, e, self._s, nx, dx)
+        if len(nx) == 1 == len(dx):
+            return _make(a, b, e, other._s, ny, dy)
+        sx, sy = self._s, other._s
+        s = sx
+        if sx != sy:
+            s = gcd(sx, sy)
+            nx, dx = _inflate(nx, sx // s), _inflate(dx, sx // s)
+            ny, dy = _inflate(ny, sy // s), _inflate(dy, sy // s)
         # both factors are reduced, so only the cross pairs can cancel
-        nx, dy, _ = _cancel(self._n, other._d)
-        ny, dx, _ = _cancel(other._n, self._d)
-        return _make(self._c * other._c, _mul(nx, ny), _mul(dx, dy))
+        nx, dy, _ = _cancel(nx, dy)
+        ny, dx, _ = _cancel(ny, dx)
+        return _make(a, b, e, *_decimate(s, _mul(nx, ny), _mul(dx, dy)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        a = other._a
+        if not a:
             raise ZeroDivisionError("division by zero QRational")
-        return self * _make(1 / other._c, other._d, other._n)
+        b = other._b if a > 0 else -other._b
+        return self * _make(b, abs(a), -other._e, other._s, other._d, other._n)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -483,12 +557,13 @@ class QRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._c == other._c and self._n == other._n and self._d == other._d
+        return (self._a == other._a and self._b == other._b and self._e == other._e
+                and self._s == other._s and self._n == other._n and self._d == other._d)
 
     def __hash__(self):
-        if self._d == (1,) and self._n in ((), (1,)):
-            return hash(self._c)  # a constant hashes as the number it equals
-        return hash((self._c, self._n, self._d))
+        if not self._e and len(self._n) <= 1 and len(self._d) == 1:
+            return hash(Fraction(self._a, self._b))  # a constant hashes as the number it equals
+        return hash(self._parts())
 
     def evaluate(self, x) -> Fraction:
         """Exact value at Q = x.
@@ -498,35 +573,55 @@ class QRational:
         denominator therefore means the value genuinely diverges.
         """
         v = _fr(x)
-        d = _horner(self._d, v)
+        e, vs = self._e, v ** self._s
+        d = _horner(self._d, vs) * v ** max(-e, 0)
         if d == 0:
             raise ZeroDivisionError(f"pole at Q = {x}")
-        return self._c * _horner(self._n, v) / d
+        return Fraction(self._a, self._b) * _horner(self._n, vs) * v ** max(e, 0) / d
 
     def __str__(self):
-        if not self._n:  # zero, canonically over (1,): most entries of a braiding
+        if not self._a:  # zero: most entries of a braiding
             return "0"
-        num = _terms_str(_dense_terms(self._c, self._n))
-        if self._d == (1,):
+        e, s = self._e, self._s
+        num = _terms_str(_dense_terms(Fraction(self._a, self._b), self._n, max(e, 0), s))
+        if e >= 0 and len(self._d) == 1:
             return num
-        return f"({num})/({_terms_str(_dense_terms(1, self._d))})"
+        return f"({num})/({_terms_str(_dense_terms(1, self._d, max(-e, 0), s))})"
 
     def __repr__(self):
         return f"QRational({str(self)!r})"
 
 
-_set_c = QRational._c.__set__
-_set_n = QRational._n.__set__
-_set_d = QRational._d.__set__
+_set_a, _set_b, _set_e, _set_s, _set_n, _set_d = (
+    getattr(QRational, name).__set__ for name in QRational.__slots__)
+_ZERO_PARTS = (0, 1, 0, 1, (), (1,))
 
 
-def _make(c, n, d) -> QRational:
-    """A QRational from parts already in canonical form."""
-    out = object.__new__(QRational)
-    _set_c(out, c)
+def _store(out, a, b, e, s, n, d):
+    """Fill the slots of a QRational under construction."""
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_e(out, e)
+    _set_s(out, s)
     _set_n(out, n)
     _set_d(out, d)
+
+
+def _make(a, b, e, s, n, d) -> QRational:
+    """A QRational from parts already in canonical form."""
+    out = object.__new__(QRational)
+    _store(out, a, b, e, s, n, d)
     return out
+
+
+def _decimate(s, n, d):
+    """(stride, n, d) once n(x) and d(x) at stride s are rewritten in x^t for their joint stride t."""
+    t = _joint_stride(n, d)
+    if t == 1:
+        return s, n, d
+    if not t:
+        return 1, n, d
+    return s * t, n[::t], d[::t]
 
 
 def _horner(p, x):
@@ -542,9 +637,7 @@ ONE = QRational(1)
 
 def Qpow(k: int) -> QRational:
     """Q^k = q^(k/2) as a QRational."""
-    if k >= 0:
-        return _make(Fraction(1), (0,) * k + (1,), (1,))
-    return _make(Fraction(1), (1,), (0,) * -k + (1,))
+    return _make(1, 1, k, 1, (1,), (1,))
 
 
 def qpow(n: int) -> QRational:
@@ -575,13 +668,18 @@ def quantum_factorial(n: int) -> QRational:
     return out
 
 
+def _degree_gap(a: QRational) -> int:
+    """Q-degree of the numerator minus Q-degree of the denominator of a nonzero a."""
+    return a._e + a._s * (len(a._n) - len(a._d))
+
+
 def is_regular_at_infinity(a: QRational) -> bool:
     """True iff ``a`` stays finite as q -> infinity.
 
     Equivalently, ``a`` can be written as g1(q^(-1/2)) / g2(q^(-1/2))
     with g2(0) != 0; in canonical form this is just a degree comparison.
     """
-    return a.is_zero() or len(a._n) <= len(a._d)
+    return a.is_zero() or _degree_gap(a) <= 0
 
 
 def reduce_mod_qhalf(a: QRational) -> Fraction:
@@ -592,12 +690,12 @@ def reduce_mod_qhalf(a: QRational) -> Fraction:
     """
     if a.is_zero():
         return Fraction(0)
-    dn, dd = len(a._n), len(a._d)
-    if dn > dd:
+    gap = _degree_gap(a)
+    if gap > 0:
         raise ValueError(f"{a} is not regular at q = infinity")
-    if dn < dd:
+    if gap < 0:
         return Fraction(0)
-    return a._c * a._n[-1] / a._d[-1]
+    return Fraction(a._a * a._n[-1], a._b * a._d[-1])
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction:
@@ -617,13 +715,11 @@ def monomial_sqrt(a: QRational) -> QRational:
     unitarization takes Drinfeld's ribbon formula instead.  The test-only
     oracle of block-by-block unitarization and the arithmetic demo use it.
     """
-    # a primitive monomial with positive lead is Q^e itself, so c is the coefficient
-    if a.is_zero() or any(a._n[:-1]) or any(a._d[:-1]):
+    if a.is_zero() or len(a._n) > 1 or len(a._d) > 1:
         raise ValueError(f"{a} is not a monomial")
-    exp = len(a._n) - len(a._d)
-    if exp % 2:
-        raise ValueError(f"{a} has odd Q-exponent {exp}")
-    return _fraction_sqrt(a._c) * Qpow(exp // 2)
+    if a._e % 2:
+        raise ValueError(f"{a} has odd Q-exponent {a._e}")
+    return _fraction_sqrt(Fraction(a._a, a._b)) * Qpow(a._e // 2)
 
 
 # -- canonical string form -------------------------------------------------
@@ -639,9 +735,9 @@ def _term_str(c: Fraction, e: int) -> str:
     return f"{c}*{qpart}"
 
 
-def _dense_terms(c, p):
-    """(exponent, coefficient) pairs of c * p, exponents descending."""
-    return [(e, c * p[e]) for e in range(len(p) - 1, -1, -1) if p[e]]
+def _dense_terms(c, p, shift, stride):
+    """(exponent, coefficient) pairs of c * Q^shift * p(Q^stride), exponents descending."""
+    return [(shift + i * stride, c * p[i]) for i in range(len(p) - 1, -1, -1) if p[i]]
 
 
 def _terms_str(terms) -> str:

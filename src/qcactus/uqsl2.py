@@ -130,6 +130,9 @@ class QMatrix:
 
     __setattr__ = __delattr__ = Record.__setattr__
 
+    def __reduce__(self):
+        return QMatrix, (self.entries,)
+
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls([[ZERO] * cols for _ in range(rows)])

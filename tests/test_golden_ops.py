@@ -12,12 +12,15 @@ through the isotypic frames, so they exercise the elimination that
 changes frames (a solve against the target frame) and the one that finds
 highest weight vectors.
 
-``PINNED_SHA256`` pins the stdout of crystal commands outside the
-benchmark pool: coboundary checks one and three bounds past the
-benchmark's, the braiding obstruction, two cactus-action checks with
-deeper step chains than the benchmark's, both commutor variants on a
-pair of two-factor shapes, and an action and a decomposition of shapes
-with weight-0 factors, whose digits have a single value.
+``PINNED_SHA256`` pins the stdout of commands outside the benchmark
+pool that exit 0.  On the crystal side: coboundary checks one and three
+bounds past the benchmark's, the braiding obstruction, two cactus-action
+checks with deeper step chains than the benchmark's, both commutor
+variants on a pair of two-factor shapes, and an action and a
+decomposition of shapes with weight-0 factors, whose digits have a single
+value.  On the quantum side: ``check kt07`` two bounds past the
+benchmark's, and the unitarized R-matrix of V_5 (x) V_4, whose entries
+mix strides and cancel constant terms in the graded arithmetic.
 """
 
 import hashlib
@@ -85,7 +88,7 @@ S2_SHA256 = {
 }
 
 
-# stdout sha256 of crystal commands that exit 0, outside the benchmark pool
+# stdout sha256 of commands that exit 0, outside the benchmark pool
 PINNED_SHA256 = {
     "check coboundary --max 6":
         "a4db40be5b84a594005900c653e5d0af7554296ac24cb8b195428cb37a208296",
@@ -105,6 +108,10 @@ PINNED_SHA256 = {
         "50fb3f863b4e8cd12d8780f3dd4226aec7f132c9c6dc05e3c1ca0281afd4309b",
     "check cactus-action --factors 3 --max 4":
         "a968737c8cd6db0d39e990807010e977410ac778549c68db2eb9f520c828bb37",
+    "check kt07 --max 5":
+        "0b7c36f4e04754cf8af683b9ae1ec3c0361c375c58d3d53797433c4ba5887105",
+    "rmatrix --m 5 --n 4 --unitarize":
+        "72d6f7b8eabddbb8d72945b93e6288d5ca7007c44b03e8e2a4663af5fe09eb42",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qcactus.qexact import ONE, ZERO, HalfLaurent, QRational, parse_qrational
+from qcactus.qexact import ONE, ZERO, HalfLaurent, QRational, Qpow, parse_qrational
 from qexact_oracle import canonical, canonical_str
 
 settings.register_profile("qexact", max_examples=150, deadline=None, derandomize=True)
@@ -13,7 +13,19 @@ settings.load_profile("qexact")
 coefficients = st.builds(
     Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4])
 )
-laurent = st.dictionaries(st.integers(-4, 6), coefficients, max_size=4).map(HalfLaurent)
+dense = st.dictionaries(st.integers(-4, 6), coefficients, max_size=4).map(HalfLaurent)
+
+
+@st.composite
+def graded(draw):
+    """Q^k * p(Q^s) for s in {1, 2, 4}: the shape of a braiding's entries."""
+    s, k = draw(st.sampled_from([1, 2, 4])), draw(st.integers(-4, 4))
+    p = draw(st.dictionaries(st.integers(0, 3), coefficients, max_size=3))
+    return HalfLaurent({k + s * i: c for i, c in p.items()})
+
+
+# random dicts almost always have stride 1, so graded values are drawn as often
+laurent = st.one_of(dense, graded())
 nonzero_laurent = laurent.filter(bool)
 
 
@@ -30,7 +42,8 @@ scalars = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)).map(HalfLaur
 linear = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
     lambda ab: HalfLaurent({0: ab[0], 1: ab[1]})
 )
-factors = st.lists(st.one_of(q_powers, scalars, linear), max_size=3).map(_product)
+factors = st.lists(st.one_of(q_powers, scalars, linear, graded().filter(bool)),
+                   max_size=3).map(_product)
 
 
 @st.composite
@@ -121,3 +134,38 @@ def test_gcd_retry_pairs_match_oracle():
         x = QRational(num, den)
         assert (x.numerator, x.denominator) == canonical(num, den)
         assert x.denominator.degree() < den.degree()
+
+
+def _poly(terms):
+    return HalfLaurent(dict(terms))
+
+
+def _matches_oracle(x, num, den):
+    assert (x.numerator, x.denominator) == canonical(num, den)
+    assert x == QRational(num, den) and hash(x) == hash(QRational(num, den))
+
+
+def test_sum_and_product_of_mixed_strides_match_oracle():
+    # stride 4 over stride 2 meets stride 2 shifted by one: the common stride is 1
+    an, ad = _poly({0: 1, 8: -3}), _poly({0: 2, 4: 1})
+    bn, bd = _poly({1: 1, 5: 2}), _poly({0: 1, 2: 1})
+    a, b = QRational(an, ad), QRational(bn, bd)
+    _matches_oracle(a + b, an * bd + bn * ad, ad * bd)
+    _matches_oracle(a - b, an * bd - bn * ad, ad * bd)
+    _matches_oracle(a * b, an * bn, ad * bd)
+    _matches_oracle(a / b, an * bd, ad * bn)
+
+
+def test_a_cancelled_constant_term_moves_into_the_exponent():
+    x = QRational(_poly({0: 1, 4: 1})) - 1
+    assert x == Qpow(4) and str(x) == "Q^4" and hash(x) == hash(Qpow(4))
+    y = QRational(_poly({0: 2, 4: 1, 12: 1}), _poly({0: 1, 8: 1})) - 2
+    _matches_oracle(y, _poly({4: 1, 12: 1, 8: -2}), _poly({0: 1, 8: 1}))
+    assert str(y) == "(Q^12 - 2*Q^8 + Q^4)/(Q^8 + 1)"
+
+
+def test_a_product_can_have_a_larger_stride_than_its_factors():
+    x = QRational(_poly({0: 1, 2: 1})) * QRational(_poly({0: 1, 2: -1}))
+    assert x == QRational(_poly({0: 1, 4: -1})) and str(x) == "-Q^4 + 1"
+    y = QRational(_poly({0: 1, 1: 1}), _poly({0: 1, 4: 1})) * QRational(_poly({0: 1, 1: -1}))
+    _matches_oracle(y, _poly({0: 1, 2: -1}), _poly({0: 1, 4: 1}))

@@ -6,9 +6,13 @@ compares and hashes by its fields, prints as ``Name(field=value, ...)``
 expected strings were recorded from the records' earlier dataclass form,
 so the change of implementation is invisible to every caller.  A launch
 loads none of the introspection modules a dataclass decorator needs.
+The records and the other immutable value types (``QRational``,
+``HalfLaurent``, ``QMatrix``, ``CrystalMap``) survive pickling and
+copying, a ``QRational`` by its canonical parts.
 """
 
 import copy
+from fractions import Fraction
 import os
 from pathlib import Path
 import pickle
@@ -25,9 +29,10 @@ from qcactus.crystals import (
     CrystalMap,
     ObstructionWitness,
     TensorWord,
+    commutor_c,
 )
 from qcactus.groups import BraidWord, CactusWord, Permutation, RelationFailure
-from qcactus.qexact import ONE, HalfLaurent
+from qcactus.qexact import ONE, ZERO, HalfLaurent, QRational, Qpow, parse_qrational, qpow
 from qcactus.uqsl2 import Kt07Report, ModuleComponent, QMatrix, UqModule, irreducible
 
 W11 = TensorWord((ChainElement(1, 1), ChainElement(1, -1)))
@@ -80,13 +85,33 @@ def test_record_construction_equality_repr_and_immutability(cls, fields, text):
         cls(*fields.values(), None)  # one field too many
 
 
+def _round_trips(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
 def test_records_survive_pickling_and_copying():
     for cls, fields, _ in RECORDS:
-        if cls in (UqModule, ModuleComponent):
-            continue  # their QMatrix fields do not pickle
-        value = cls(**fields)
-        assert pickle.loads(pickle.dumps(value)) == value
-        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        _round_trips(cls(**fields))
+
+
+@pytest.mark.parametrize("value", [
+    ZERO, ONE, QRational(Fraction(-3, 4)), Qpow(-7),
+    parse_qrational("(-2/3*Q^9 + Q)/(Q^4 + 1)"), (qpow(1) + 1) * (qpow(1) - 1),
+    HalfLaurent({-2: Fraction(1, 2), 3: 5}), HalfLaurent(),
+    QMatrix([[qpow(1), ZERO], [Fraction(1, 3), parse_qrational("(Q^2 - 1)/(Q^6 + 1)")]]),
+    CrystalMap.identity((1, 2)), CrystalMap.identity((2, 1)).compose(commutor_c((1,), (2,))),
+], ids=repr)
+def test_other_value_types_survive_pickling_and_copying(value):
+    _round_trips(value)
+
+
+def test_a_pickled_qrational_keeps_its_canonical_parts():
+    value = parse_qrational("(-2/3*Q^9 + 4*Q)/(Q^4 + 1)")
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin._parts() == value._parts() == (-2, 3, 1, 4, (-6, 0, 1), (1, 1))
+    assert str(twin) == str(value) and twin.evaluate(2) == value.evaluate(2)
 
 
 def test_other_value_types_refuse_deletion_too():
