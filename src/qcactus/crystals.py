@@ -10,7 +10,9 @@ phi(b_j) = (n+j)/2.  A tensor product of chains is a flat word of chain
 elements -- no bracketing is stored, which realizes the monoidal
 structure strictly -- and the operators act through the signature
 rule: one left-to-right pass that brackets the minus and plus signs of
-the factors.
+the factors.  The rule runs once per shape, over all its words at once,
+into a table indexed by word_index; e, f, eps and phi on a word, the
+decomposition and the commutors all read that table.
 
 On top of that combinatorics this module builds:
 
@@ -21,9 +23,9 @@ On top of that combinatorics this module builds:
   * checkers for the coboundary axioms, and
   * the mechanical reconstruction of the braiding obstruction.
 
-Annihilation by e or f is the value None, never an error; crystal maps
-are plain word -> word tables.  Everything is immutable after
-construction.
+Annihilation by e or f is the value None, never an error; a crystal map
+stores the word_index of the image of each domain word.  Everything is
+immutable after construction.
 """
 
 from collections import Counter
@@ -256,35 +258,17 @@ def wt(w: TensorWord) -> int:
     return sum(b.wt for b in w.factors)
 
 
-def _signature(w: TensorWord):
-    """One bracketing pass over the signature of a word.
-
-    Each factor b contributes eps(b) minus signs, then phi(b) plus signs,
-    and each minus cancels the nearest uncancelled plus to its left.
-    Returns (eps, phi, i_e, i_f): the numbers of uncancelled minus and
-    plus signs, the factor holding the rightmost uncancelled minus (where
-    e acts) and the factor holding the leftmost uncancelled plus (where f
-    acts).  An index means something only when its count is positive.
-    """
-    e_tot = p_tot = i_e = i_f = 0
-    for i, b in enumerate(w.factors):
-        if b.eps > p_tot:
-            e_tot += b.eps - p_tot
-            i_e = i
-        p_tot = max(p_tot - b.eps, 0)
-        if not p_tot:  # every earlier plus is cancelled
-            i_f = i
-        p_tot += b.phi
-    return e_tot, p_tot, i_e, i_f
-
-
 @lru_cache(maxsize=None)
 def _table(shape):
-    """(f, top, weight) by word_index: the index of f(w) or -1, whether e kills w, wt(w).
+    """(f, e, eps, phi) by word_index: the indices of f(w) and e(w) (or -1), eps(w), phi(w).
 
-    The bracketing pass of _signature runs over the depth digits, one factor
-    at a time for all word prefixes, keeping (eps, phi, stride of the factor
-    f acts on); f moves an index by that stride, and wt = phi - eps.
+    The signature rule: each factor b contributes eps(b) minus signs, then
+    phi(b) plus signs, and each minus cancels the nearest uncancelled plus
+    to its left; eps and phi count the uncancelled signs, and f lowers the
+    factor holding the leftmost uncancelled plus.  One bracketing pass runs
+    over the depth digits, one factor at a time for all word prefixes,
+    keeping (eps, phi, stride of the factor f acts on); f moves an index by
+    that stride, and e is f's partial inverse.
     """
     states, stride = [(0, 0, 1)], 1
     for n in shape:
@@ -292,17 +276,28 @@ def _table(shape):
                   else (e_tot, p_tot + n - 2 * d, step)
                   for d in range(n + 1) for e_tot, p_tot, step in states]
         stride *= n + 1
-    return (tuple(i + step if p_tot else -1 for i, (_, p_tot, step) in enumerate(states)),
-            tuple(not e_tot for e_tot, _, _ in states),
-            tuple(p_tot - e_tot for e_tot, p_tot, _ in states))
+    f = tuple(i + step if p_tot else -1 for i, (_, p_tot, step) in enumerate(states))
+    e = [-1] * len(f)
+    for i, j in enumerate(f):
+        if j >= 0:
+            e[j] = i
+    return (f, tuple(e), tuple(e_tot for e_tot, _, _ in states),
+            tuple(p_tot for _, p_tot, _ in states))
+
+
+def _image(w: TensorWord, column: int):
+    """The word that an index column of the table (0 for f, 1 for e) names at w; None for -1."""
+    shape = w.shape
+    j = _table(shape)[column][word_index(w)]
+    return _words(shape)[j] if j >= 0 else None
 
 
 def eps(w: TensorWord) -> int:
-    return _signature(w)[0]
+    return _table(w.shape)[2][word_index(w)]
 
 
 def phi(w: TensorWord) -> int:
-    return _signature(w)[1]
+    return _table(w.shape)[3][word_index(w)]
 
 
 def tensor_f(w: TensorWord):
@@ -310,11 +305,7 @@ def tensor_f(w: TensorWord):
 
     f lowers the factor holding the leftmost uncancelled plus sign.
     """
-    _, p_tot, _, i = _signature(w)
-    if not p_tot:
-        return None
-    fs = w.factors
-    return TensorWord(fs[:i] + (fs[i].f(),) + fs[i + 1:])
+    return _image(w, 0)
 
 
 def tensor_e(w: TensorWord):
@@ -322,11 +313,7 @@ def tensor_e(w: TensorWord):
 
     e raises the factor holding the rightmost uncancelled minus sign.
     """
-    e_tot, _, i, _ = _signature(w)
-    if not e_tot:
-        return None
-    fs = w.factors
-    return TensorWord(fs[:i] + (fs[i].e(),) + fs[i + 1:])
+    return _image(w, 1)
 
 
 class Component(Record):
@@ -343,29 +330,29 @@ def decompose(shape):
     the multiset of highest weights is the ladder
     m+n, m+n-2, ..., |m-n|, each once.
     """
-    return _decompose(tuple(shape))
+    shape = tuple(shape)
+    return tuple(_component(shape, hw, chain) for hw, chain in _chains(shape))
 
 
-@lru_cache(maxsize=None)
-def _decompose(shape):
+def _component(shape, hw, chain) -> Component:
     ws = _words(shape)
-    return tuple(Component(hw, ws[chain[0]], tuple(ws[i] for i in chain))
-                 for hw, chain in _chains(shape))
+    return Component(hw, ws[chain[0]], tuple(ws[i] for i in chain))
 
 
 @lru_cache(maxsize=None)
 def _chains(shape):
     """decompose on word indices: (highest weight, f-chain of indices) pairs."""
-    f, top, weight = _table(shape)
+    f, _, eps_, phi_ = _table(shape)
     chains = []
-    for src in sorted((i for i, t in enumerate(top) if t), key=lambda i: -weight[i]):
+    # the sources are the words e kills (eps 0), so a source's weight phi - eps is phi
+    for src in sorted((i for i, e in enumerate(eps_) if not e), key=lambda i: -phi_[i]):
         chain = [src]
         while f[chain[-1]] >= 0:
             chain.append(f[chain[-1]])
-        if len(chain) != weight[src] + 1:
+        if len(chain) != phi_[src] + 1:
             raise CrystalInvariantError(
-                f"component of {_words(shape)[src]} is not a chain of length {weight[src] + 1}")
-        chains.append((weight[src], tuple(chain)))
+                f"component of {_words(shape)[src]} is not a chain of length {phi_[src] + 1}")
+        chains.append((phi_[src], tuple(chain)))
     covered = Counter(i for _, chain in chains for i in chain)
     off = next((i for i in range(len(f)) if covered[i] != 1), None)  # covered twice or missed
     if off is not None:
@@ -376,7 +363,7 @@ def _chains(shape):
 
 def component_of(w: TensorWord) -> Component:
     shape, i = w.shape, word_index(w)
-    return next(c for c, (_, chain) in zip(decompose(shape), _chains(shape)) if i in chain)
+    return next(_component(shape, hw, chain) for hw, chain in _chains(shape) if i in chain)
 
 
 def _crystal_map(domain, codomain, index) -> "CrystalMap":
@@ -565,7 +552,7 @@ def commutor_c(shape_a, shape_b) -> CrystalMap:
 @lru_cache(maxsize=None)
 def _commutor_c(shape_a, shape_b) -> CrystalMap:
     chains_a, chains_b = _chains(shape_a), _chains(shape_b)
-    f_ab, top_ab, _ = _table(shape_a + shape_b)
+    f_ab, _, eps_ab, _ = _table(shape_a + shape_b)
     f_ba = _table(shape_b + shape_a)[0]
     size_a, size_b = _size(shape_a), _size(shape_b)
     index = [-1] * len(f_ab)
@@ -575,7 +562,7 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
                 # the star involution of the sl2 infinity crystal is the identity
                 src = s = ca[0] + size_a * cb[k]
                 d = cb[0] + size_b * ca[k]
-                if not top_ab[src]:
+                if eps_ab[src]:
                     raise CrystalInvariantError(
                         f"{_words(shape_a + shape_b)[src]} is not a highest weight word")
                 while s >= 0 and d >= 0:

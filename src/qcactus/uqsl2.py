@@ -47,7 +47,6 @@ All matrices are exact and immutable.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 import json
 from math import prod
@@ -111,19 +110,14 @@ class UnitarizationError(VerificationError):
     pass
 
 
-def _coerce_entry(x) -> QRational:
-    if isinstance(x, QRational):
-        return x
-    return QRational(x)
-
-
 class QMatrix:
     """Dense matrix of QRationals with exact structural equality."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if isinstance(x, QRational) else QRational(x) for x in row)
+                     for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", rows)
@@ -205,7 +199,7 @@ class QMatrix:
         return self + other.scale(-ONE)
 
     def scale(self, c) -> "QMatrix":
-        c = _coerce_entry(c)
+        c = c if isinstance(c, QRational) else QRational(c)
         return QMatrix([[c * x for x in row] for row in self.entries])
 
     def __eq__(self, other):
@@ -705,25 +699,21 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
     """
     if a.rows != m.dim * n.dim or a.cols != m.dim * n.dim:
         raise ValueError("matrix does not act on the product basis")
-    reduced = []
     for i, row in enumerate(a.entries):
-        out_row = []
         for j, x in enumerate(row):
             if not is_regular_at_infinity(x):
                 raise LatticeError(
                     f"lattice not preserved: entry ({i}, {j}) = {x} is not regular at q = infinity"
                 )
-            out_row.append(reduce_mod_qhalf(x))
-        reduced.append(out_row)
+    reduced = [[reduce_mod_qhalf(x) for x in row] for row in a.entries]
     for i, row in enumerate(reduced):
         for j, v in enumerate(row):
-            if v not in (Fraction(0), Fraction(1), Fraction(-1)):
+            if v not in (0, 1, -1):
                 raise LatticeError(f"reduction has entry {v} at ({i}, {j}); not a signed permutation")
-    size = len(reduced)
-    for i in range(size):
-        if sum(1 for j in range(size) if reduced[i][j]) != 1:
+    for i, (row, column) in enumerate(zip(reduced, zip(*reduced))):
+        if sum(map(bool, row)) != 1:
             raise LatticeError(f"row {i} of the reduction is not a signed permutation row")
-        if sum(1 for r in range(size) if reduced[r][i]) != 1:
+        if sum(map(bool, column)) != 1:
             raise LatticeError(f"column {i} of the reduction is not a signed permutation column")
     return [[int(v) for v in row] for row in reduced]
 
@@ -753,22 +743,25 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     word w to sigma_c(w) with sign (-1)^((m+n-nu)/2), nu the highest
     weight of the component containing w.  The commutor is recomputed
     here through its own combinatorial route, so the two sides are
-    independent up to the shared word order.
+    independent up to the shared word order.  Both are read by
+    word_index: the commutor's image indices, and nu from the index
+    chains of the components; a word is named only when it mismatches.
     """
     from . import crystals  # the only use; rmatrix and the braidings run without it
 
     vm, vn = irreducible(m), irreducible(n)
     reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
-    sigma = crystals.commutor_c((m,), (n,))
+    sign = [0] * len(reduced)
+    for nu, chain in crystals._chains((m, n)):
+        for i in chain:
+            sign[i] = -1 if ((m + n - nu) // 2) % 2 else 1
+    image = crystals.commutor_c((m,), (n,))._index
     mismatches = []
-    for w in crystals.words((m, n)):
-        nu = crystals.component_of(w).highest_weight
+    for col, got in enumerate(zip(*reduced)):
         want = [0] * len(reduced)
-        want[crystals.word_index(sigma(w))] = -1 if ((m + n - nu) // 2) % 2 else 1
-        col = crystals.word_index(w)
-        got = [row[col] for row in reduced]
-        if got != want:
-            mismatches.append((w, want, got))
+        want[image[col]] = sign[col]
+        if list(got) != want:
+            mismatches.append((crystals.words((m, n))[col], want, list(got)))
     return Kt07Report(m, n, tuple(mismatches))
 
 

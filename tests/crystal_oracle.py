@@ -3,7 +3,9 @@
 These are the straightforward definitions that ``qcactus.crystals`` is
 checked against.  The tensor rule here treats the first k-1 factors of a
 word as one left factor with aggregate eps/phi and recurses on that
-prefix; it shares no code with the library's single signature pass.  The
+prefix; it shares no code with the library's per-shape table (one
+signature pass over all words of a shape), which every library
+operator reads, the per-word ones included.  The
 decomposition and the commutor here grow f-chains word by word with that
 tensor rule, against which the library's walks over word indices are
 compared.  The cactus action here is the defining recursion

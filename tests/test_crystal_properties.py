@@ -15,6 +15,7 @@ from qcactus.crystals import (
     cactus_generator_images,
     cactus_square_failures,
     commutor_c,
+    component_of,
     decompose,
     eps,
     involutivity_failures,
@@ -60,12 +61,21 @@ shapes_1_5 = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(shapes_1_5)
 def test_index_table_matches_the_word_operators(shape):
-    f, top, weight = crystals._table(shape)
+    f, e, eps_, phi_ = crystals._table(shape)
     for i, w in enumerate(words(shape)):
-        fw = tensor_f(w)
+        fw, ew = oracle.tensor_f(w), oracle.tensor_e(w)
         assert f[i] == (-1 if fw is None else word_index(fw))
-        assert top[i] == (tensor_e(w) is None)
-        assert weight[i] == wt(w)
+        assert e[i] == (-1 if ew is None else word_index(ew))
+        assert (eps_[i], phi_[i]) == (oracle.eps(w), oracle.phi(w))
+        assert phi_[i] - eps_[i] == wt(w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes_1_5)
+def test_component_of_is_the_component_of_decompose_holding_the_word(shape):
+    comps = decompose(shape)
+    for w in words(shape):
+        assert component_of(w) == next(c for c in comps if w in c.elements)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,17 @@ def test_a_fresh_import_resolves_a_layer_by_attribute():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2\n"
+
+
+def test_readme_lists_every_cache():
+    # the README's "Caches" list names each lru_cache of the layers, no more
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    bullets = readme[readme.index("\nCaches:"):].split("\n\n")[1]  # after the intro paragraph
+    listed = set(re.findall(rf"`((?:{'|'.join(LAYERS)})\.\w+)`", bullets))
+    cached = {f"{layer}.{name}" for layer in LAYERS
+              for name, value in vars(importlib.import_module(f"qcactus.{layer}")).items()
+              if hasattr(value, "cache_info")}
+    assert listed == cached
 
 
 def test_verification_errors_share_one_base():

@@ -401,6 +401,28 @@ def test_lattice_reduce_rejects_non_signed_permutations():
         lattice_check_and_reduce(QMatrix.zeros(4, 4), v1, v1)
 
 
+def test_lattice_errors_keep_their_precedence():
+    v1 = irreducible(1)
+
+    def reduce(entries):
+        return lattice_check_and_reduce(QMatrix(entries), v1, v1)
+
+    def identity(**changed):
+        return [[changed.get(f"at{i}{j}", int(i == j)) for j in range(4)] for i in range(4)]
+
+    # every entry is tested for regularity before any reduced value
+    with pytest.raises(LatticeError, match=r"entry \(1, 1\) = Q\^2 is not regular"):
+        reduce(identity(at00=2, at11=q))
+    # every reduced value is tested before any row or column
+    with pytest.raises(LatticeError, match=r"entry 2 at \(3, 3\)"):
+        reduce(identity(at00=0, at33=2))
+    # row i before column i, and column i before row i + 1
+    with pytest.raises(LatticeError, match="row 0 of the reduction"):
+        reduce(identity(at01=1, at10=1))
+    with pytest.raises(LatticeError, match="column 0 of the reduction"):
+        reduce(identity(at10=1, at11=1))
+
+
 def test_lattice_reduce_identity():
     v1 = irreducible(1)
     reduced = lattice_check_and_reduce(QMatrix.identity(4), v1, v1)
