@@ -79,44 +79,46 @@ def _cmd_crystal_graph(args) -> int:
     if args.format == "dot":
         _emit(crystals.crystal_dot(args.shape), args)
         return 0
-    arrows = [(w, crystals.tensor_f(w)) for w in crystals.words(args.shape)]
+    names = crystals._names(args.shape)
+    arrows = list(zip(names, crystals._table(args.shape)[0]))
     if args.format == "json":
         data = {
             "shape": list(args.shape),
-            "nodes": [str(w) for w, _fw in arrows],
-            "edges": [[str(w), str(fw)] for w, fw in arrows if fw is not None],
+            "nodes": names,
+            "edges": [[name, names[j]] for name, j in arrows if j >= 0],
         }
         _emit(json.dumps(data, indent=2), args)
     else:
-        _emit("\n".join(f"{w} -> {fw}" if fw else f"{w} -> 0" for w, fw in arrows), args)
+        _emit("\n".join(f"{name} -> {names[j] if j >= 0 else 0}" for name, j in arrows), args)
     return 0
 
 
 def _cmd_crystal_decompose(args) -> int:
     from . import crystals
 
-    comps = crystals.decompose(args.shape)
+    names = crystals._names(args.shape)
+    comps = [(hw, [names[i] for i in chain]) for hw, chain in crystals._chains(args.shape)]
     if args.format == "json":
         data = {
             "shape": list(args.shape),
             "components": [
-                {
-                    "highest_weight": c.highest_weight,
-                    "source": str(c.source),
-                    "elements": [str(w) for w in c.elements],
-                }
-                for c in comps
+                {"highest_weight": hw, "source": elements[0], "elements": elements}
+                for hw, elements in comps
             ],
         }
         _emit(json.dumps(data, indent=2), args)
     else:
-        lines = [
-            f"highest weight {c.highest_weight}: "
-            + " -> ".join(str(w) for w in c.elements)
-            for c in comps
-        ]
+        lines = [f"highest weight {hw}: " + " -> ".join(elements) for hw, elements in comps]
         _emit("\n".join(lines), args)
     return 0
+
+
+def _map_lines(m):
+    """"w -> m(w)" for each domain word w of a crystal map, sorted by the name of w."""
+    from . import crystals
+
+    dom, cod = crystals._names(m.domain), crystals._names(m.codomain)
+    return [f"{dom[i]} -> {cod[m._index[i]]}" for i in sorted(range(len(dom)), key=dom.__getitem__)]
 
 
 def _cmd_commutor(args) -> int:
@@ -127,8 +129,7 @@ def _cmd_commutor(args) -> int:
     if args.format == "json":
         _emit(m.to_json(), args)
     else:
-        lines = [f"{w} -> {v}" for w, v in sorted(m.items(), key=lambda p: str(p[0]))]
-        _emit("\n".join(lines), args)
+        _emit("\n".join(_map_lines(m)), args)
     return 0
 
 
@@ -139,8 +140,7 @@ def _cmd_cactus_act(args) -> int:
     if args.format == "json":
         _emit(m.to_json(), args)
     else:
-        lines = [f"shape {args.shape} -> {m.codomain}"]
-        lines += [f"{w} -> {v}" for w, v in sorted(m.items(), key=lambda p: str(p[0]))]
+        lines = [f"shape {args.shape} -> {m.codomain}"] + _map_lines(m)
         _emit("\n".join(lines), args)
     return 0
 

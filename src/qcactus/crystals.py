@@ -24,13 +24,15 @@ On top of that combinatorics this module builds:
   * the mechanical reconstruction of the braiding obstruction.
 
 Annihilation by e or f is the value None, never an error; a crystal map
-stores the word_index of the image of each domain word.  Everything is
-immutable after construction.
+stores the word_index of the image of each domain word.  Output is
+printed from _names, the strings of a shape's words by word_index, so
+printing builds no word; words are built for the public word API and for
+the witnesses of failures.  Everything is immutable after construction.
 """
 
 from collections import Counter
 from functools import lru_cache, total_ordering
-from itertools import permutations, product
+from itertools import islice, permutations, product
 import json
 from math import prod
 import re
@@ -239,6 +241,20 @@ def _words(shape):
         TensorWord(tuple(chains[t][d] for t, d in enumerate(reversed(rev))))
         for rev in product(*[range(n + 1) for n in reversed(shape)])
     )
+
+
+def _names(shape):
+    """The printed form of every word of a shape, in word_index order.
+
+    The names of the first factors are extended one factor at a time, the
+    new factor slowest, so the list follows _words without building a word.
+    """
+    first, *rest = shape
+    names = [str(b) for b in chain_crystal(first)]
+    for n in rest:
+        names = [name + tail for tail in ["⊗" + str(b) for b in chain_crystal(n)]
+                 for name in names]
+    return names
 
 
 def _size(shape) -> int:
@@ -470,11 +486,12 @@ class CrystalMap:
         return not self.morphism_failures()
 
     def to_json(self) -> str:
+        dom, cod = _names(self.domain), _names(self.codomain)
         return json.dumps(
             {
                 "domain_shape": list(self.domain),
                 "codomain_shape": list(self.codomain),
-                "map": {str(w): str(v) for w, v in self.items()},
+                "map": {name: cod[j] for name, j in zip(dom, self._index)},
             },
             indent=2,
         )
@@ -603,12 +620,24 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
+    _, cur, indices = next(islice(_walk(shape, q), q - p, None))
+    return _crystal_map(shape, cur, indices)
+
+
+def _walk(shape, q):
+    """(p, codomain, image indices) of s(p,q) on a shape, for p = q down to 1.
+
+    Each step commutes factor p against the block p+1..q of the shape the
+    step before left, so the whole chain of s(p,q) for one q costs q-1
+    commutor applications.
+    """
     indices, cur = range(_size(shape)), shape
-    for r in range(q - 1, p - 1, -1):
+    yield q, cur, indices
+    for r in range(q - 1, 0, -1):
         sigma = commutor_c((cur[r - 1],), cur[r:q])
         indices = _on_slice(indices, cur, r - 1, sigma)
         cur = cur[: r - 1] + sigma.codomain + cur[q:]
-    return _crystal_map(shape, cur, indices)
+        yield r, cur, indices
 
 
 def cactus_generator_images(base_shape):
@@ -624,18 +653,19 @@ def cactus_generator_images(base_shape):
 
 def _cactus_generator_indices(base_shape):
     """cactus_generator_images on points numbered by (orbit position, word_index):
-    (name, {(p, q): list of image numbers}), name(x) being the word numbered x."""
+    (name, {(p, q): list of image numbers}), name(x) being the word numbered x.
+
+    One walk per orbit shape and q gives every s(p,q); the images are
+    checked for invertibility by their verifier, not here."""
     orbit = sorted(set(permutations(base_shape)))
-    size = _size(base_shape)
-    offset = {s: k * size for k, s in enumerate(orbit)}
-    images = {}
-    for p in range(1, len(base_shape) + 1):
-        for q in range(p + 1, len(base_shape) + 1):
-            image = images[(p, q)] = []
-            for s in orbit:
-                m = cactus_action(s, p, q)
-                start = offset[m.codomain]
-                image += [start + i for i in m._index]
+    size, k = _size(base_shape), len(base_shape)
+    offset = {s: i * size for i, s in enumerate(orbit)}
+    images = {(p, q): [] for p in range(1, k + 1) for q in range(p + 1, k + 1)}
+    for s in orbit:
+        for q in range(2, k + 1):
+            for p, cur, indices in islice(_walk(s, q), 1, None):
+                start = offset[cur]
+                images[(p, q)] += [start + i for i in indices]
     return (lambda x: _words(orbit[x // size])[x % size]), images
 
 
@@ -669,9 +699,8 @@ def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
     if backward.domain != forward.codomain:
         raise KeyError(_words(forward.codomain)[forward._index[0]])  # as backward(v) would
     back, home = backward._index, backward.codomain == forward.domain
-    dom, cod = _words(forward.domain), _words(backward.codomain)
-    return [(dom[i], cod[back[j]])
-            for i, j in enumerate(forward._index) if back[j] != i or not home]
+    bad = [(i, back[j]) for i, j in enumerate(forward._index) if back[j] != i or not home]
+    return [(_words(forward.domain)[i], _words(backward.codomain)[j]) for i, j in bad]
 
 
 def cactus_square_failures(shape_a, shape_b, shape_c):
@@ -805,14 +834,13 @@ def crystal_dot(shape) -> str:
     cleanly.
     """
     shape = tuple(shape)
+    names = _names(shape)
     lines = ["digraph crystal {", "  rankdir=LR;"]
-    for ci, comp in enumerate(decompose(shape)):
+    for ci, (hw, chain) in enumerate(_chains(shape)):
         lines.append(f"  subgraph cluster_{ci} {{")
-        lines.append(f'    label="component {ci} (highest weight {comp.highest_weight})";')
-        for w in comp.elements:
-            lines.append(f'    "{w}";')
+        lines.append(f'    label="component {ci} (highest weight {hw})";')
+        lines += [f'    "{names[i]}";' for i in chain]
         lines.append("  }")
-    ws = _words(shape)
-    lines += [f'  "{w}" -> "{ws[j]}";' for w, j in zip(ws, _table(shape)[0]) if j >= 0]
+    lines += [f'  "{name}" -> "{names[j]}";' for name, j in zip(names, _table(shape)[0]) if j >= 0]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,12 +14,16 @@ against which the library's unrolled loop is compared.  The cactus
 square here composes whole crystal maps for its two routes, against
 which the library's word-by-word check is compared.  Involutivity here
 names every word and its image, against which the library's comparison
-of word indices is compared.
+of word indices is compared.  The words of a shape here are decoded one
+index at a time from its mixed-radix digits, against which the
+library's enumeration and its names of the words are compared.
 """
 
 from collections import Counter
+from math import prod
 
 from qcactus.crystals import (
+    ChainElement,
     Component,
     CrystalInvariantError,
     CrystalMap,
@@ -27,9 +31,21 @@ from qcactus.crystals import (
     commutor_c,
     extend_map,
     word_index,
-    words,
     wt,
 )
+
+
+def words(shape):
+    """The words of a shape by index: digit t of the index, first factor
+    fastest, is the depth of factor t in its chain."""
+    out = []
+    for i in range(prod(n + 1 for n in shape)):
+        factors = []
+        for n in shape:
+            i, d = divmod(i, n + 1)
+            factors.append(ChainElement(n, n - 2 * d))
+        out.append(TensorWord(tuple(factors)))
+    return out
 
 
 def _fold_stats(w: TensorWord):

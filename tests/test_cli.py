@@ -168,6 +168,26 @@ def _clear_crystal_caches():
             value.cache_clear()
 
 
+@pytest.mark.parametrize("argv", [
+    "crystal decompose --shape 1,2,0,2 --format text",
+    "crystal decompose --shape 1,2,0,2 --format json",
+    "crystal graph --shape 2,0,1,1 --format text",
+    "crystal graph --shape 2,0,1,1 --format dot",
+    "crystal graph --shape 2,0,1,1 --format json",
+    "cactus act --shape 1,2,0,2 --p 1 --q 4 --format text",
+    "cactus act --shape 1,2,0,2 --p 1 --q 4 --format json",
+    "commutor --a 1,2 --b 2,1 --variant c --format json",
+    "commutor --a 1,2 --b 2,1 --variant S --format text",
+    "check coboundary --max 3",
+])
+def test_passing_print_path_builds_no_word(argv, capsys):
+    # output is printed from the names of the words, so no word is enumerated
+    _clear_crystal_caches()
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out
+    assert crystals._words.cache_info().misses == 0
+
+
 def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):
     # a tensor rule that never lowers breaks every chain of length > 1,
     # which must surface as a failed verification naming the word

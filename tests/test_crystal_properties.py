@@ -1,6 +1,6 @@
 """Property tests of the crystal layer against the test-only oracles."""
 
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +68,27 @@ def test_index_table_matches_the_word_operators(shape):
         assert e[i] == (-1 if ew is None else word_index(ew))
         assert (eps_[i], phi_[i]) == (oracle.eps(w), oracle.phi(w))
         assert phi_[i] - eps_[i] == wt(w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple))
+def test_names_are_the_printed_words_of_the_word_route(shape):
+    built = oracle.words(shape)
+    assert words(shape) == built
+    assert crystals._names(shape) == [str(w) for w in built]
+
+
+def test_cactus_generator_indices_match_the_recursive_action_on_every_small_orbit():
+    for k in range(2, 5):
+        for base in combinations_with_replacement(range(3), k):
+            name, images = crystals._cactus_generator_indices(base)
+            orbit = sorted(set(permutations(base)))
+            points = [w for s in orbit for w in oracle.words(s)]
+            assert list(images) == [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+            for (p, q), image in images.items():
+                assert [name(x) for x in range(len(image))] == points
+                maps = {s: oracle.cactus_action(s, p, q) for s in orbit}
+                assert [name(y) for y in image] == [maps[w.shape](w) for w in points]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

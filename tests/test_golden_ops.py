@@ -16,9 +16,10 @@ highest weight vectors.
 pool that exit 0.  On the crystal side: coboundary checks one and three
 bounds past the benchmark's, the braiding obstruction, two cactus-action
 checks with deeper step chains than the benchmark's, both commutor
-variants on a pair of two-factor shapes, and an action and a
-decomposition of shapes with weight-0 factors, whose digits have a single
-value.  On the quantum side: ``check kt07`` two bounds past the
+variants on a pair of two-factor shapes in both formats, and the graph
+in all three formats, an action in both formats and a decomposition in
+both formats of shapes with weight-0 factors, whose digits have a
+single value.  On the quantum side: ``check kt07`` two bounds past the
 benchmark's, and the unitarized R-matrix of V_5 (x) V_4, whose entries
 mix strides and cancel constant terms in the graded arithmetic.
 """
@@ -102,6 +103,20 @@ PINNED_SHA256 = {
         "957bfe4f62509b36d0d5ad73cae2b13b88d322b61c8cb78400d17745949aebc6",
     "crystal decompose --shape 2,0,1,1 --format text":
         "22cdf6b02a73f9bf24c672e3564c8457eaf3502b2b6cceed6711856dd27a51a9",
+    "crystal decompose --shape 1,2,0,2 --format json":
+        "025fe55c53bd98a5e2a9a9787fed56d554f92b634e6ef0f3c236ae30cea238f5",
+    "crystal graph --shape 2,0,1,1 --format text":
+        "dee5295c0e60cf901a87522c3ac0778f1ef4423ce28aa3970050460b09573375",
+    "crystal graph --shape 2,0,1,1 --format dot":
+        "5d0c64d6369e26cb3ad6c5c804c0537c88e2ab071e919810d72dcedbc37293f4",
+    "crystal graph --shape 2,0,1,1 --format json":
+        "810b673f3212db5920b2a1b8a7dd9949da8713e7035ea1cb8c5840baadc9c0ff",
+    "cactus act --shape 1,2,0,2 --p 1 --q 4 --format text":
+        "d27242a9992898e1f9f345c96aa4cc5f3c6cac472c1232250789b6a24e1660a2",
+    "commutor --a 1,2 --b 2,1 --variant c --format text":
+        "94d1775f6d8b695cd7e0d9aaba35e4ce2cd55501c25dba67a71ffe19299d1c3a",
+    "commutor --a 1,2 --b 2,1 --variant S --format text":
+        "94d1775f6d8b695cd7e0d9aaba35e4ce2cd55501c25dba67a71ffe19299d1c3a",
     "check braiding-obstruction":
         "74ddf4033bd3d74700c639aa41c26d9ce2ff724d229279ae3be89e2d51617ed9",
     "check cactus-action --factors 5 --max 2":
