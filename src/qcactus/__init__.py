@@ -82,7 +82,6 @@ class Record:
 
 _EXPORTS = {
     "qexact": (
-        "HalfLaurent",
         "QRational",
         "Qpow",
         "qpow",

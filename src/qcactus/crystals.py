@@ -655,8 +655,10 @@ def _cactus_generator_indices(base_shape):
     """cactus_generator_images on points numbered by (orbit position, word_index):
     (name, {(p, q): list of image numbers}), name(x) being the word numbered x.
 
-    One walk per orbit shape and q gives every s(p,q); the images are
-    checked for invertibility by their verifier, not here."""
+    One walk per orbit shape and q gives every s(p,q); each step must land
+    on the shape with p..q reversed, and the images are checked for
+    invertibility by their verifier, not here.  The relations alone would
+    pass a shifted action, which is itself an action of the cactus group."""
     orbit = sorted(set(permutations(base_shape)))
     size, k = _size(base_shape), len(base_shape)
     offset = {s: i * size for i, s in enumerate(orbit)}
@@ -664,6 +666,10 @@ def _cactus_generator_indices(base_shape):
     for s in orbit:
         for q in range(2, k + 1):
             for p, cur, indices in islice(_walk(s, q), 1, None):
+                want = s[: p - 1] + s[p - 1:q][::-1] + s[q:]
+                if cur != want:
+                    raise CrystalInvariantError(
+                        f"s({p},{q}) on shape {s} lands on shape {cur}, not {want}")
                 start = offset[cur]
                 images[(p, q)] += [start + i for i in indices]
     return (lambda x: _words(orbit[x // size])[x % size]), images

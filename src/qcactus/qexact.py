@@ -1,16 +1,14 @@
 """Exact arithmetic in the field of rational functions of q^(1/2).
 
 Everything is stored in the variable Q = q^(1/2) with integer exponents,
-so "half powers of q" never need fractional bookkeeping.  Two types carry
-the values:
-
-  HalfLaurent -- a Laurent polynomial in Q with exact rational coefficients,
-                 kept as a sparse exponent -> Fraction map; it is the
-                 input and output type (numerators, denominators, parsing);
-  QRational   -- a rational function a/b * Q^e * n(Q^s) / d(Q^s), graded:
-                 a/b is an integer content, e the net Q-exponent, and n, d
-                 dense tuples of ints in x = Q^s, index i holding the
-                 coefficient of x^i.
+so "half powers of q" never need fractional bookkeeping.  One type
+carries the values: QRational, a rational function
+a/b * Q^e * n(Q^s) / d(Q^s), stored graded: a/b is an integer content,
+e the net Q-exponent, and n, d dense tuples of ints in x = Q^s, index i
+holding the coefficient of x^i.  Laurent polynomials in Q go in and come
+out as plain {Q-exponent: coefficient} dicts: ``QRational(num, den)``
+reads them, ``numerator`` and ``denominator`` return them with Fraction
+coefficients, and the parser fills one.
 
 Canonical form: b > 0 and gcd(a, b) = 1; n and d have nonzero constant
 terms, are primitive (coefficient gcd 1) with positive leading
@@ -51,7 +49,6 @@ import re
 from . import Record
 
 __all__ = [
-    "HalfLaurent",
     "QRational",
     "ZERO",
     "ONE",
@@ -74,135 +71,18 @@ def _fr(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class HalfLaurent:
-    """Laurent polynomial in Q = q^(1/2) with Fraction coefficients.
-
-    The coefficient map never stores zeros, so equality and hashing are
-    structural.  Exponents count powers of Q; the exponent of q is half
-    the stored key.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs is None:
-            pass
-        elif isinstance(coeffs, HalfLaurent):
-            data = dict(coeffs._coeffs)
-        elif isinstance(coeffs, dict):
-            for k, v in coeffs.items():
-                if not isinstance(k, int):
-                    raise TypeError("exponents must be integers (powers of Q)")
-                v = _fr(v)
-                if v:
-                    data[k] = v
-        else:
-            v = _fr(coeffs)
-            if v:
-                data[0] = v
-        object.__setattr__(self, "_coeffs", data)
-
-    __setattr__ = __delattr__ = Record.__setattr__
-
-    def __reduce__(self):
-        return HalfLaurent, (self._coeffs,)
-
-    @classmethod
-    def monomial(cls, coeff, exp: int = 0) -> "HalfLaurent":
-        return cls({exp: _fr(coeff)})
-
-    def items(self):
-        return self._coeffs.items()
-
-    def coefficient(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def degree(self) -> int:
-        """Largest Q-exponent; raises on the zero polynomial."""
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
-
-    def valuation(self) -> int:
-        """Smallest Q-exponent; raises on the zero polynomial."""
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self._coeffs)
-
-    def leading_coefficient(self) -> Fraction:
-        return self._coeffs[self.degree()]
-
-    def shift(self, k: int) -> "HalfLaurent":
-        """Multiply by Q^k."""
-        return HalfLaurent({e + k: c for e, c in self._coeffs.items()})
-
-    def __add__(self, other):
-        other = other if isinstance(other, HalfLaurent) else HalfLaurent(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return HalfLaurent(out)
-
-    def __neg__(self):
-        return HalfLaurent({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = other if isinstance(other, HalfLaurent) else HalfLaurent(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = other if isinstance(other, HalfLaurent) else HalfLaurent(other)
-        out = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return HalfLaurent(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfLaurent(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        # equal values hash equal across HalfLaurent, QRational and numbers
-        return hash(QRational(self))
-
-    def evaluate(self, x) -> Fraction:
-        """Value at Q = x for a nonzero exact rational x (exact)."""
-        x = _fr(x)
-        if x == 0 and self._coeffs and min(self._coeffs) < 0:
-            raise ZeroDivisionError("negative exponent at Q = 0")
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * x ** e
-        return total
-
-    def __str__(self):
-        return _terms_str(sorted(self._coeffs.items(), reverse=True))
-
-    def __repr__(self):
-        return f"HalfLaurent({dict(sorted(self._coeffs.items()))!r})"
+def _laurent(x) -> dict:
+    """The {Q-exponent: Fraction} map of a number or a dict, zero terms dropped."""
+    if not isinstance(x, dict):
+        x = {0: x}
+    out = {}
+    for e, c in x.items():
+        if not isinstance(e, int):
+            raise TypeError("exponents must be integers (powers of Q)")
+        c = _fr(c)
+        if c:
+            out[e] = c
+    return out
 
 
 # -- dense integer polynomials: nonempty int tuples, index = exponent of x --
@@ -349,11 +229,11 @@ def _joint_stride(n, d):
     return t
 
 
-def _integer_poly(h: HalfLaurent, shift: int, stride: int):
+def _integer_poly(h: dict, shift: int, stride: int):
     """(c, P) with h = c * Q^shift * P(Q^stride) and P a primitive int tuple."""
-    scale = lcm(*(c.denominator for c in h._coeffs.values()))
-    out = [0] * ((h.degree() - shift) // stride + 1)
-    for e, c in h._coeffs.items():
+    scale = lcm(*(c.denominator for c in h.values()))
+    out = [0] * ((max(h) - shift) // stride + 1)
+    for e, c in h.items():
         out[(e - shift) // stride] = c.numerator * (scale // c.denominator)
     content, p = _primitive(out)
     return Fraction(content, scale), p
@@ -362,10 +242,11 @@ def _integer_poly(h: HalfLaurent, shift: int, stride: int):
 class QRational:
     """A rational function of q^(1/2) in canonical form.
 
-    Construct from ints, Fractions, HalfLaurents or another QRational;
-    an optional second argument is the denominator.  Arithmetic is exact
-    field arithmetic; two values are equal iff their canonical forms
-    coincide.
+    Construct from ints, Fractions, {Q-exponent: coefficient} dicts or
+    another QRational; an optional second argument is the denominator.
+    Arithmetic is exact field arithmetic; two values are equal iff their
+    canonical forms coincide.  ``numerator`` and ``denominator`` give the
+    canonical quotient back as {Q-exponent: Fraction} dicts.
     """
 
     __slots__ = ("_a", "_b", "_e", "_s", "_n", "_d")
@@ -381,17 +262,16 @@ class QRational:
             c = _fr(num) / den
             parts = (c.numerator, c.denominator, 0, 1, (1,), (1,)) if c else _ZERO_PARTS
         else:
-            num = num if isinstance(num, HalfLaurent) else HalfLaurent(num)
-            den = den if isinstance(den, HalfLaurent) else HalfLaurent(den)
-            if den.is_zero():
+            num, den = _laurent(num), _laurent(den)
+            if not den:
                 raise ZeroDivisionError("zero denominator")
-            if num.is_zero():
+            if not num:
                 parts = _ZERO_PARTS
             else:
-                vn, vd = num.valuation(), den.valuation()
+                vn, vd = min(num), min(den)
                 s = 0
                 for h, v in ((num, vn), (den, vd)):
-                    for e in h._coeffs:
+                    for e in h:
                         s = gcd(s, e - v)
                 s = s or 1
                 cn, n = _integer_poly(num, vn, s)
@@ -410,14 +290,14 @@ class QRational:
         return _make, self._parts()
 
     @property
-    def numerator(self) -> HalfLaurent:
+    def numerator(self) -> dict:
         a, b, s, top = self._a, self._b, self._s, max(self._e, 0)
-        return HalfLaurent({top + i * s: Fraction(a * x, b) for i, x in enumerate(self._n) if x})
+        return {top + i * s: Fraction(a * x, b) for i, x in enumerate(self._n) if x}
 
     @property
-    def denominator(self) -> HalfLaurent:
+    def denominator(self) -> dict:
         s, top = self._s, max(-self._e, 0)
-        return HalfLaurent({top + i * s: x for i, x in enumerate(self._d) if x})
+        return {top + i * s: Fraction(x) for i, x in enumerate(self._d) if x}
 
     def is_zero(self) -> bool:
         return not self._a
@@ -429,7 +309,7 @@ class QRational:
     def _coerce(x):
         if isinstance(x, QRational):
             return x
-        if isinstance(x, (int, Fraction, HalfLaurent)):
+        if isinstance(x, (int, Fraction)):
             return QRational(x)
         return None
 
@@ -758,12 +638,13 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_poly(s: str) -> HalfLaurent:
+def _parse_poly(s: str) -> dict:
+    """The {Q-exponent: Fraction} map of a polynomial's text, zero terms dropped."""
     s = s.strip()
     if not s:
         raise ValueError("empty polynomial")
     s = s.replace(" - ", " + -").replace(" + ", "\x00")
-    out = HalfLaurent()
+    out = {}
     for raw in s.split("\x00"):
         raw = raw.strip()
         m = _TERM_RE.match(raw)
@@ -779,8 +660,8 @@ def _parse_poly(s: str) -> HalfLaurent:
             e = int(m.group("exp")) if m.group("exp") else 1
         else:
             e = 0
-        out = out + HalfLaurent.monomial(c, e)
-    return out
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def parse_qrational(s: str) -> QRational:
@@ -792,7 +673,7 @@ def parse_qrational(s: str) -> QRational:
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         idx = s.index(")/(")
         den = _parse_poly(s[idx + 3:-1])
-        if den.is_zero():
+        if not den:
             raise ValueError(f"zero denominator in {s!r}")
         return QRational(_parse_poly(s[1:idx]), den)
     return QRational(_parse_poly(s))

@@ -86,7 +86,6 @@ __all__ = [
     "Kt07Report",
     "verify_kt07",
     "apply_on_slots",
-    "evaluate_matrix",
     "flip_matrix",
     "check_yang_baxter",
     "check_cactus_relation_unitarized",
@@ -780,11 +779,6 @@ def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> 
     pre = QMatrix.identity(prod(dims[:start]))
     post = QMatrix.identity(prod(dims[stop:]))
     return _tensor_operator([(_tensor_operator([(pre, op)]), post)])
-
-
-def evaluate_matrix(a: QMatrix, x) -> list:
-    """Entrywise exact evaluation at Q = x."""
-    return [[entry.evaluate(x) for entry in row] for row in a.entries]
 
 
 # -- assembled checks ----------------------------------------------------------

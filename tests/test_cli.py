@@ -134,6 +134,27 @@ def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypat
             "left": "b0⊗b-1⊗b0", "right": "b-2⊗b1⊗b0", "shape": [1, 0, 2]} in want
 
 
+def test_cactus_action_rejects_a_shifted_action(capsys, monkeypatch):
+    # filing each step's image under the next generator, s(p+1,q) at p and
+    # the identity at (q-1,q), is itself an action of the cactus group, so
+    # only the shape each generator lands on can tell it from the real one
+    walk = crystals._walk
+
+    def shifted(shape, q):
+        steps = list(walk(shape, q))
+        yield steps[0]
+        for (p, _, _), (_, cur, indices) in zip(steps[1:], steps):
+            yield p, cur, indices
+
+    monkeypatch.setattr(crystals, "_walk", shifted)
+    code = run(["check", "cactus-action", "--factors", "4", "--max", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert captured.err == ("qcactus: verification failed: s(3,4) on shape (0, 0, 0, 1) "
+                            "lands on shape (0, 0, 0, 1), not (0, 0, 1, 0)\n")
+
+
 def test_check_yang_baxter(capsys):
     code, out = invoke(capsys, "check", "yang-baxter")
     assert code == 0
