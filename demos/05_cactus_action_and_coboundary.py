@@ -41,6 +41,7 @@ print(f"\ncoboundary axioms on {report.triples_checked} triples: "
 print("\ncactus presentation on 4 factors, weights <= 1:")
 relations = cactus_relation_instances(4)
 for base in [(1, 1, 1, 1), (1, 1, 0, 1)]:
-    failures = verify_action(cactus_generator_images(base), relations)
+    name, images = cactus_generator_images(base)
+    failures = verify_action(images, relations, name)
     print(f"  base shape {base}: {len(relations)} relations, "
           f"{'no failures' if not failures else failures}")

@@ -180,8 +180,8 @@ def _cmd_check_cactus_action(args) -> int:
     failures = []
     checked = 0
     for combo in combinations_with_replacement(range(bound + 1), factors):
-        name, images = crystals._cactus_generator_indices(combo)
-        for f in groups._verify_numbered(images, relations, name):
+        name, images = crystals.cactus_generator_images(combo)
+        for f in groups.verify_action(images, relations, name):
             # words of different shapes in one orbit can print alike
             failures.append(dict(f.as_dict(), shape=list(f.witness.shape)))
         checked += 1

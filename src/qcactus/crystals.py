@@ -467,20 +467,21 @@ class CrystalMap:
         return self.domain == self.codomain and self._index == tuple(range(len(self._index)))
 
     def morphism_failures(self):
-        """Words violating the crystal morphism conditions."""
+        """(w, reason) for each word w, in word order, violating the crystal
+        morphism conditions: "statistics" (eps and phi, so also wt), else
+        "f", else "e"; compared by index, and only the failures are named."""
+        f, e, eps_, phi_ = _table(self.domain)
+        f_cod, e_cod, eps_cod, phi_cod = _table(self.codomain)
+        image = self._index + (-1,)  # annihilated goes to annihilated
         bad = []
-        for w, v in self.items():
-            if wt(w) != wt(v) or eps(w) != eps(v) or phi(w) != phi(v):
-                bad.append((w, "statistics"))
-                continue
-            fw, fv = tensor_f(w), tensor_f(v)
-            if (fw is None) != (fv is None) or (fw is not None and self(fw) != fv):
-                bad.append((w, "f"))
-                continue
-            ew, ev = tensor_e(w), tensor_e(v)
-            if (ew is None) != (ev is None) or (ew is not None and self(ew) != ev):
-                bad.append((w, "e"))
-        return bad
+        for i, j in enumerate(self._index):
+            if eps_[i] != eps_cod[j] or phi_[i] != phi_cod[j]:
+                bad.append((i, "statistics"))
+            elif image[f[i]] != f_cod[j]:
+                bad.append((i, "f"))
+            elif image[e[i]] != e_cod[j]:
+                bad.append((i, "e"))
+        return [(_words(self.domain)[i], reason) for i, reason in bad]
 
     def is_isomorphism(self) -> bool:
         return not self.morphism_failures()
@@ -512,16 +513,11 @@ class CrystalMap:
 
 
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
-    """id (x) m (x) id on the shape left + m.domain + right."""
+    """id (x) m (x) id on the shape left + m.domain + right, carried by word index."""
     left, right = tuple(left), tuple(right)
     dom = left + m.domain + right
-    cod = left + m.codomain + right
-    k, l = len(left), len(m.domain)
-    table = {}
-    for w in _words(dom):
-        mid = m(w.slice(k, k + l))
-        table[w] = TensorWord(w.factors[:k] + mid.factors + w.factors[k + l:])
-    return CrystalMap(dom, cod, table)
+    return _crystal_map(dom, left + m.codomain + right,
+                        _on_slice(range(_size(dom)), dom, len(left), m))
 
 
 def schutzenberger(shape) -> CrystalMap:
@@ -641,24 +637,17 @@ def _walk(shape, q):
 
 
 def cactus_generator_images(base_shape):
-    """Finite maps realizing every s(p,q) on all reorderings of a shape.
+    """Every s(p,q) on all reorderings of a shape, as the relation verifier takes it.
 
     The domain is the disjoint union of the words of every distinct
-    permutation of the base shape, so the images compose and can be fed
-    straight to the relation verifier.
+    permutation of the base shape, so the images compose.  Its points are
+    numbered by (orbit position, word_index); returns (name, {(p, q): list
+    of image numbers}), name(x) being the word numbered x.  One walk per
+    orbit shape and q gives every s(p,q); each step must land on the shape
+    with p..q reversed, and the images are checked for invertibility by
+    their verifier, not here.  The relations alone would pass a shifted
+    action, which is itself an action of the cactus group.
     """
-    name, images = _cactus_generator_indices(tuple(base_shape))
-    return {pq: {name(i): name(j) for i, j in enumerate(image)} for pq, image in images.items()}
-
-
-def _cactus_generator_indices(base_shape):
-    """cactus_generator_images on points numbered by (orbit position, word_index):
-    (name, {(p, q): list of image numbers}), name(x) being the word numbered x.
-
-    One walk per orbit shape and q gives every s(p,q); each step must land
-    on the shape with p..q reversed, and the images are checked for
-    invertibility by their verifier, not here.  The relations alone would
-    pass a shifted action, which is itself an action of the cactus group."""
     orbit = sorted(set(permutations(base_shape)))
     size, k = _size(base_shape), len(base_shape)
     offset = {s: i * size for i, s in enumerate(orbit)}

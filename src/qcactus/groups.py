@@ -8,9 +8,9 @@ symmetric group: g(i) goes to the adjacent transposition and s(p,q) to
 the permutation reversing the interval p..q.
 
 Nothing here attempts the word problem.  Equality of words is always
-tested through a concrete action: ``verify_action`` takes finite maps
-for the generators and checks a list of relations pointwise, reporting
-a witness for every violation.
+tested through a concrete action: ``verify_action`` takes the image
+lists of the generators on points numbered 0 .. n-1 and checks a list of
+relations pointwise, reporting a witness for every violation.
 """
 
 import re
@@ -210,39 +210,27 @@ def _letters(word):
     return letters if letters is not None else tuple(word)
 
 
-def verify_action(gen_images: dict, relations):
+def verify_action(images: dict, relations, name=lambda i: i):
     """Check that generator images satisfy a list of relations.
 
-    ``gen_images`` maps generator keys to finite maps (dicts) on a common
-    nonempty set, each a bijection of that set; ``relations`` is a list of
-    (left word, right word) pairs, each word a sequence of generator keys
-    (or an object with ``.letters``).  Words act on the left, so the last
-    letter is applied first.  The domain is numbered once, in the key order
-    of the first image, and each side of a relation carries the whole list
-    of numbers at once by list indexing.  Returns one RelationFailure per
-    violated relation, carrying its first witness in ``str`` order of the
-    domain, points with the same ``str`` in numbering order.
+    The points are numbered 0 .. n-1, and ``images`` maps each generator
+    key to the list of its image numbers, a bijection of 0 .. n-1;
+    ``relations`` is a list of (left word, right word) pairs, each word a
+    sequence of generator keys (or an object with ``.letters``).  Words act
+    on the left, so the last letter is applied first, and each side of a
+    relation carries the whole list of numbers at once by list indexing.
+    Returns one RelationFailure per violated relation, carrying its first
+    witness in ``str`` order of the names, points with the same ``str`` in
+    numbering order; ``name(i)`` names point i, and only in a failure.
     """
-    images = dict(gen_images)
-    points = list(next(iter(images.values()), ()))
-    number = {x: i for i, x in enumerate(points)}
-    if any(m.keys() != number.keys() for m in images.values()):
-        raise ValueError("generator images act on different domains")
-    perms = {g: [number.get(m[x], -1) for x in points] for g, m in images.items()}
-    return _verify_numbered(perms, relations, points.__getitem__)
-
-
-def _verify_numbered(perms: dict, relations, name):
-    """verify_action on the points 0 .. n-1, each generator key mapped to its
-    list of images; points are named, by name(i), only in failures."""
-    identity = list(range(len(next(iter(perms.values()), ()))))
-    for g, m in perms.items():
+    identity = list(range(len(next(iter(images.values()), ()))))
+    for g, m in images.items():
         if sorted(m) != identity:
             raise ValueError(f"image of generator {g!r} is not invertible")
     relations = [(_letters(left), _letters(right)) for left, right in relations]
     for left, right in relations:
         for letter in left[::-1] + right[::-1]:  # the order the words apply them
-            if letter not in perms:
+            if letter not in images:
                 raise ValueError(f"no image supplied for generator {letter!r}")
     if not identity:
         # a check over no points proves nothing
@@ -251,7 +239,7 @@ def _verify_numbered(perms: dict, relations, name):
     def apply_word(word):
         xs = identity
         for letter in reversed(word):
-            m = perms[letter]
+            m = images[letter]
             xs = [m[i] for i in xs]
         return xs
 
@@ -266,9 +254,10 @@ def _verify_numbered(perms: dict, relations, name):
 
 
 def shat_images(n: int) -> dict:
-    """Generator images for the interval reversals acting on {1..n}."""
+    """Generator images for the interval reversals acting on {1..n}, with
+    point x numbered x - 1, as verify_action takes them."""
     return {
-        (p, q): {x: s_hat(p, q, n)(x) for x in range(1, n + 1)}
+        (p, q): [s_hat(p, q, n)(x) - 1 for x in range(1, n + 1)]
         for p in range(1, n + 1)
         for q in range(p + 1, n + 1)
     }

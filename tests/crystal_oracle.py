@@ -29,7 +29,6 @@ from qcactus.crystals import (
     CrystalMap,
     TensorWord,
     commutor_c,
-    extend_map,
     word_index,
     wt,
 )
@@ -143,6 +142,35 @@ def commutor_c_words(shape_a, shape_b) -> CrystalMap:
                     raise CrystalInvariantError(
                         f"the image chain of {src} is longer than its source chain")
     return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
+
+
+def extend_map(m: CrystalMap, left, right) -> CrystalMap:
+    """id (x) m (x) id on the shape left + m.domain + right, word by word."""
+    left, right = tuple(left), tuple(right)
+    k, l = len(left), len(m.domain)
+    table = {}
+    for w in words(left + m.domain + right):
+        mid = m(w.slice(k, k + l))
+        table[w] = TensorWord(w.factors[:k] + mid.factors + w.factors[k + l:])
+    return CrystalMap(left + m.domain + right, left + m.codomain + right, table)
+
+
+def morphism_failures(m: CrystalMap):
+    """(w, reason) for each word w violating the morphism conditions: "statistics"
+    (wt, eps, phi), else "f", else "e", with this module's tensor rule."""
+    bad = []
+    for w, v in m.items():
+        if wt(w) != wt(v) or eps(w) != eps(v) or phi(w) != phi(v):
+            bad.append((w, "statistics"))
+            continue
+        fw, fv = tensor_f(w), tensor_f(v)
+        if (fw is None) != (fv is None) or (fw is not None and m(fw) != fv):
+            bad.append((w, "f"))
+            continue
+        ew, ev = tensor_e(w), tensor_e(v)
+        if (ew is None) != (ev is None) or (ew is not None and m(ew) != ev):
+            bad.append((w, "e"))
+    return bad
 
 
 def cactus_action(shape, p: int, q: int, commutor=commutor_c) -> CrystalMap:

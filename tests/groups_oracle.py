@@ -5,8 +5,9 @@ is checked against: for each relation and each point of the domain in
 ``str`` order, points with the same ``str`` in the key order of the
 first image, both words are applied letter by letter to that one point,
 and the first point where they disagree is the witness.  The
-library numbers the domain and applies each word to the whole list of
-numbers at once instead.  An empty domain is an error, after every
+library takes the domain numbered 0 .. n-1, with a function naming the
+points, and applies each word to the whole list of numbers at once
+instead.  An empty domain is an error, after every
 letter has been looked up.
 """
 

@@ -102,8 +102,8 @@ def test_acceptance_06_coboundary_and_cactus_group_action():
 
     relations = groups.cactus_relation_instances(4)
     for combo in combinations_with_replacement(range(3), 4):
-        images = crystals.cactus_generator_images(combo)
-        failures = groups.verify_action(images, relations)
+        name, images = crystals.cactus_generator_images(combo)
+        failures = groups.verify_action(images, relations, name)
         ok = ok and not failures
     _report(6, "coboundary axioms on all small triples; cactus presentation on 4 factors", ok)
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement
 import json
 import os
@@ -106,6 +107,21 @@ def test_check_cactus_action(capsys):
     assert data["base_shapes"] == 4
 
 
+def test_check_cactus_action_runs_through_the_public_route(capsys, monkeypatch):
+    # the route a tracer wrapping public names sees: one call of each per base shape
+    calls = Counter()
+    for module, fn_name in ((crystals, "cactus_generator_images"), (groups, "verify_action")):
+        def counted(*args, _fn=getattr(module, fn_name), _name=fn_name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, fn_name, counted)
+    code, out = invoke(capsys, "check", "cactus-action", "--factors", "3", "--max", "1")
+    assert code == 0
+    assert json.loads(out)["base_shapes"] == 4
+    assert calls == {"cactus_generator_images": 4, "verify_action": 4}
+
+
 def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypatch):
     # b-1⊗b0⊗b0 is a word of both (1,0,2) and (1,2,0), in the orbit of
     # (0,2,1); this fault breaks one relation at both, so the report must
@@ -124,9 +140,11 @@ def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypat
     relations = groups.cactus_relation_instances(3)
     want = []
     for combo in combinations_with_replacement(range(3), 3):
-        images = crystals.cactus_generator_images(combo)
+        name, images = crystals.cactus_generator_images(combo)
+        words = {pq: {name(i): name(j) for i, j in enumerate(image)}
+                 for pq, image in images.items()}
         want += [dict(f.as_dict(), shape=list(f.witness.shape))
-                 for f in groups_oracle.verify_action(images, relations)]
+                 for f in groups_oracle.verify_action(words, relations)]
     monkeypatch.undo()
     assert code == 1
     assert json.loads(out)["failures"] == want

@@ -18,6 +18,7 @@ from qcactus.crystals import (
     component_of,
     decompose,
     eps,
+    extend_map,
     involutivity_failures,
     phi,
     tensor_e,
@@ -78,10 +79,10 @@ def test_names_are_the_printed_words_of_the_word_route(shape):
     assert crystals._names(shape) == [str(w) for w in built]
 
 
-def test_cactus_generator_indices_match_the_recursive_action_on_every_small_orbit():
+def test_cactus_generator_images_match_the_recursive_action_on_every_small_orbit():
     for k in range(2, 5):
         for base in combinations_with_replacement(range(3), k):
-            name, images = crystals._cactus_generator_indices(base)
+            name, images = cactus_generator_images(base)
             orbit = sorted(set(permutations(base)))
             points = [w for s in orbit for w in oracle.words(s)]
             assert list(images) == [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
@@ -121,7 +122,8 @@ def test_cactus_action_matches_recursive_definition(shape):
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=4))
 def test_cactus_generator_images_satisfy_the_cactus_relations(shape):
     relations = cactus_relation_instances(len(shape))
-    assert verify_action(cactus_generator_images(shape), relations) == []
+    name, images = cactus_generator_images(shape)
+    assert verify_action(images, relations, name) == []
 
 
 def _swap_two_images(m: CrystalMap, pick: int) -> CrystalMap:
@@ -137,6 +139,13 @@ def _swap_two_images(m: CrystalMap, pick: int) -> CrystalMap:
     table = dict(m.items())
     table[w1], table[w2] = table[w2], table[w1]
     return CrystalMap(m.domain, m.codomain, table)
+
+
+def _rotated(m: CrystalMap, pick: int) -> CrystalMap:
+    """m after a cyclic shift of the domain words: it moves weights too."""
+    ws = words(m.domain)
+    return CrystalMap(m.domain, m.codomain,
+                      {w: m(ws[(k + pick + 1) % len(ws)]) for k, w in enumerate(ws)})
 
 
 shapes_1_2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
@@ -183,6 +192,23 @@ def test_cactus_square_matches_composed_maps_under_a_fault(a, b, c, role, pick):
     assert got == oracle.cactus_square_failures(a, b, c, commutor=commutor)
     if faulty != commutor_c(*target) and roles.count(target) == 1:
         assert got
+
+
+pads = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shapes_1_2, shapes_1_2, pads, pads, st.integers(0, 7))
+def test_extend_map_and_morphism_failures_match_the_word_route_under_a_fault(
+        a, b, left, right, pick):
+    good = commutor_c(a, b)
+    assert good.morphism_failures() == CrystalMap.identity(a + b).morphism_failures() == []
+    for m in (good, _swap_two_images(good, pick), _rotated(good, pick),
+              CrystalMap.identity(a + b)):
+        assert m.morphism_failures() == oracle.morphism_failures(m)
+        ext = extend_map(m, left, right)
+        assert ext == oracle.extend_map(m, left, right)
+        assert ext.morphism_failures() == oracle.morphism_failures(ext)
 
 
 shapes_2_4 = st.lists(st.integers(0, 2), min_size=2, max_size=4).map(tuple)

@@ -226,8 +226,8 @@ def test_cactus_action_examples():
 
 def test_cactus_action_satisfies_presentation_on_small_shapes():
     for base in [(1, 1, 1), (2, 1, 0), (1, 1, 2)]:
-        images = cactus_generator_images(base)
-        failures = verify_action(images, cactus_relation_instances(len(base)))
+        name, images = cactus_generator_images(base)
+        failures = verify_action(images, cactus_relation_instances(len(base)), name)
         assert failures == []
 
 

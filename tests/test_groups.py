@@ -82,45 +82,52 @@ def test_shat_satisfies_cactus_presentation():
 
 def test_identity_images_satisfy_squares():
     n = 4
-    ident = {x: x for x in range(1, n + 1)}
-    images = {(p, q): dict(ident) for p in range(1, 5) for q in range(p + 1, 5)}
+    images = {(p, q): list(range(n)) for p in range(1, 5) for q in range(p + 1, 5)}
     squares = [r for r in cactus_relation_instances(n) if len(r[1].letters) == 0]
     assert verify_action(images, squares) == []
 
 
 def test_non_involution_is_reported_with_witness():
-    n = 2
-    cyc = {1: 2, 2: 1}
-    bad = {1: 2, 2: 3, 3: 1}
+    cyc = [1, 0]
+    bad = [1, 2, 0]
     images = {(1, 2): bad}
     squares = [(CactusWord(((1, 2), (1, 2)), 2), CactusWord((), 2))]
     # bad squared is a 3-cycle, so the relation is violated at every point
-    assert sum(bad[bad[x]] != x for x in bad) == 3
+    assert sum(bad[bad[x]] != x for x in range(3)) == 3
     failures = verify_action(images, squares)
     assert len(failures) == 1  # one failure per violated relation
-    assert failures[0].witness == 1  # its first witness in str order
+    assert failures[0].witness == 0  # points are their own names by default
+    assert (failures[0].left_value, failures[0].right_value) == (2, 0)
+    # its first witness in str order of the names
+    failures = verify_action(images, squares, ["c", "b", "a"].__getitem__)
+    assert (failures[0].witness, failures[0].left_value, failures[0].right_value) == ("a", "b", "a")
     report = failures[0].as_dict()
     assert set(report) == {"relation", "witness", "left", "right"}
+    # names that print alike tie in str order, and the lower number wins
+    for names in ([2, "1", 1], [2, 1, "1"]):
+        failures = verify_action(images, squares, names.__getitem__)
+        assert type(failures[0].witness) is type(names[1])
 
     assert verify_action({(1, 2): cyc}, squares) == []
 
 
 def test_image_leaving_the_domain_is_not_invertible():
-    # injective, but 2 goes outside {1, 2}: not a bijection of the domain
+    # injective, but 1 goes to 2, outside {0, 1}: not a bijection of the domain
     squares = [(CactusWord(((1, 2), (1, 2)), 2), CactusWord((), 2))]
     with pytest.raises(ValueError, match="not invertible"):
-        verify_action({(1, 2): {1: 2, 2: 3}}, squares)
+        verify_action({(1, 2): [1, 2]}, squares)
 
 
 def test_mismatched_domains_is_an_error():
-    images = {(1, 2): {1: 1}, (1, 3): {1: 1, 2: 2}, (2, 3): {1: 1, 2: 2}}
-    with pytest.raises(ValueError):
+    # the first image numbers the domain 0 .. 0, which the others leave
+    images = {(1, 2): [0], (1, 3): [0, 1], (2, 3): [0, 1]}
+    with pytest.raises(ValueError, match=r"generator \(1, 3\) is not invertible"):
         verify_action(images, cactus_relation_instances(3))
 
 
 def test_missing_generator_image_is_an_error():
     with pytest.raises(ValueError):
-        verify_action({(1, 2): {1: 1}}, cactus_relation_instances(3))
+        verify_action({(1, 2): [0]}, cactus_relation_instances(3))
 
 
 def test_word_parsing_round_trip():
@@ -147,14 +154,14 @@ def test_permutation_basics():
 
 def test_missing_generator_image_is_an_error_on_an_empty_domain():
     # the same message as on a nonempty domain: an empty one does not hide it
-    for domain in ({1: 1}, {}):
+    for domain in ([0], []):
         with pytest.raises(ValueError, match=r"no image supplied for generator \(1, 3\)"):
             verify_action({(1, 2): domain}, cactus_relation_instances(3))
 
 
 def test_empty_domain_is_an_error():
     # a check over no points proves nothing
-    images = {pq: {} for pq in [(1, 2), (1, 3), (2, 3)]}
+    images = {pq: [] for pq in [(1, 2), (1, 3), (2, 3)]}
     with pytest.raises(ValueError, match="empty domain"):
         verify_action(images, cactus_relation_instances(3))
     with pytest.raises(ValueError, match="empty domain"):
