@@ -82,48 +82,20 @@ class CrystalInvariantError(VerificationError):
     """
 
 
-# Interning tables: every distinct chain element and tensor word is one
-# object, so equality is identity and a dict lookup costs one cached hash.
-# setdefault makes racing constructors agree on the stored object.
-_CHAIN_ELEMENTS = {}
-_TENSOR_WORDS = {}
-
-
 @total_ordering
-class ChainElement:
-    """Element b_j of the chain crystal of highest weight n.
+class ChainElement(Record):
+    """Element b_j of the chain crystal of highest weight n; its hash is hash((n, j))."""
 
-    Interned: ChainElement(n, j) returns the one object for (n, j), so
-    equality is identity.  The hash is hash((n, j)), computed once.
-    """
+    __slots__ = ("n", "j")
 
-    __slots__ = ("n", "j", "eps", "phi", "_hash")
-
-    def __new__(cls, n: int, j: int):
-        try:
-            return _CHAIN_ELEMENTS[(n, j)]
-        except KeyError:
-            pass
+    def _validate(self):
+        n, j = self.n, self.j
+        if type(n) is not int or type(j) is not int:
+            raise TypeError(f"chain elements take int n and j, got {n!r} and {j!r}")
         if n < 0:
             raise ValueError("highest weight must be nonnegative")
         if abs(j) > n or (n - j) % 2:
             raise ValueError(f"b_{j} does not lie in the chain of weight {n}")
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "j", j)
-        init(self, "eps", (n - j) // 2)
-        init(self, "phi", (n + j) // 2)
-        init(self, "_hash", hash((n, j)))
-        return _CHAIN_ELEMENTS.setdefault((n, j), self)
-
-    __setattr__ = __delattr__ = Record.__setattr__
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return ChainElement, (self.n, self.j)
 
     def __lt__(self, other):
         if type(other) is not ChainElement:
@@ -142,51 +114,40 @@ class ChainElement:
     def wt(self) -> int:
         return self.j
 
+    @property
+    def eps(self) -> int:
+        return (self.n - self.j) // 2
+
+    @property
+    def phi(self) -> int:
+        return (self.n + self.j) // 2
+
     def __str__(self):
         return f"b{self.j}"
-
-    def __repr__(self):
-        return f"ChainElement(n={self.n!r}, j={self.j!r})"
 
 
 def chain_crystal(n: int):
     """The chain of highest weight n, from b_n down to b_(-n)."""
+    if n < 0:
+        raise ValueError("highest weight must be nonnegative")
     return [ChainElement(n, n - 2 * i) for i in range(n + 1)]
 
 
-class TensorWord:
-    """A flat tensor word of chain elements.
+class TensorWord(Record):
+    """A flat tensor word of chain elements; its hash is hash((factors,)).
 
     The shape is the tuple of factor highest weights; tensoring shapes is
-    concatenation, so associativity holds on the nose.  Interned like
-    ChainElement, keyed by the factors tuple; the hash is
-    hash((factors,)), computed once.
+    concatenation, so associativity holds on the nose.
     """
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
 
-    def __new__(cls, factors: tuple):
-        try:
-            return _TENSOR_WORDS[factors]
-        except KeyError:
-            pass
+    def _validate(self):
+        factors = self.factors
+        if type(factors) is not tuple or not all(type(b) is ChainElement for b in factors):
+            raise TypeError(f"tensor word factors must be a tuple of chain elements: {factors!r}")
         if not factors:
             raise ValueError("tensor words must have at least one factor")
-        self = object.__new__(cls)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash((factors,)))
-        return _TENSOR_WORDS.setdefault(factors, self)
-
-    __setattr__ = __delattr__ = Record.__setattr__
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return TensorWord, (self.factors,)
-
-    def __repr__(self):
-        return f"TensorWord(factors={self.factors!r})"
 
     @property
     def shape(self) -> tuple:
@@ -206,7 +167,7 @@ class TensorWord:
 
     @classmethod
     def from_weights(cls, shape, js) -> "TensorWord":
-        return cls(tuple(ChainElement(n, j) for n, j in zip(shape, js)))
+        return cls(tuple(ChainElement(n, j) for n, j in zip(shape, js, strict=True)))
 
     @classmethod
     def parse(cls, text: str, shape) -> "TensorWord":
@@ -389,7 +350,7 @@ def _crystal_map(domain, codomain, index) -> "CrystalMap":
     return m
 
 
-class CrystalMap:
+class CrystalMap(Record):
     """A bijective word -> word table between two shapes.
 
     Stored as the word_index of the image of each domain word, in the
@@ -419,14 +380,12 @@ class CrystalMap:
         for name, value in zip(self.__slots__, (domain, codomain, tuple(index))):
             object.__setattr__(self, name, value)
 
-    __setattr__ = __delattr__ = Record.__setattr__
-
     def __reduce__(self):
         return _crystal_map, (self.domain, self.codomain, self._index)
 
     def __call__(self, w: TensorWord) -> TensorWord:
         i = word_index(w)
-        if i >= len(self._index) or _words(self.domain)[i] is not w:
+        if i >= len(self._index) or _words(self.domain)[i] != w:
             raise KeyError(w)
         return _words(self.codomain)[self._index[i]]
 
@@ -450,18 +409,6 @@ class CrystalMap:
         for i, j in enumerate(self._index):
             index[j] = i
         return _crystal_map(self.codomain, self.domain, index)
-
-    def __eq__(self, other):
-        if not isinstance(other, CrystalMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self._index == other._index
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self._index))
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and self._index == tuple(range(len(self._index)))

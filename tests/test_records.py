@@ -48,6 +48,9 @@ RECORDS = [
     (RelationFailure,
      {"relation": (("a",), ("b",)), "witness": 1, "left_value": 2, "right_value": 1},
      "RelationFailure(relation=(('a',), ('b',)), witness=1, left_value=2, right_value=1)"),
+    (ChainElement, {"n": 2, "j": 0}, "ChainElement(n=2, j=0)"),
+    (TensorWord, {"factors": W11.factors},
+     "TensorWord(factors=(ChainElement(n=1, j=1), ChainElement(n=1, j=-1)))"),
     (Component, {"highest_weight": 0, "source": W11, "elements": (W11,)},
      "Component(highest_weight=0, source=TensorWord(factors=(ChainElement(n=1, j=1), "
      "ChainElement(n=1, j=-1))), elements=(TensorWord(factors=(ChainElement(n=1, j=1), "
@@ -138,6 +141,9 @@ def test_records_with_different_fields_differ():
     (lambda: BraidWord.parse("g1G4", 4), "generator index 4 out of range for n=4"),
     (lambda: CactusWord(((2, 2),), 3), "bad interval (2,2) for n=3"),
     (lambda: CactusWord(letters=((1, 4),), n=3), "bad interval (1,4) for n=3"),
+    (lambda: ChainElement(-1, -1), "highest weight must be nonnegative"),
+    (lambda: ChainElement(n=2, j=1), "b_1 does not lie in the chain of weight 2"),
+    (lambda: TensorWord(()), "tensor words must have at least one factor"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
