@@ -27,6 +27,7 @@ line reports it with exit status 1.
 The command line entry point lives in qcactus.cli.
 """
 
+from operator import attrgetter
 import sys
 
 __version__ = "0.1.0"
@@ -46,6 +47,15 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple in one C call; attrgetter of one name returns the bare value
+        fields = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            field = fields
+            fields = lambda record: (field(record),)
+        cls._values = staticmethod(fields)
+
     def __init__(self, *args, **kwargs):
         names = self.__slots__
         values = dict(zip(names, args), **kwargs)
@@ -58,21 +68,20 @@ class Record:
     def _validate(self):
         """Raise ValueError on field values the record cannot hold."""
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")

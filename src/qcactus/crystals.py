@@ -245,8 +245,13 @@ def _table(shape):
     factor holding the leftmost uncancelled plus.  One bracketing pass runs
     over the depth digits, one factor at a time for all word prefixes,
     keeping (eps, phi, stride of the factor f acts on); f moves an index by
-    that stride, and e is f's partial inverse.
+    that stride, and e is f's partial inverse.  Every shape query passes
+    through here, so a shape that words() refuses is refused here too.
     """
+    if not shape:
+        raise ValueError("tensor words must have at least one factor")
+    if min(shape) < 0:
+        raise ValueError("highest weight must be nonnegative")
     states, stride = [(0, 0, 1)], 1
     for n in shape:
         states = [(e_tot + d - p_tot, n - d, stride) if d >= p_tot  # every plus cancelled
@@ -384,6 +389,8 @@ class CrystalMap(Record):
         return _crystal_map, (self.domain, self.codomain, self._index)
 
     def __call__(self, w: TensorWord) -> TensorWord:
+        if not isinstance(w, TensorWord):
+            raise TypeError(f"a crystal map acts on tensor words, not on {type(w).__name__}")
         i = word_index(w)
         if i >= len(self._index) or _words(self.domain)[i] != w:
             raise KeyError(w)
@@ -776,9 +783,10 @@ def crystal_dot(shape) -> str:
     cleanly.
     """
     shape = tuple(shape)
+    chains = _chains(shape)  # refuses a shape that words() refuses
     names = _names(shape)
     lines = ["digraph crystal {", "  rankdir=LR;"]
-    for ci, (hw, chain) in enumerate(_chains(shape)):
+    for ci, (hw, chain) in enumerate(chains):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="component {ci} (highest weight {hw})";')
         lines += [f'    "{names[i]}";' for i in chain]

@@ -36,10 +36,13 @@ commutor.
 
 Modules, braidings and isotypic frames are cached by the shapes of the
 factors, a tuple of ints that determines the module, not by the
-module's entries; the unitarization and the module components, which no
-caller asks for twice, are recomputed per call.  One Gauss-Jordan
-elimination serves inverses, kernels, and frame changes, which solve
-against the target frame rather than invert it.
+module's entries; a module is built from its cached prefix and last
+factor.  The Newton coefficients of the twists are cached by the
+highest weights they interpolate at and the sign.  The unitarization,
+its product twists and the module components, which no caller asks for
+twice, are recomputed per call.  One Gauss-Jordan elimination serves
+inverses, kernels, and frame changes, which solve against the target
+frame rather than invert it.
 
 Product bases are enumerated with the last tensor factor slowest, the
 same order used for crystal words, so matrix indices and words align.
@@ -123,16 +126,23 @@ class QMatrix:
 
     __setattr__ = __delattr__ = Record.__setattr__
 
+    @classmethod
+    def _of(cls, rows) -> "QMatrix":
+        """A matrix on equal-length rows of QRationals, taken without coercion or checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+        return m
+
     def __reduce__(self):
         return QMatrix, (self.entries,)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._of([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, diag) -> "QMatrix":
@@ -169,25 +179,22 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
+        # the nonzero entries of each row of other, with their columns
+        sparse = [[(j, b) for j, b in enumerate(right) if b] for right in other.entries]
         out = []
         for left in self.entries:
-            # the nonzero entries of this row, each with the row of other it meets
-            pairs = [(a, right) for a, right in zip(left, other.entries) if a]
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for a, right in pairs:
-                    b = right[j]
-                    if b:
-                        acc = acc + a * b
-                row.append(acc)
+            row = [ZERO] * other.cols
+            for a, right in zip(left, sparse):
+                if a:
+                    for j, b in right:
+                        row[j] += a * b
             out.append(row)
-        return QMatrix(out)
+        return QMatrix._of(out)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return QMatrix(
+        return QMatrix._of(
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
@@ -199,7 +206,7 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = c if isinstance(c, QRational) else QRational(c)
-        return QMatrix([[c * x for x in row] for row in self.entries])
+        return QMatrix._of([[c * x for x in row] for row in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -282,7 +289,7 @@ def _solve(a: QMatrix, b: QMatrix) -> QMatrix:
     aug = [list(left) + list(right) for left, right in zip(a.entries, b.entries)]
     if len(_row_reduce(aug, n)) < n:
         raise SingularMatrixError("matrix is singular")
-    return QMatrix([row[n:] for row in aug])
+    return QMatrix._of([row[n:] for row in aug])
 
 
 def _kernel_basis(rows):
@@ -358,7 +365,7 @@ def _tensor_operator(pairs) -> QMatrix:
                 if x:
                     for r, c, y in nonzero_b:
                         out[r + i][c + k] += x * y
-    return QMatrix(out)
+    return QMatrix._of(out)
 
 
 def tensor_module(m: UqModule, n: UqModule) -> UqModule:
@@ -380,12 +387,12 @@ def module_for_shape(shape) -> UqModule:
 
 @lru_cache(maxsize=None)
 def _module_for_shape(shape) -> UqModule:
+    # the left fold, through the cache: each prefix and each factor is built once
     if not shape:
         raise ValueError("shape must be nonempty")
-    out = irreducible(shape[0])
-    for n in shape[1:]:
-        out = tensor_module(out, irreducible(n))
-    return out
+    if len(shape) == 1:
+        return irreducible(shape[0])
+    return tensor_module(_module_for_shape(shape[:-1]), _module_for_shape(shape[-1:]))
 
 
 def module_relations_ok(m: UqModule) -> bool:
@@ -503,8 +510,8 @@ def _assemble_flip_r(m: UqModule, n: UqModule) -> QMatrix:
         f_pow = n.f @ f_pow
     theta = _tensor_operator(terms).entries
     # row a dim N + b of flip . R is row b dim M + a of theta, times P on v_a (x) v_b
-    return QMatrix([[Qpow(wa * wb) * x if x else x for x in theta[b * m.dim + a]]
-                    for a, wa in enumerate(m.weights) for b, wb in enumerate(n.weights)])
+    return QMatrix._of([[Qpow(wa * wb) * x if x else x for x in theta[b * m.dim + a]]
+                        for a, wa in enumerate(m.weights) for b, wb in enumerate(n.weights)])
 
 
 def _reference_flip_r():
@@ -588,27 +595,46 @@ def _casimir_blocks(shape):
     weight-w block meets only the components of highest weight lam >= |w|.
     Yields, per weight, the block's basis indices, those lam in
     descending order, and B_k = (C - c_lam_0) ... (C - c_lam_(k-1)).
+    FE is formed only once some block meets two components.
     """
     m = module_for_shape(shape)
-    qdiff = qpow(1) - qpow(-1)
-    fe = (m.f @ m.e).scale(qdiff * qdiff)
+    fe = None
     count = Counter(m.weights)
-    present = [lam for lam in sorted(count, reverse=True)
-               if lam >= 0 and count[lam] > count[lam + 2]]
+    present = tuple(lam for lam in sorted(count, reverse=True)
+                    if lam >= 0 and count[lam] > count[lam + 2])
     for w in sorted(count, reverse=True):
         idx = [i for i, x in enumerate(m.weights) if x == w]
-        lams = [lam for lam in present if lam >= abs(w)]
+        lams = tuple(lam for lam in present if lam >= abs(w))
         basis = [QMatrix.identity(len(idx))]
+        if len(lams) > 1 and fe is None:
+            qdiff = qpow(1) - qpow(-1)
+            fe = (m.f @ m.e).scale(qdiff * qdiff).entries
         for mu in lams[:-1]:
             # C - c_mu on the block: FE plus c_w - c_mu on the diagonal
             s = _casimir_eigenvalue(w) - _casimir_eigenvalue(mu)
-            shifted = QMatrix([[fe[i, j] + s if i == j else fe[i, j] for j in idx] for i in idx])
-            basis.append(basis[-1] @ shifted)
+            shifted = QMatrix._of([[fe[i][j] + s if i == j else fe[i][j] for j in idx]
+                                   for i in idx])
+            basis.append(shifted if len(basis) == 1 else basis[-1] @ shifted)
         yield idx, lams, basis
 
 
 def _twist_exponent(lam: int) -> int:
     return lam * (lam + 2) // 2
+
+
+@lru_cache(maxsize=None)
+def _newton_coefficients(lams, sign: int):
+    """Divided differences of Q^(sign floor(lam(lam+2)/2)) at the points c_lam, in lams' order.
+
+    Keyed by the tuple of highest weights, so the blocks of weight w and
+    -w, and every module with the same components, share one computation.
+    """
+    c = [_casimir_eigenvalue(lam) for lam in lams]
+    coef = [Qpow(sign * _twist_exponent(lam)) for lam in lams]
+    for j in range(1, len(lams)):
+        for i in range(len(lams) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (c[i] - c[i - j])
+    return tuple(coef)
 
 
 def _twist(shape, sign: int) -> QMatrix:
@@ -619,21 +645,19 @@ def _twist(shape, sign: int) -> QMatrix:
     On each weight block f is taken in Newton's form, with the divided
     differences of those values as coefficients: one matrix product per
     extra eigenvalue, where the Lagrange projectors need one per pair.
+    FE is formed only when a block meets two or more components, so the
+    twist of an irreducible is its monomial times the identity, built
+    with no matrix product.
     """
     dim = module_for_shape(shape).dim
     out = [[ZERO] * dim for _ in range(dim)]
     for idx, lams, basis in _casimir_blocks(shape):
-        c = [_casimir_eigenvalue(lam) for lam in lams]
-        coef = [Qpow(sign * _twist_exponent(lam)) for lam in lams]
-        for j in range(1, len(lams)):
-            for i in range(len(lams) - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) / (c[i] - c[i - j])
-        for b, k in zip(basis, coef):
+        for b, k in zip(basis, _newton_coefficients(lams, sign)):
             for i, row in zip(idx, b.entries):
                 for j, x in zip(idx, row):
                     if x:
                         out[i][j] += k * x
-    return QMatrix(out)
+    return QMatrix._of(out)
 
 
 def _unitarization(shape_m, shape_n):
@@ -748,7 +772,7 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     """
     from . import crystals  # the only use; rmatrix and the braidings run without it
 
-    vm, vn = irreducible(m), irreducible(n)
+    vm, vn = module_for_shape((m,)), module_for_shape((n,))
     reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
     sign = [0] * len(reduced)
     for nu, chain in crystals._chains((m, n)):

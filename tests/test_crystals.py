@@ -390,6 +390,23 @@ def test_tensor_words_refuse_malformed_factors():
         chain_crystal(-1)
 
 
+@pytest.mark.parametrize("shape, message", [((-1,), "nonnegative"), ((2, -1), "nonnegative"),
+                                            ((), "at least one factor")])
+def test_shape_functions_refuse_what_words_refuses(shape, message):
+    with pytest.raises(ValueError, match=message):
+        words(shape)
+    for query in (decompose, schutzenberger, crystal_dot):
+        with pytest.raises(ValueError, match=message):
+            query(shape)
+
+
+def test_crystal_maps_refuse_what_is_not_a_tensor_word():
+    sigma = commutor_c((1,), (1,))
+    for x in (ChainElement(1, 1), (ChainElement(1, 1), ChainElement(1, 1)), "b1⊗b1"):
+        with pytest.raises(TypeError, match=type(x).__name__):
+            sigma(x)
+
+
 def test_crystal_map_validates_totality_and_bijectivity():
     table = dict(commutor_c((1,), (1,)).items())
     partial = dict(table)

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 
 from qcactus import crystals, uqsl2
-from qcactus.qexact import ONE, QRational, Qpow, qpow, quantum_int
+from qcactus.cli import run
+from qcactus.qexact import ONE, ZERO, QRational, Qpow, qpow, quantum_int
 from qcactus.uqsl2 import (
     LatticeError,
     QMatrix,
@@ -369,6 +372,66 @@ def test_non_diagonal_unitarized_s2_is_a_unitarization_error(monkeypatch):
     monkeypatch.setattr(uqsl2, "_unitarization", lambda sm, sn: (None, flip_matrix(v1, v1)))
     with pytest.raises(UnitarizationError, match="not diagonal"):
         unitarized_matrix(v1, v1, "s2")
+
+
+# -- the twists of the ribbon formula and their caches ---------------------------
+
+def _clear_uqsl2_caches():
+    for value in vars(uqsl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_twist_scales_each_component(factors, sign):
+    for shape in product(range(3), repeat=factors):
+        twist = uqsl2._twist(shape, sign)
+        for columns, scaled in oracle.twist_on_components(shape, sign):
+            assert twist @ columns == scaled, shape
+
+
+def test_irreducible_twist_is_a_scalar_built_without_products(monkeypatch):
+    expected = {(m, s): QMatrix.identity(m + 1).scale(Qpow(s * (m * (m + 2) // 2)))
+                for m in range(7) for s in (1, -1)}
+    products = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    got = {(m, s): uqsl2._twist((m,), s) for m, s in expected}
+    assert products == []
+    assert got == expected
+
+
+def test_newton_coefficients_are_computed_once_per_key(capsys, monkeypatch):
+    twisted = []
+    twist = uqsl2._twist
+    monkeypatch.setattr(uqsl2, "_twist",
+                        lambda shape, sign: twisted.append((shape, sign)) or twist(shape, sign))
+    _clear_uqsl2_caches()
+    assert run(["check", "kt07", "--max", "3"]) == 0
+    capsys.readouterr()
+    keys = {(lams, sign) for shape, sign in twisted
+            for _idx, lams, _basis in uqsl2._casimir_blocks(shape)}
+    info = uqsl2._newton_coefficients.cache_info()
+    assert info.misses == len(keys)
+    assert info.hits > 0
+
+
+def test_module_for_shape_builds_each_prefix_and_factor_once():
+    _clear_uqsl2_caches()
+    module_for_shape((1, 2, 1))
+    # (1,), (2,), (1, 2) and (1, 2, 1) are built; the second (1,) is a hit
+    assert uqsl2._module_for_shape.cache_info()[:2] == (1, 4)
+    module_for_shape((1, 2))
+    assert uqsl2._module_for_shape.cache_info()[:2] == (2, 4)
+
+
+def test_public_constructor_coerces_and_checks_rows():
+    ints = QMatrix([[1, 0], [0, 2]])
+    assert ints == QMatrix._of([[ONE, ZERO], [ZERO, QRational(2)]])
+    assert all(type(x) is QRational for row in ints.entries for x in row)
+    with pytest.raises(ValueError, match="ragged rows"):
+        QMatrix([[1, 2], [3]])
 
 
 # -- lattice reduction -----------------------------------------------------------

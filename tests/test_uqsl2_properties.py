@@ -5,7 +5,9 @@ half of them every k is zero, so the entries are plain rationals.  The
 elimination behind ``_solve`` (and so ``QMatrix.inverse``) and
 ``_kernel_basis`` and the Kronecker-sum builder are checked against their
 defining properties, and kernel dimensions against ranks computed by
-sympy over Q(Q).
+sympy over Q(Q).  The unchecked constructor ``QMatrix._of`` must build
+the matrix the public one does, and the ribbon twist must scale each
+component of a module by its monomial.
 """
 
 from fractions import Fraction
@@ -14,7 +16,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qcactus.qexact import ONE, ZERO, Qpow
-from qcactus.uqsl2 import QMatrix, SingularMatrixError, _kernel_basis, _solve, _tensor_operator
+from qcactus.uqsl2 import (
+    QMatrix,
+    SingularMatrixError,
+    _kernel_basis,
+    _solve,
+    _tensor_operator,
+    _twist,
+)
+
+import uqsl2_oracle as oracle
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -137,3 +148,22 @@ def test_kronecker_builder_rejects_terms_of_different_sizes():
     with pytest.raises(ValueError):
         _tensor_operator([(QMatrix.identity(2), QMatrix.identity(2)),
                           (QMatrix.identity(3), QMatrix.identity(2))])
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_unchecked_constructor_builds_the_public_matrix(rows, cols, data):
+    entries = [list(row) for row in data.draw(matrices(rows, cols)).entries]
+    a, b = QMatrix._of(entries), QMatrix(entries)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.entries == b.entries
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.sampled_from([1, -1]))
+def test_twist_scales_each_component_by_its_monomial(shape, sign):
+    shape = tuple(shape)
+    twist = _twist(shape, sign)
+    for columns, scaled in oracle.twist_on_components(shape, sign):
+        assert twist @ columns == scaled

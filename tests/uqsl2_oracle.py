@@ -12,6 +12,10 @@ is diagonal with one monomial scalar per block, and divides by the
 positive square root of their product.  For composite factors it splits
 each factor into its irreducible components and assembles the braiding
 from the irreducible blocks through the component embeddings.
+
+``twist_on_components`` states the ribbon twist T^(+-) by what it does:
+it scales each irreducible component of highest weight lam by
+Q^(+-floor(lam(lam+2)/2)).
 """
 
 from dataclasses import dataclass
@@ -138,3 +142,16 @@ def unitarized_matrix(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
 def rop_r_inverse_sqrt(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
     res = _unitarize_irreducible(m, n)
     return res.inv_sqrt_s1 if frame == "s1" else res.inv_sqrt_s2
+
+
+def twist_on_components(shape, sign: int):
+    """(columns, Q^(sign floor(lam(lam+2)/2)) times columns) for each component of a shape.
+
+    The columns of all components form a basis of the module, so a matrix
+    that sends every first entry to its second is the twist T^(sign).
+    """
+    out = []
+    for comp in module_components(module_for_shape(shape)):
+        lam = comp.highest_weight
+        out.append((comp.columns, comp.columns.scale(Qpow(sign * (lam * (lam + 2) // 2)))))
+    return out
