@@ -118,7 +118,7 @@ def _map_lines(m):
     from . import crystals
 
     dom, cod = crystals._names(m.domain), crystals._names(m.codomain)
-    return [f"{dom[i]} -> {cod[m._index[i]]}" for i in sorted(range(len(dom)), key=dom.__getitem__)]
+    return [f"{dom[i]} -> {cod[m.index[i]]}" for i in sorted(range(len(dom)), key=dom.__getitem__)]
 
 
 def _cmd_commutor(args) -> int:

@@ -24,10 +24,11 @@ On top of that combinatorics this module builds:
   * the mechanical reconstruction of the braiding obstruction.
 
 Annihilation by e or f is the value None, never an error; a crystal map
-stores the word_index of the image of each domain word.  Output is
-printed from _names, the strings of a shape's words by word_index, so
-printing builds no word; words are built for the public word API and for
-the witnesses of failures.  Everything is immutable after construction.
+is the word_index of the image of each domain word, checked by its one
+constructor.  Output is printed, and JSON read back, through _names, the
+strings of a shape's words by word_index, so neither builds a word;
+words are built for the public word API and for the witnesses of
+failures.  Everything is immutable after construction.
 """
 
 from collections import Counter
@@ -35,7 +36,6 @@ from functools import lru_cache, total_ordering
 from itertools import islice, permutations, product
 import json
 from math import prod
-import re
 
 from . import Record, VerificationError
 
@@ -169,19 +169,6 @@ class TensorWord(Record):
     def from_weights(cls, shape, js) -> "TensorWord":
         return cls(tuple(ChainElement(n, j) for n, j in zip(shape, js, strict=True)))
 
-    @classmethod
-    def parse(cls, text: str, shape) -> "TensorWord":
-        parts = text.split("⊗")
-        if len(parts) != len(shape):
-            raise ValueError(f"word {text!r} does not match shape {shape}")
-        js = []
-        for part in parts:
-            m = re.fullmatch(r"b(-?\d+)", part.strip())
-            if not m:
-                raise ValueError(f"bad word component {part!r}")
-            js.append(int(m.group(1)))
-        return cls.from_weights(shape, js)
-
 
 def words(shape):
     """All tensor words of a shape, in the canonical frame order.
@@ -197,11 +184,22 @@ def words(shape):
 
 @lru_cache(maxsize=None)
 def _words(shape):
+    _check_shape(shape)
     chains = [chain_crystal(n) for n in shape]
     return tuple(
         TensorWord(tuple(chains[t][d] for t, d in enumerate(reversed(rev))))
         for rev in product(*[range(n + 1) for n in reversed(shape)])
     )
+
+
+def _check_shape(shape):
+    """Refuse a shape with no factor, a factor that is not an int, or a negative weight."""
+    if not shape:
+        raise ValueError("tensor words must have at least one factor")
+    if {*map(type, shape)} != {int}:
+        raise TypeError(f"shape entries must be ints: {shape!r}")
+    if min(shape) < 0:
+        raise ValueError("highest weight must be nonnegative")
 
 
 def _names(shape):
@@ -210,6 +208,7 @@ def _names(shape):
     The names of the first factors are extended one factor at a time, the
     new factor slowest, so the list follows _words without building a word.
     """
+    _check_shape(shape)
     first, *rest = shape
     names = [str(b) for b in chain_crystal(first)]
     for n in rest:
@@ -248,10 +247,7 @@ def _table(shape):
     that stride, and e is f's partial inverse.  Every shape query passes
     through here, so a shape that words() refuses is refused here too.
     """
-    if not shape:
-        raise ValueError("tensor words must have at least one factor")
-    if min(shape) < 0:
-        raise ValueError("highest weight must be nonnegative")
+    _check_shape(shape)
     states, stride = [(0, 0, 1)], 1
     for n in shape:
         states = [(e_tot + d - p_tot, n - d, stride) if d >= p_tot  # every plus cancelled
@@ -348,77 +344,62 @@ def component_of(w: TensorWord) -> Component:
     return next(_component(shape, hw, chain) for hw, chain in _chains(shape) if i in chain)
 
 
-def _crystal_map(domain, codomain, index) -> "CrystalMap":
-    """The CrystalMap sending word i of the domain to word index[i] of the codomain."""
-    m = object.__new__(CrystalMap)
-    m._store(domain, codomain, index)
-    return m
-
-
 class CrystalMap(Record):
-    """A bijective word -> word table between two shapes.
+    """A bijective word -> word table between two shapes, checked when built.
 
-    Stored as the word_index of the image of each domain word, in the
-    order of words(domain); words are named only when the map is read.
+    Stored as index, the word_index of the image of each domain word, in
+    the order of words(domain); words are named only when the map is read.
     Composition, inverses and pointwise equality are available, plus a
     checker for the crystal morphism conditions (commuting with e and f,
     preserving wt, eps and phi).
     """
 
-    __slots__ = ("domain", "codomain", "_index")
+    __slots__ = ("domain", "codomain", "index")
 
-    def __init__(self, domain, codomain, table: dict):
-        domain, codomain = tuple(domain), tuple(codomain)
-        dom = _words(domain)
-        if table.keys() != set(dom):
+    def __init__(self, domain, codomain, index):
+        domain, codomain, index = tuple(domain), tuple(codomain), tuple(index)
+        _check_shape(domain)
+        _check_shape(codomain)
+        if len(index) != _size(domain) or -1 in index:
             raise ValueError("table is not total on the domain shape")
-        spot = {v: j for j, v in enumerate(_words(codomain))}
-        # a value outside the codomain gets an index past its end
-        self._store(domain, codomain, [spot.get(table[w], len(spot)) for w in dom])
-
-    def _store(self, domain, codomain, index):
-        """Keep index as the map, after checking on ints that it is total and bijective."""
-        if -1 in index:
-            raise ValueError("table is not total on the domain shape")
+        if {*map(type, index)} != {int}:
+            raise TypeError(f"a crystal map's index holds ints: {index!r}")
         if sorted(index) != list(range(_size(codomain))):
             raise ValueError("table is not a bijection onto the codomain shape")
-        for name, value in zip(self.__slots__, (domain, codomain, tuple(index))):
+        for name, value in zip(self.__slots__, (domain, codomain, index)):
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        return _crystal_map, (self.domain, self.codomain, self._index)
 
     def __call__(self, w: TensorWord) -> TensorWord:
         if not isinstance(w, TensorWord):
             raise TypeError(f"a crystal map acts on tensor words, not on {type(w).__name__}")
         i = word_index(w)
-        if i >= len(self._index) or _words(self.domain)[i] != w:
+        if i >= len(self.index) or _words(self.domain)[i] != w:
             raise KeyError(w)
-        return _words(self.codomain)[self._index[i]]
+        return _words(self.codomain)[self.index[i]]
 
     def items(self):
         cod = _words(self.codomain)
-        return [(w, cod[j]) for w, j in zip(_words(self.domain), self._index)]
+        return [(w, cod[j]) for w, j in zip(_words(self.domain), self.index)]
 
     @classmethod
     def identity(cls, shape) -> "CrystalMap":
         shape = tuple(shape)
-        return _crystal_map(shape, shape, range(_size(shape)))
+        return cls(shape, shape, range(_size(shape)))
 
     def compose(self, other: "CrystalMap") -> "CrystalMap":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("shapes do not compose")
-        return _crystal_map(other.domain, self.codomain, [self._index[j] for j in other._index])
+        return CrystalMap(other.domain, self.codomain, [self.index[j] for j in other.index])
 
     def inverse(self) -> "CrystalMap":
-        index = [0] * len(self._index)
-        for i, j in enumerate(self._index):
+        index = [0] * len(self.index)
+        for i, j in enumerate(self.index):
             index[j] = i
-        return _crystal_map(self.codomain, self.domain, index)
+        return CrystalMap(self.codomain, self.domain, index)
 
     def is_identity(self) -> bool:
-        return self.domain == self.codomain and self._index == tuple(range(len(self._index)))
+        return self.domain == self.codomain and self.index == tuple(range(len(self.index)))
 
     def morphism_failures(self):
         """(w, reason) for each word w, in word order, violating the crystal
@@ -426,9 +407,9 @@ class CrystalMap(Record):
         "f", else "e"; compared by index, and only the failures are named."""
         f, e, eps_, phi_ = _table(self.domain)
         f_cod, e_cod, eps_cod, phi_cod = _table(self.codomain)
-        image = self._index + (-1,)  # annihilated goes to annihilated
+        image = self.index + (-1,)  # annihilated goes to annihilated
         bad = []
-        for i, j in enumerate(self._index):
+        for i, j in enumerate(self.index):
             if eps_[i] != eps_cod[j] or phi_[i] != phi_cod[j]:
                 bad.append((i, "statistics"))
             elif image[f[i]] != f_cod[j]:
@@ -446,7 +427,7 @@ class CrystalMap(Record):
             {
                 "domain_shape": list(self.domain),
                 "codomain_shape": list(self.codomain),
-                "map": {name: cod[j] for name, j in zip(dom, self._index)},
+                "map": {name: cod[j] for name, j in zip(dom, self.index)},
             },
             indent=2,
         )
@@ -454,24 +435,24 @@ class CrystalMap(Record):
     @classmethod
     def from_json(cls, text: str) -> "CrystalMap":
         data = json.loads(text)
-        dom = tuple(data["domain_shape"])
-        cod = tuple(data["codomain_shape"])
-        table = {
-            TensorWord.parse(k, dom): TensorWord.parse(v, cod)
-            for k, v in data["map"].items()
-        }
-        return cls(dom, cod, table)
+        dom, cod, table = tuple(data["domain_shape"]), tuple(data["codomain_shape"]), data["map"]
+        names = _names(dom)
+        if table.keys() != set(names):
+            raise ValueError(f"the map's keys are not the words of shape {dom}")
+        spot = {name: j for j, name in enumerate(_names(cod))}
+        # a value outside the codomain gets an index past its end
+        return cls(dom, cod, [spot.get(table[name], len(spot)) for name in names])
 
     def __repr__(self):
-        return f"CrystalMap({self.domain} -> {self.codomain}, {len(self._index)} words)"
+        return f"CrystalMap({self.domain} -> {self.codomain}, {len(self.index)} words)"
 
 
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
     """id (x) m (x) id on the shape left + m.domain + right, carried by word index."""
     left, right = tuple(left), tuple(right)
     dom = left + m.domain + right
-    return _crystal_map(dom, left + m.codomain + right,
-                        _on_slice(range(_size(dom)), dom, len(left), m))
+    return CrystalMap(dom, left + m.codomain + right,
+                      _on_slice(range(_size(dom)), dom, len(left), m))
 
 
 def schutzenberger(shape) -> CrystalMap:
@@ -486,20 +467,20 @@ def schutzenberger(shape) -> CrystalMap:
     for _, chain in _chains(shape):
         for i, j in zip(chain, reversed(chain)):
             index[i] = j
-    return _crystal_map(shape, shape, index)
+    return CrystalMap(shape, shape, index)
 
 
 def commutor_S(shape_a, shape_b) -> CrystalMap:
     """The commutor built from the involution xi:
     a (x) b  |->  xi(xi(b) (x) xi(a))."""
     shape_a, shape_b = tuple(shape_a), tuple(shape_b)
-    xi_a = schutzenberger(shape_a)._index
-    xi_b = schutzenberger(shape_b)._index
-    xi_ba = schutzenberger(shape_b + shape_a)._index
+    xi_a = schutzenberger(shape_a).index
+    xi_b = schutzenberger(shape_b).index
+    xi_ba = schutzenberger(shape_b + shape_a).index
     size_a, size_b = len(xi_a), len(xi_b)
     # word i is a (x) b with a = i % size_a and b = i // size_a
     index = [xi_ba[xi_b[i // size_a] + size_b * xi_a[i % size_a]] for i in range(size_a * size_b)]
-    return _crystal_map(shape_a + shape_b, shape_b + shape_a, index)
+    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
 
 
 def commutor_c(shape_a, shape_b) -> CrystalMap:
@@ -539,7 +520,7 @@ def _commutor_c(shape_a, shape_b) -> CrystalMap:
                     raise CrystalInvariantError(
                         f"the image chain of {_words(shape_a + shape_b)[src]} is "
                         f"{'longer' if d >= 0 else 'shorter'} than its source chain")
-    return _crystal_map(shape_a + shape_b, shape_b + shape_a, index)
+    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
 
 
 def _on_slice(indices, shape, start, sigma):
@@ -552,7 +533,7 @@ def _on_slice(indices, shape, start, sigma):
     words themselves are never built.
     """
     lo = _size(shape[:start])
-    delta = [lo * (j - m) for m, j in enumerate(sigma._index)]
+    delta = [lo * (j - m) for m, j in enumerate(sigma.index)]
     return [i + delta[i // lo % len(delta)] for i in indices]
 
 
@@ -571,7 +552,7 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
     _, cur, indices = next(islice(_walk(shape, q), q - p, None))
-    return _crystal_map(shape, cur, indices)
+    return CrystalMap(shape, cur, indices)
 
 
 def _walk(shape, q):
@@ -637,7 +618,7 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
     for hw, chain in chains_a:
         for i, j in zip(chain, chain_b[hw]):
             index[i] = j
-    return _crystal_map(shape_a, shape_b, index)
+    return CrystalMap(shape_a, shape_b, index)
 
 
 # -- coboundary checks -------------------------------------------------------
@@ -646,9 +627,9 @@ def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
     """(w, backward(forward(w))) for each word w, in word order, that it does
     not fix; compared by index, and only the failures are named."""
     if backward.domain != forward.codomain:
-        raise KeyError(_words(forward.codomain)[forward._index[0]])  # as backward(v) would
-    back, home = backward._index, backward.codomain == forward.domain
-    bad = [(i, back[j]) for i, j in enumerate(forward._index) if back[j] != i or not home]
+        raise KeyError(_words(forward.codomain)[forward.index[0]])  # as backward(v) would
+    back, home = backward.index, backward.codomain == forward.domain
+    bad = [(i, back[j]) for i, j in enumerate(forward.index) if back[j] != i or not home]
     return [(_words(forward.domain)[i], _words(backward.codomain)[j]) for i, j in bad]
 
 

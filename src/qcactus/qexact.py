@@ -516,13 +516,17 @@ ONE = QRational(1)
 
 
 def Qpow(k: int) -> QRational:
-    """Q^k = q^(k/2) as a QRational."""
+    """Q^k = q^(k/2) as a QRational; k must be an int."""
+    if type(k) is not int:
+        raise TypeError(f"Q takes int exponents, got {k!r}")
     return _make(1, 1, k, 1, (1,), (1,))
 
 
 def qpow(n: int) -> QRational:
-    """q^n as a QRational."""
-    return Qpow(2 * n)
+    """q^n as a QRational; n must be an int."""
+    if type(n) is not int:
+        raise TypeError(f"q takes int exponents, got {n!r}")
+    return _make(1, 1, 2 * n, 1, (1,), (1,))
 
 
 def quantum_int(n: int) -> QRational:
@@ -591,9 +595,8 @@ def monomial_sqrt(a: QRational) -> QRational:
     """Square root of a monomial c * Q^(2k) with c a positive rational square.
 
     Returns the root with positive coefficient; anything that is not such
-    a monomial is rejected.  The library no longer calls it: the
-    unitarization takes Drinfeld's ribbon formula instead.  The test-only
-    oracle of block-by-block unitarization and the arithmetic demo use it.
+    a monomial is rejected.  The test-only oracle of block-by-block
+    unitarization and the arithmetic demo use it.
     """
     if a.is_zero() or len(a._n) > 1 or len(a._d) > 1:
         raise ValueError(f"{a} is not a monomial")

@@ -34,15 +34,15 @@ product-frame matrix at q = infinity yields a signed permutation of the
 crystal words, which is compared entry by entry against the crystal
 commutor.
 
-Modules, braidings and isotypic frames are cached by the shapes of the
-factors, a tuple of ints that determines the module, not by the
-module's entries; a module is built from its cached prefix and last
-factor.  The Newton coefficients of the twists are cached by the
-highest weights they interpolate at and the sign.  The unitarization,
-its product twists and the module components, which no caller asks for
-twice, are recomputed per call.  One Gauss-Jordan elimination serves
-inverses, kernels, and frame changes, which solve against the target
-frame rather than invert it.
+A module is its shape, the tuple of highest weights of its factors;
+its weights, E and F are built once per shape, from the cached prefix
+and last factor.  Braidings and isotypic frames are cached by the
+shapes of the factors too.  The Newton coefficients of the twists are
+cached by the highest weights they interpolate at and the sign.  The
+unitarization, its product twists and the module components, which no
+caller asks for twice, are recomputed per call.  One Gauss-Jordan
+elimination serves inverses, kernels, and frame changes, which solve
+against the target frame rather than invert it.
 
 Product bases are enumerated with the last tensor factor slowest, the
 same order used for crystal words, so matrix indices and words align.
@@ -315,39 +315,38 @@ def _kernel_basis(rows):
 
 
 class UqModule(Record):
-    """A weight module with exact E and F action matrices.
+    """The weight module of a shape, with exact E and F action matrices.
 
-    K is determined by the weights: it scales the weight-j basis vector
-    by q^j.  The defining relations are not assumed; they are verified by
+    The shape, the highest weights of the factors tensored left to right,
+    is the only field.  K scales the weight-j basis vector by q^j.  The
+    defining relations are not assumed; they are verified by
     ``module_relations_ok`` in the test suite for every module built here.
     """
 
-    __slots__ = ("shape", "weights", "e", "f")
+    __slots__ = ("shape",)
 
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
+    def _validate(self):
+        shape = self.shape
+        if type(shape) is not tuple or not all(type(n) is int for n in shape):
+            raise TypeError(f"a module shape is a tuple of ints, got {shape!r}")
+        if not shape:
+            raise ValueError("shape must be nonempty")
+        if min(shape) < 0:
+            raise ValueError("highest weight must be nonnegative")
+
+    # read from the operators of the shape, built once per shape
+    weights = property(lambda self: _operators(self.shape)[0])
+    e = property(lambda self: _operators(self.shape)[1])
+    f = property(lambda self: _operators(self.shape)[2])
+    dim = property(lambda self: len(_operators(self.shape)[0]))
 
     def k_matrix(self, power: int = 1) -> QMatrix:
         return QMatrix.diagonal([qpow(power * w) for w in self.weights])
 
-    def __repr__(self):
-        return f"UqModule(shape={self.shape}, dim={self.dim})"
-
 
 def irreducible(n: int) -> UqModule:
     """The irreducible module of highest weight n in the standard basis."""
-    if n < 0:
-        raise ValueError("highest weight must be nonnegative")
-    weights = tuple(n - 2 * i for i in range(n + 1))
-    e = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    f = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        if i >= 1:
-            e[i - 1][i] = quantum_int(n - i + 1)
-        if i < n:
-            f[i + 1][i] = quantum_int(i + 1)
-    return UqModule((n,), weights, QMatrix(e), QMatrix(f))
+    return UqModule((n,))
 
 
 def _tensor_operator(pairs) -> QMatrix:
@@ -374,25 +373,32 @@ def tensor_module(m: UqModule, n: UqModule) -> UqModule:
     The product basis index of (a, b) is b * dim(m) + a: the second
     factor varies slowest, matching the canonical crystal word order.
     """
-    e = _tensor_operator([(m.e, n.k_matrix()), (QMatrix.identity(m.dim), n.e)])
-    f = _tensor_operator([(m.f, QMatrix.identity(n.dim)), (m.k_matrix(-1), n.f)])
-    weights = tuple(a + b for b in n.weights for a in m.weights)
-    return UqModule(m.shape + n.shape, weights, e, f)
+    return UqModule(m.shape + n.shape)
 
 
 def module_for_shape(shape) -> UqModule:
     """The tensor product of irreducibles along a shape, left to right."""
-    return _module_for_shape(tuple(shape))
+    return UqModule(tuple(shape))
 
 
 @lru_cache(maxsize=None)
-def _module_for_shape(shape) -> UqModule:
-    # the left fold, through the cache: each prefix and each factor is built once
-    if not shape:
-        raise ValueError("shape must be nonempty")
+def _operators(shape):
+    """(weights, E, F) of the module of a valid shape, in the standard basis.
+
+    A longer shape tensors its prefix with its last factor through the
+    coproduct, a left fold through this cache: each prefix and each
+    factor is built once.
+    """
     if len(shape) == 1:
-        return irreducible(shape[0])
-    return tensor_module(_module_for_shape(shape[:-1]), _module_for_shape(shape[-1:]))
+        (n,) = shape
+        basis = range(n + 1)  # row r holds v_(n-2r)
+        e = [[quantum_int(n - r) if c == r + 1 else ZERO for c in basis] for r in basis]
+        f = [[quantum_int(r) if c == r - 1 else ZERO for c in basis] for r in basis]
+        return tuple(range(n, -n - 1, -2)), QMatrix._of(e), QMatrix._of(f)
+    m, n = UqModule(shape[:-1]), UqModule(shape[-1:])
+    e = _tensor_operator([(m.e, n.k_matrix()), (QMatrix.identity(m.dim), n.e)])
+    f = _tensor_operator([(m.f, QMatrix.identity(n.dim)), (m.k_matrix(-1), n.f)])
+    return tuple(a + b for b in n.weights for a in m.weights), e, f
 
 
 def module_relations_ok(m: UqModule) -> bool:
@@ -402,14 +408,15 @@ def module_relations_ok(m: UqModule) -> bool:
     lowering weights by exactly 2; the commutator [E, F] must equal the
     diagonal of balanced q-integers of the weights.
     """
+    weights, e, f = m.weights, m.e, m.f
     for r in range(m.dim):
         for c in range(m.dim):
-            if m.e[r, c] and m.weights[r] != m.weights[c] + 2:
+            if e[r, c] and weights[r] != weights[c] + 2:
                 return False
-            if m.f[r, c] and m.weights[r] != m.weights[c] - 2:
+            if f[r, c] and weights[r] != weights[c] - 2:
                 return False
-    commutator = m.e @ m.f - m.f @ m.e
-    expected = QMatrix.diagonal([quantum_int(w) for w in m.weights])
+    commutator = e @ f - f @ e
+    expected = QMatrix.diagonal([quantum_int(w) for w in weights])
     return commutator == expected
 
 
@@ -420,14 +427,14 @@ def highest_weight_vectors(m: UqModule):
     first nonzero product-frame coordinate is 1, and the list is ordered
     by descending weight, then by that coordinate's position.
     """
-    out = []
-    for w in sorted(set(m.weights), reverse=True):
-        cols = [i for i in range(m.dim) if m.weights[i] == w]
-        upper = [i for i in range(m.dim) if m.weights[i] == w + 2]
+    weights, e, out = m.weights, m.e, []
+    for w in sorted(set(weights), reverse=True):
+        cols = [i for i, x in enumerate(weights) if x == w]
+        upper = [i for i, x in enumerate(weights) if x == w + 2]
         # with no weight above, a zero row leaves every coordinate free
-        rows = [[m.e[r, c] for c in cols] for r in upper] or [[ZERO] * len(cols)]
+        rows = [[e[r, c] for c in cols] for r in upper] or [[ZERO] * len(cols)]
         for vec in _kernel_basis(rows):
-            full = [ZERO] * m.dim
+            full = [ZERO] * len(weights)
             for ci, c in enumerate(cols):
                 full[c] = vec[ci]
             out.append((w, full))
@@ -498,7 +505,8 @@ def _assemble_flip_r(m: UqModule, n: UqModule) -> QMatrix:
     # theta = sum_k c_k E^k (x) F^k, with c_0 = 1 and E^0 (x) F^0 = I (x) I
     terms = []
     coeff = ONE
-    e_pow = QMatrix.identity(m.dim)
+    dm = m.dim
+    e_pow = QMatrix.identity(dm)
     f_pow = QMatrix.identity(n.dim)
     k = 0
     qdiff = qpow(1) - qpow(-1)
@@ -510,7 +518,7 @@ def _assemble_flip_r(m: UqModule, n: UqModule) -> QMatrix:
         f_pow = n.f @ f_pow
     theta = _tensor_operator(terms).entries
     # row a dim N + b of flip . R is row b dim M + a of theta, times P on v_a (x) v_b
-    return QMatrix._of([[Qpow(wa * wb) * x if x else x for x in theta[b * m.dim + a]]
+    return QMatrix._of([[Qpow(wa * wb) * x if x else x for x in theta[b * dm + a]]
                         for a, wa in enumerate(m.weights) for b, wb in enumerate(n.weights)])
 
 
@@ -598,12 +606,12 @@ def _casimir_blocks(shape):
     FE is formed only once some block meets two components.
     """
     m = module_for_shape(shape)
-    fe = None
-    count = Counter(m.weights)
+    weights, fe = m.weights, None
+    count = Counter(weights)
     present = tuple(lam for lam in sorted(count, reverse=True)
                     if lam >= 0 and count[lam] > count[lam + 2])
     for w in sorted(count, reverse=True):
-        idx = [i for i, x in enumerate(m.weights) if x == w]
+        idx = [i for i, x in enumerate(weights) if x == w]
         lams = tuple(lam for lam in present if lam >= abs(w))
         basis = [QMatrix.identity(len(idx))]
         if len(lams) > 1 and fe is None:
@@ -778,7 +786,7 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     for nu, chain in crystals._chains((m, n)):
         for i in chain:
             sign[i] = -1 if ((m + n - nu) // 2) % 2 else 1
-    image = crystals.commutor_c((m,), (n,))._index
+    image = crystals.commutor_c((m,), (n,)).index
     mismatches = []
     for col, got in enumerate(zip(*reduced)):
         want = [0] * len(reduced)

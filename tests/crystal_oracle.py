@@ -16,7 +16,9 @@ which the library's word-by-word check is compared.  Involutivity here
 names every word and its image, against which the library's comparison
 of word indices is compared.  The words of a shape here are decoded one
 index at a time from its mixed-radix digits, against which the
-library's enumeration and its names of the words are compared.
+library's enumeration and its names of the words are compared.  The
+maps built here are indexed through those decoded words, not through
+the library's word_index.
 """
 
 from collections import Counter
@@ -45,6 +47,12 @@ def words(shape):
             factors.append(ChainElement(n, n - 2 * d))
         out.append(TensorWord(tuple(factors)))
     return out
+
+
+def _from_table(domain, codomain, table) -> CrystalMap:
+    """The CrystalMap of a word -> word table, indexed through this module's words."""
+    spot = {v: j for j, v in enumerate(words(codomain))}
+    return CrystalMap(domain, codomain, [spot[table[w]] for w in words(domain)])
 
 
 def _fold_stats(w: TensorWord):
@@ -141,7 +149,7 @@ def commutor_c_words(shape_a, shape_b) -> CrystalMap:
                 if cur_d is not None:
                     raise CrystalInvariantError(
                         f"the image chain of {src} is longer than its source chain")
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, table)
+    return _from_table(shape_a + shape_b, shape_b + shape_a, table)
 
 
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
@@ -152,7 +160,7 @@ def extend_map(m: CrystalMap, left, right) -> CrystalMap:
     for w in words(left + m.domain + right):
         mid = m(w.slice(k, k + l))
         table[w] = TensorWord(w.factors[:k] + mid.factors + w.factors[k + l:])
-    return CrystalMap(left + m.domain + right, left + m.codomain + right, table)
+    return _from_table(left + m.domain + right, left + m.codomain + right, table)
 
 
 def morphism_failures(m: CrystalMap):

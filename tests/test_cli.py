@@ -126,10 +126,11 @@ def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypat
     # b-1⊗b0⊗b0 is a word of both (1,0,2) and (1,2,0), in the orbit of
     # (0,2,1); this fault breaks one relation at both, so the report must
     # take the first in orbit order and name its shape, as the oracle does
-    table = dict(crystals.commutor_c((1,), (2,)).items())
-    w1, w2 = (crystals.TensorWord.parse(t, (1, 2)) for t in ("b-1⊗b0", "b1⊗b-2"))
-    table[w1], table[w2] = table[w2], table[w1]
-    faulty = crystals.CrystalMap((1, 2), (2, 1), table)
+    index = list(crystals.commutor_c((1,), (2,)).index)
+    i1, i2 = (crystals.word_index(crystals.TensorWord.from_weights((1, 2), js))
+              for js in ((-1, 0), (1, -2)))
+    index[i1], index[i2] = index[i2], index[i1]
+    faulty = crystals.CrystalMap((1, 2), (2, 1), index)
     commutor_c = crystals.commutor_c
 
     def commutor(a, b):

@@ -14,6 +14,7 @@ from qcactus.crystals import (
     cactus_action,
     cactus_generator_images,
     cactus_square_failures,
+    commutor_S,
     commutor_c,
     component_of,
     decompose,
@@ -129,23 +130,22 @@ def test_cactus_generator_images_satisfy_the_cactus_relations(shape):
 def _swap_two_images(m: CrystalMap, pick: int) -> CrystalMap:
     """m with the images of two words of one weight swapped: still a bijection."""
     by_weight = {}
-    for w in words(m.domain):
-        by_weight.setdefault(wt(w), []).append(w)
-    classes = [ws for ws in by_weight.values() if len(ws) > 1]
+    for i, w in enumerate(words(m.domain)):
+        by_weight.setdefault(wt(w), []).append(i)
+    classes = [ids for ids in by_weight.values() if len(ids) > 1]
     if not classes:
         return m
-    ws = classes[pick % len(classes)]
-    w1, w2 = ws[pick % len(ws)], ws[(pick + 1) % len(ws)]
-    table = dict(m.items())
-    table[w1], table[w2] = table[w2], table[w1]
-    return CrystalMap(m.domain, m.codomain, table)
+    ids = classes[pick % len(classes)]
+    i1, i2 = ids[pick % len(ids)], ids[(pick + 1) % len(ids)]
+    index = list(m.index)
+    index[i1], index[i2] = index[i2], index[i1]
+    return CrystalMap(m.domain, m.codomain, index)
 
 
 def _rotated(m: CrystalMap, pick: int) -> CrystalMap:
     """m after a cyclic shift of the domain words: it moves weights too."""
-    ws = words(m.domain)
-    return CrystalMap(m.domain, m.codomain,
-                      {w: m(ws[(k + pick + 1) % len(ws)]) for k, w in enumerate(ws)})
+    shift = (pick + 1) % len(m.index)
+    return CrystalMap(m.domain, m.codomain, m.index[shift:] + m.index[:shift])
 
 
 shapes_1_2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
@@ -195,6 +195,18 @@ def test_cactus_square_matches_composed_maps_under_a_fault(a, b, c, role, pick):
 
 
 pads = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=4).map(tuple), st.integers(0, 9))
+def test_json_round_trips_commutors_and_cactus_maps(shape, interval):
+    k = len(shape)
+    intervals = [(p, q) for p in range(1, k + 1) for q in range(p, k + 1)]
+    p, q = intervals[interval % len(intervals)]
+    for m in (commutor_c(shape[:1], shape[1:]), commutor_S(shape[:-1], shape[-1:]),
+              cactus_action(shape, p, q)):
+        again = CrystalMap.from_json(m.to_json())
+        assert again == m and hash(again) == hash(m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import pytest
@@ -27,6 +28,7 @@ from qcactus.crystals import (
     tensor_f,
     unique_component_isomorphism,
     weight_bounded_triples,
+    word_index,
     words,
     wt,
 )
@@ -35,6 +37,14 @@ from qcactus.groups import cactus_relation_instances, verify_action
 
 def W(shape, *js):
     return TensorWord.from_weights(shape, js)
+
+
+def _swap(m, w1, w2):
+    """m with the images of the words w1 and w2 swapped in its index."""
+    index = list(m.index)
+    i1, i2 = word_index(w1), word_index(w2)
+    index[i1], index[i2] = index[i2], index[i1]
+    return CrystalMap(m.domain, m.codomain, index)
 
 
 def test_chain_crystal_structure():
@@ -250,10 +260,8 @@ def test_check_coboundary_composite_triples():
 
 def test_corrupted_commutor_is_caught():
     good = commutor_c((1,), (1,))
-    table = {w: v for w, v in good.items()}
     w1, w2 = W((1, 1), -1, 1), W((1, 1), 1, -1)
-    table[w1], table[w2] = table[w2], table[w1]
-    bad = CrystalMap((1, 1), (1, 1), table)
+    bad = _swap(good, w1, w2)
     failures = involutivity_failures(bad, good)
     assert failures
     assert failures[0][0] in (w1, w2)
@@ -271,10 +279,7 @@ def test_cactus_square_failure_reporting(monkeypatch):
         m = commutor_c(a, b)
         if (tuple(a), tuple(b)) != ((1,), (1,)):
             return m
-        table = {w: v for w, v in m.items()}
-        w1, w2 = W((1, 1), 1, -1), W((1, 1), -1, 1)
-        table[w1], table[w2] = table[w2], table[w1]
-        return CrystalMap((1, 1), (1, 1), table)
+        return _swap(m, W((1, 1), 1, -1), W((1, 1), -1, 1))
 
     monkeypatch.setattr(crystals, "commutor_c", corrupted)
     bad = cactus_square_failures((1,), (1,), (1,))
@@ -310,6 +315,27 @@ def test_word_json_round_trip():
     m = commutor_c((1,), (2,))
     again = CrystalMap.from_json(m.to_json())
     assert again == m
+
+
+def test_from_json_refuses_what_to_json_cannot_write():
+    data = json.loads(commutor_c((1,), (2,)).to_json())
+    table = data["map"]
+    unknown = {("b1⊗b4" if k == "b1⊗b2" else k): v for k, v in table.items()}
+    missing = {k: v for k, v in table.items() if k != "b1⊗b2"}
+    extra = dict(table, **{"b1⊗b1": table["b1⊗b2"]})
+    outside = dict(table, **{"b1⊗b2": "b2⊗b3"})
+    repeated = dict(table, **{"b1⊗b2": table["b-1⊗b2"]})
+    for change, message in [({"map": unknown}, "not the words of shape"),
+                            ({"map": missing}, "not the words of shape"),
+                            ({"map": extra}, "not the words of shape"),
+                            ({"map": outside}, "not a bijection"),
+                            ({"map": repeated}, "not a bijection"),
+                            ({"domain_shape": []}, "at least one factor"),
+                            ({"domain_shape": [1, -2]}, "nonnegative"),
+                            ({"codomain_shape": [-1]}, "nonnegative"),
+                            ({"codomain_shape": [1, 1]}, "not a bijection")]:
+        with pytest.raises(ValueError, match=message):
+            CrystalMap.from_json(json.dumps({**data, **change}))
 
 
 def test_crystal_dot_output():
@@ -390,14 +416,42 @@ def test_tensor_words_refuse_malformed_factors():
         chain_crystal(-1)
 
 
-@pytest.mark.parametrize("shape, message", [((-1,), "nonnegative"), ((2, -1), "nonnegative"),
-                                            ((), "at least one factor")])
+BAD_SHAPES = [((-1,), "nonnegative"), ((2, -1), "nonnegative"), ((), "at least one factor")]
+
+
+@pytest.mark.parametrize("shape, message", BAD_SHAPES)
 def test_shape_functions_refuse_what_words_refuses(shape, message):
     with pytest.raises(ValueError, match=message):
         words(shape)
     for query in (decompose, schutzenberger, crystal_dot):
         with pytest.raises(ValueError, match=message):
             query(shape)
+
+
+@pytest.mark.parametrize("shape, message", BAD_SHAPES)
+def test_crystal_maps_refuse_what_words_refuses(shape, message):
+    with pytest.raises(ValueError, match=message):
+        CrystalMap.identity(shape)
+    with pytest.raises(ValueError, match=message):
+        CrystalMap(shape, (1,), [0, 1])
+    with pytest.raises(ValueError, match=message):
+        CrystalMap((1,), shape, [0, 1])
+    if shape:  # an empty pad is no fault
+        sigma = commutor_c((1,), (1,))
+        for left, right in ((shape, ()), ((), shape), (shape, shape)):
+            with pytest.raises(ValueError, match=message):
+                extend_map(sigma, left, right)
+
+
+def test_crystal_maps_refuse_shapes_and_indices_of_non_ints():
+    for shape in ((1.0,), (True,), (1, "2")):
+        with pytest.raises(TypeError, match="ints"):
+            CrystalMap(shape, (1,), [0, 1])
+        with pytest.raises(TypeError, match="ints"):
+            CrystalMap((1,), shape, [0, 1])
+    for index in ([0.0, 1.0], [False, True], [0, "1"]):
+        with pytest.raises(TypeError, match="index holds ints"):
+            CrystalMap((1,), (1,), index)
 
 
 def test_crystal_maps_refuse_what_is_not_a_tensor_word():
@@ -408,14 +462,16 @@ def test_crystal_maps_refuse_what_is_not_a_tensor_word():
 
 
 def test_crystal_map_validates_totality_and_bijectivity():
-    table = dict(commutor_c((1,), (1,)).items())
-    partial = dict(table)
-    partial.pop(W((1, 1), 1, 1))
+    index = commutor_c((1,), (1,)).index
     with pytest.raises(ValueError, match="not total"):
-        CrystalMap((1, 1), (1, 1), partial)
-    collapsed = dict(table)
-    collapsed[W((1, 1), 1, 1)] = collapsed[W((1, 1), -1, -1)]
+        CrystalMap((1, 1), (1, 1), index[:-1])
+    with pytest.raises(ValueError, match="not total"):
+        CrystalMap((1, 1), (1, 1), index[:-1] + (-1,))
+    with pytest.raises(ValueError, match="not total"):
+        CrystalMap((1,), (2,), [0, 1, 2])
+    collapsed = list(index)
+    collapsed[word_index(W((1, 1), 1, 1))] = collapsed[word_index(W((1, 1), -1, -1))]
     with pytest.raises(ValueError, match="not a bijection"):
         CrystalMap((1, 1), (1, 1), collapsed)
     with pytest.raises(ValueError, match="not a bijection"):
-        CrystalMap((1, 1), (2,), table)
+        CrystalMap((1, 1), (2,), index)

@@ -5,9 +5,11 @@ re-exports from the layers, loading each on first use) break on a stale
 name left behind when a definition is deleted, so every listed name must
 exist.  The benchmark's tracer (``perfbench/tracer.py``, loaded here
 read-only) names the functions and methods it times, and each of those
-must resolve too.
+must resolve too.  The value types that validate on construction
+(``CrystalMap``, ``UqModule``) have no second, unchecked way to be built.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -81,6 +83,36 @@ def test_readme_lists_every_cache():
               for name, value in vars(importlib.import_module(f"qcactus.{layer}")).items()
               if hasattr(value, "cache_info")}
     assert listed == cached
+
+
+VALUE_TYPES = {"CrystalMap", "UqModule"}
+
+
+def test_value_types_are_built_only_through_their_constructors():
+    # an unchecked factory must not come back: no object.__new__ of a value
+    # type (or of cls inside one), no slot-filling helper, and no __reduce__
+    # of its own, so that unpickling goes through the constructor too;
+    # qexact._store fills the slots of QRational, which is not such a type
+    package = Path(qcactus.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the innermost class around each node: ast.walk meets outer classes first
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "_crystal_map"
+                    or (node.name == "_store" and path.name != "qexact.py")
+                    or (owner.get(id(node)) in VALUE_TYPES
+                        and node.name in ("__new__", "__reduce__"))):
+                found.append(f"{where} def {node.name}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
+                target = ast.unparse(node.args[0]) if node.args else ""
+                if target in VALUE_TYPES or owner.get(id(node)) in VALUE_TYPES:
+                    found.append(f"{where} object.__new__({target})")
+    assert found == []
 
 
 def test_verification_errors_share_one_base():

@@ -23,6 +23,14 @@ qi = qpow(-1)
 Q = Qpow(1)
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0, Fraction(1, 2), Fraction(2), True, "1", None])
+def test_q_powers_take_int_exponents_only(k):
+    with pytest.raises(TypeError, match="int exponents"):
+        Qpow(k)
+    with pytest.raises(TypeError, match="int exponents"):
+        qpow(k)
+
+
 def test_inverse_of_q_minus_qinv():
     x = q - qi
     assert x * (ONE / x) == ONE

@@ -10,6 +10,7 @@ from qcactus.uqsl2 import (
     QMatrix,
     SingularMatrixError,
     UnitarizationError,
+    UqModule,
     apply_on_slots,
     block_scalars,
     braiding_matrix,
@@ -253,8 +254,36 @@ def test_braiding_matches_flip_after_prefactor_after_theta():
             assert braiding_matrix(m, n) == oracle.flip_r(m, n), (sm, sn)
 
 
+def test_a_module_is_built_from_its_shape_only():
+    v1 = irreducible(1)
+    assert UqModule.__slots__ == ("shape",)
+    for fields in [((1,), (1, -1), v1.e, v1.f), ((3,), v1.weights, v1.e, v1.f)]:
+        with pytest.raises(TypeError):
+            UqModule(*fields)
+    assert irreducible(3) == UqModule((3,)) and irreducible(3).dim == 4
+    assert irreducible(3).e is irreducible(3).e  # built once, however often it is named
+
+
+@pytest.mark.parametrize("shape, error, message", [
+    ((), ValueError, "shape must be nonempty"),
+    ((-1,), ValueError, "highest weight must be nonnegative"),
+    ((2, -1), ValueError, "highest weight must be nonnegative"),
+    ((1.5,), TypeError, "tuple of ints"),
+    ((True,), TypeError, "tuple of ints"),
+    ([1], TypeError, "tuple of ints"),
+])
+def test_module_shapes_are_checked(shape, error, message):
+    with pytest.raises(error, match=message):
+        UqModule(shape)
+    if type(shape) is tuple and error is ValueError:
+        with pytest.raises(error, match=message):
+            module_for_shape(shape)
+
+
 def test_module_for_shape_accepts_any_sequence():
-    assert module_for_shape([1, 2]) is module_for_shape((1, 2))
+    a, b = module_for_shape([1, 2]), module_for_shape((1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.e is b.e  # the operators of a shape are built once
 
 
 def test_yang_baxter_exactly():
@@ -419,11 +448,11 @@ def test_newton_coefficients_are_computed_once_per_key(capsys, monkeypatch):
 
 def test_module_for_shape_builds_each_prefix_and_factor_once():
     _clear_uqsl2_caches()
-    module_for_shape((1, 2, 1))
-    # (1,), (2,), (1, 2) and (1, 2, 1) are built; the second (1,) is a hit
-    assert uqsl2._module_for_shape.cache_info()[:2] == (1, 4)
-    module_for_shape((1, 2))
-    assert uqsl2._module_for_shape.cache_info()[:2] == (2, 4)
+    module_for_shape((1, 2, 1)).e
+    # (1,), (2,), (1, 2) and (1, 2, 1) are built, the second (1,) is read
+    assert uqsl2._operators.cache_info().misses == 4
+    module_for_shape((1, 2)).f
+    assert uqsl2._operators.cache_info().misses == 4
 
 
 def test_public_constructor_coerces_and_checks_rows():

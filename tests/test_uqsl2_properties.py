@@ -23,6 +23,10 @@ from qcactus.uqsl2 import (
     _solve,
     _tensor_operator,
     _twist,
+    braiding_matrix,
+    irreducible,
+    module_for_shape,
+    tensor_module,
 )
 
 import uqsl2_oracle as oracle
@@ -167,3 +171,17 @@ def test_twist_scales_each_component_by_its_monomial(shape, sign):
     twist = _twist(shape, sign)
     for columns, scaled in oracle.twist_on_components(shape, sign):
         assert twist @ columns == scaled
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+def test_a_module_is_its_shape(a, b, c):
+    m, n = irreducible(a), module_for_shape((b, c))
+    t = tensor_module(m, n)
+    assert t == module_for_shape((a, b, c)) and hash(t) == hash(module_for_shape([a, b, c]))
+    assert braiding_matrix(m, n).rows == m.dim * n.dim == t.dim
+    # the shape's operators fold from the left, ((a)(b))(c); tensoring a with (b)(c)
+    # through the coproduct must give the same matrices
+    assert t.e == _tensor_operator([(m.e, n.k_matrix()), (QMatrix.identity(m.dim), n.e)])
+    assert t.f == _tensor_operator([(m.f, QMatrix.identity(n.dim)), (m.k_matrix(-1), n.f)])
+    assert t.weights == tuple(x + y for y in n.weights for x in m.weights)
