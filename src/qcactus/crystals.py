@@ -11,16 +11,16 @@ elements -- no bracketing is stored, which realizes the monoidal
 structure strictly -- and the operators act through the signature
 rule: one left-to-right pass that brackets the minus and plus signs of
 the factors.  The rule runs once per shape, over all its words at once,
-into a table indexed by word_index; e, f, eps and phi on a word, the
-decomposition and the commutors all read that table.
+into a table indexed by word_index; e, f, eps and phi on a word and the
+decomposition read that table, and the commutors read the decomposition.
 
 On top of that combinatorics this module builds:
 
   * connected-component decomposition of any shape,
   * the chain-reversing involution xi and the commutor it induces,
-  * the commutor defined through highest weight elements,
+  * the commutor, unique on two chains and assembled from them by naturality,
   * the action of the cactus generators s(p,q),
-  * checkers for the coboundary axioms, and
+  * checkers for the coboundary axioms and for sigma^S = sigma^c, and
   * the mechanical reconstruction of the braiding obstruction.
 
 Annihilation by e or f is the value None, never an error; a crystal map
@@ -76,9 +76,9 @@ __all__ = [
 class CrystalInvariantError(VerificationError):
     """An internal invariant of the crystal combinatorics failed.
 
-    Raised when a decomposition is not a partition into chains or a
-    commutor chain does not match its source; the message names the
-    offending word.  It signals a failed verification, not bad input.
+    Raised when a decomposition is not a partition into chains, or not the
+    ladder of highest weights on two chains; the message names the word or
+    the shape.  It signals a failed verification, not bad input.
     """
 
 
@@ -484,43 +484,41 @@ def commutor_S(shape_a, shape_b) -> CrystalMap:
 
 
 def commutor_c(shape_a, shape_b) -> CrystalMap:
-    """The commutor defined through highest weight elements.
+    """The crystal commutor A (x) B -> B (x) A.
 
-    For chains of highest weights lam and mu, a source of the tensor
-    product has the form b_lam (x) b with b at depth k <= min(lam, mu),
-    and it is sent to b_mu (x) b*, with b* the element at depth k of the
-    lam chain; the map then extends down each component by
-    f-equivariance.
-    Composite shapes are first split into components on both sides and
-    the same rule is applied block by block.
+    B(lam) (x) B(mu) has one component of each weight lam+mu, lam+mu-2, ...,
+    |lam-mu|, and a chain has no automorphism but the identity, so on two
+    chains the commutor is the unique isomorphism, cached by (lam, mu).  It
+    is natural, so on any shapes it is assembled from the component chains
+    (lam, ca) of A and (mu, cb) of B: ca[d] (x) cb[d'] goes to cb[e] (x) ca[e']
+    for (e, e') the image of (d, d').  The definition through highest weight
+    words is the reference in the tests' crystal oracle.
     """
-    return _commutor_c(tuple(shape_a), tuple(shape_b))
+    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    if len(shape_a) == len(shape_b) == 1:
+        return _chain_commutor(*shape_a, *shape_b)
+    chains_a, chains_b = _chains(shape_a), _chains(shape_b)
+    size_a, size_b = _size(shape_a), _size(shape_b)
+    index = [-1] * (size_a * size_b)
+    for lam, ca in chains_a:
+        for mu, cb in chains_b:
+            # word i of (lam, mu) and word j of (mu, lam), first factor fastest
+            sources = [x + size_a * y for y in cb for x in ca]
+            targets = [x + size_b * y for y in ca for x in cb]
+            for i, j in zip(sources, _chain_commutor(lam, mu).index):
+                index[i] = targets[j]
+    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
 
 
 @lru_cache(maxsize=None)
-def _commutor_c(shape_a, shape_b) -> CrystalMap:
-    chains_a, chains_b = _chains(shape_a), _chains(shape_b)
-    f_ab, _, eps_ab, _ = _table(shape_a + shape_b)
-    f_ba = _table(shape_b + shape_a)[0]
-    size_a, size_b = _size(shape_a), _size(shape_b)
-    index = [-1] * len(f_ab)
-    for lam, ca in chains_a:
-        for mu, cb in chains_b:
-            for k in range(min(lam, mu) + 1):
-                # the star involution of the sl2 infinity crystal is the identity
-                src = s = ca[0] + size_a * cb[k]
-                d = cb[0] + size_b * ca[k]
-                if eps_ab[src]:
-                    raise CrystalInvariantError(
-                        f"{_words(shape_a + shape_b)[src]} is not a highest weight word")
-                while s >= 0 and d >= 0:
-                    index[s] = d
-                    s, d = f_ab[s], f_ba[d]
-                if s != d:
-                    raise CrystalInvariantError(
-                        f"the image chain of {_words(shape_a + shape_b)[src]} is "
-                        f"{'longer' if d >= 0 else 'shorter'} than its source chain")
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
+def _chain_commutor(lam, mu) -> CrystalMap:
+    """The commutor of B(lam) (x) B(mu): the unique isomorphism onto B(mu) (x) B(lam)."""
+    ladder = list(range(lam + mu, abs(lam - mu) - 1, -2))
+    for shape in ((lam, mu), (mu, lam)):
+        if (found := [hw for hw, _ in _chains(shape)]) != ladder:
+            raise CrystalInvariantError(
+                f"the components of {shape} have highest weights {found}, not {ladder}")
+    return unique_component_isomorphism((lam, mu), (mu, lam))
 
 
 def _on_slice(indices, shape, start, sigma):
@@ -680,15 +678,22 @@ def check_coboundary(triples) -> CoboundaryReport:
 
     For every triple (A, B, C) this checks that the commutor of (A, B)
     composed with its reverse is the identity, and that the square on
-    A (x) B (x) C commutes, both pointwise over all words.
+    A (x) B (x) C commutes, both pointwise over all words; and, once per
+    pair of single chains, that commutor_S equals commutor_c ("sigma-S").
     """
     failures = []
     count = 0
+    pairs = set()
     for a, b, c in triples:
         a, b, c = tuple(a), tuple(b), tuple(c)
         count += 1
         for w, v in involutivity_failures(commutor_c(a, b), commutor_c(b, a)):
             failures.append(((a, b, c), "involution", w))
+        if len(a) == len(b) == 1 and (a, b) not in pairs:  # commutor_c(a, b) is cached
+            pairs.add((a, b))
+            pair_maps = zip(commutor_S(a, b).index, commutor_c(a, b).index)
+            differ = [i for i, (via_xi, j) in enumerate(pair_maps) if via_xi != j]
+            failures += [((a, b, c), "sigma-S", _words(a + b)[i]) for i in differ[:1]]
         for w, _l, _r in cactus_square_failures(a, b, c):
             failures.append(((a, b, c), "cactus-square", w))
     return CoboundaryReport(count, tuple(failures))

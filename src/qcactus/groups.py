@@ -237,8 +237,8 @@ def verify_action(images: dict, relations, name=lambda i: i):
         raise ValueError("generator images act on an empty domain")
 
     def apply_word(word):
-        xs = identity
-        for letter in reversed(word):
+        xs = list(images[word[-1]]) if word else identity
+        for letter in reversed(word[:-1]):
             m = images[letter]
             xs = [m[i] for i in xs]
         return xs

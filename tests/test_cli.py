@@ -250,6 +250,53 @@ def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):
     assert "qcactus: verification failed: component of b1⊗b0 is not a chain" in captured.err
 
 
+def test_sigma_s_mismatch_is_a_failed_check(capsys, monkeypatch):
+    # sigma on B(1) (x) B(1) swapping b1(x)b-1 and b-1(x)b1 is involutive,
+    # so only the comparison with the commutor built from xi can catch it
+    chain_commutor = crystals._chain_commutor
+    swapped = crystals.CrystalMap((1, 1), (1, 1), (0, 2, 1, 3))
+
+    def mutant(lam, mu):
+        return swapped if (lam, mu) == (1, 1) else chain_commutor(lam, mu)
+
+    monkeypatch.setattr(crystals, "_chain_commutor", mutant)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "coboundary", "--max", "2"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    failures = json.loads(captured.out)["failures"]
+    assert not any(f["law"] == "involution" for f in failures)
+    assert [f for f in failures if f["law"] == "sigma-S"] == [
+        {"triple": [[1], [1], [0]], "law": "sigma-S", "witness": "b-1⊗b1"}]
+
+
+def test_two_chains_off_the_ladder_are_a_failed_check(capsys, monkeypatch):
+    # three components of weight 1 on B(1) (x) B(2) leave no unique
+    # isomorphism; that is a broken invariant, not a usage error
+    chains = crystals._chains
+
+    def off_ladder(shape):
+        return ((1, (0, 1)), (1, (2, 3)), (1, (4, 5))) if shape == (1, 2) else chains(shape)
+
+    monkeypatch.setattr(crystals, "_chains", off_ladder)
+    _clear_crystal_caches()
+    try:
+        code = run(["commutor", "--a", "1", "--b", "2"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert ("qcactus: verification failed: the components of (1, 2) have highest "
+            "weights [1, 1, 1], not [3, 1]") in captured.err
+
+
 def _clear_uqsl2_caches():
     for value in vars(uqsl2).values():
         if hasattr(value, "cache_clear"):

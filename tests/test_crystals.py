@@ -247,6 +247,28 @@ def test_check_coboundary_small():
     assert report.ok
 
 
+def test_check_coboundary_builds_no_product_of_three_chains(monkeypatch):
+    # composite commutors are assembled from the chains of their two sides,
+    # so single-chain triples read tables of one and two factors only: the
+    # chains, their pairs, and each chain against a component of a pair
+    from qcactus import crystals
+
+    table, built = crystals._table, []
+
+    def recording(shape):
+        built.append(shape)
+        return table(shape)
+
+    for value in vars(crystals).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    monkeypatch.setattr(crystals, "_table", recording)
+    assert check_coboundary(weight_bounded_triples(4)).ok
+    monkeypatch.undo()
+    assert max(map(len, built)) == 2
+    assert table.cache_info().currsize == 5 + 2 * 5 * 9 - 25  # (a, b), one weight <= 4, other <= 8
+
+
 def test_check_coboundary_over_no_triples_does_not_pass():
     report = check_coboundary([])
     assert report.triples_checked == 0

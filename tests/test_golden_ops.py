@@ -13,9 +13,9 @@ changes frames (a solve against the target frame) and the one that finds
 highest weight vectors.
 
 ``PINNED_SHA256`` pins the stdout of commands outside the benchmark
-pool that exit 0.  On the crystal side: coboundary checks one and three
-bounds past the benchmark's, the braiding obstruction, two cactus-action
-checks with deeper step chains than the benchmark's, both commutor
+pool that exit 0.  On the crystal side: coboundary checks one, three and
+seven bounds past the benchmark's, the braiding obstruction, cactus-action
+checks with deeper step chains or larger weights than the benchmark's, both commutor
 variants on a pair of two-factor shapes in both formats, and the graph
 in all three formats, an action in both formats and a decomposition in
 both formats of shapes with weight-0 factors, whose digits have a
@@ -95,6 +95,8 @@ PINNED_SHA256 = {
         "a4db40be5b84a594005900c653e5d0af7554296ac24cb8b195428cb37a208296",
     "check coboundary --max 8":
         "1063c11a8c2c9159000f20dc385fa9f937dd4c5bf578691e42c3dbf2ce5922ff",
+    "check coboundary --max 12":
+        "c1a26d258d4fd61b20e77fae8cf5cc32284387d66f27b3f81a574c1439c5f413",
     "commutor --a 1,2 --b 2,1 --variant c":
         "e34fef3f06e56e2faf6ec0f02c809bda154d8bd87a4019782db970a296071a66",
     "commutor --a 1,2 --b 2,1 --variant S":
@@ -123,6 +125,10 @@ PINNED_SHA256 = {
         "50fb3f863b4e8cd12d8780f3dd4226aec7f132c9c6dc05e3c1ca0281afd4309b",
     "check cactus-action --factors 3 --max 4":
         "a968737c8cd6db0d39e990807010e977410ac778549c68db2eb9f520c828bb37",
+    "check cactus-action --factors 4 --max 5":
+        "8707d38c3587d916e08e487cc6a2f4d14b55955556170d71d0d4e0e4200423f8",
+    "check cactus-action --factors 6 --max 2":
+        "ab4cc5977e17ea150f75d0ebb6a46957c84287f0d36467973c4f70dc7c0eb276",
     "check kt07 --max 5":
         "0b7c36f4e04754cf8af683b9ae1ec3c0361c375c58d3d53797433c4ba5887105",
     "rmatrix --m 5 --n 4 --unitarize":

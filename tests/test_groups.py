@@ -111,6 +111,21 @@ def test_non_involution_is_reported_with_witness():
     assert verify_action({(1, 2): cyc}, squares) == []
 
 
+def test_one_letter_words_and_tuple_images():
+    # a word starts from the image list of the letter it applies first, so
+    # a one-letter word on either side is that image, and tuples act as lists
+    images = {"a": [1, 0, 2], "b": [1, 0, 2], "c": [0, 2, 1]}
+    relations = [(("a",), ("b",)), (("a",), ("c",)), (("c",), ()), ((), ("a", "a"))]
+    failures = verify_action(images, relations)
+    assert [(f.relation, f.witness, f.left_value, f.right_value) for f in failures] == [
+        ((("a",), ("c",)), 0, 1, 0),
+        ((("c",), ()), 1, 2, 1),
+    ]
+    as_tuples = {g: tuple(m) for g, m in images.items()}
+    assert verify_action(as_tuples, relations) == failures
+    assert images == {"a": [1, 0, 2], "b": [1, 0, 2], "c": [0, 2, 1]}  # left as given
+
+
 def test_image_leaving_the_domain_is_not_invertible():
     # injective, but 1 goes to 2, outside {0, 1}: not a bijection of the domain
     squares = [(CactusWord(((1, 2), (1, 2)), 2), CactusWord((), 2))]

@@ -1,0 +1,239 @@
+"""Parent against change for the crystal commutor: cold launches and benchmark pairs.
+
+    python3 tools/bench_commutor_components.py --parent REV --workdir DIR \\
+        [--repeats 3] [--pairs 3] [--seconds 40] [--out BENCH_commutor_components.json]
+
+Each side is a fresh copy under DIR: the parent is ``git archive REV``, and
+the change is every file of the working tree that ``git ls-files`` lists
+(tracked, or untracked and not ignored).  Before every launch the side's
+``src/qcactus/__pycache__`` is removed, and ``PYTHONDONTWRITEBYTECODE=1``
+keeps it from being written, so both sides compile ``qcactus`` each time;
+``PYTHONPYCACHEPREFIX`` is never set.
+
+Cold launches run ``python3 -m qcactus.cli ARGS`` with ``PYTHONPATH=src``
+from the side's root and record the wall time, the child's own peak
+resident memory (``ru_maxrss`` from ``os.wait4``) and the stdout sha256.
+Launches alternate between the sides, and the side that goes first
+alternates too.  Benchmark pairs run ``perfbench/run.py --trace 0`` on
+each side in the same alternating order and keep its last line.  On a
+shared host the cold times spread widely, so each case is also timed in
+one process that loads both copies under different package names and
+alternates between them run by run, with every crystal cache cleared
+before each run (CPU time, ``time.process_time``).
+Standard library only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COLD = [  # (args, sides): the change alone where the parent would need over a gigabyte
+    ("check coboundary --max 8", ("parent", "change")),
+    ("check coboundary --max 12", ("parent", "change")),
+    ("check coboundary --max 16", ("parent", "change")),
+    ("check coboundary --max 20", ("change",)),
+    ("check cactus-action --factors 4 --max 3", ("parent", "change")),
+    ("check cactus-action --factors 5 --max 3", ("parent", "change")),
+    ("check cactus-action --factors 6 --max 2", ("parent", "change")),
+    ("check cactus-action --factors 4 --max 5", ("parent", "change")),
+]
+IN_PROCESS = [  # (args, runs per side)
+    ("check cactus-action --factors 4 --max 3", 30),
+    ("check cactus-action --factors 5 --max 3", 6),
+    ("check cactus-action --factors 6 --max 2", 6),
+    ("check cactus-action --factors 4 --max 5", 8),
+    ("check coboundary --max 5", 20),
+    ("check coboundary --max 12", 4),
+]
+WORKLOADS = ("kt07", "braid", "crystal")
+METRICS = ("setup_s", "wall_s", "cpu_s", "headline_s", "peak_rss_mb")
+
+
+def _git(*args, **kw):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, **kw).stdout
+
+
+def make_sides(parent, workdir):
+    sides = {"parent": workdir / "parent", "change": workdir / "change"}
+    for path in sides.values():
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
+    archive = workdir / "parent.tar"
+    archive.write_bytes(_git("archive", "--format=tar", parent))
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(sides["parent"])], check=True)
+    archive.unlink()
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        if (ROOT / name).is_file():
+            (sides["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, sides["change"] / name)
+    return sides
+
+
+def _env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env.update(extra)
+    return env
+
+
+def _launch(side, argv, env):
+    """Run argv from the side's root; (status, stdout bytes, wall s, peak MB of the child)."""
+    shutil.rmtree(side / "src" / "qcactus" / "__pycache__", ignore_errors=True)
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=side, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        return proc.returncode, out.read(), wall, usage.ru_maxrss / 1024
+
+
+def cold(sides, repeats):
+    results = {}
+    for k, (args, names) in enumerate(COLD):
+        runs = {name: [] for name in names}
+        for r in range(repeats):
+            order = names if (k + r) % 2 == 0 else names[::-1]
+            for name in order:
+                status, out, wall, rss = _launch(
+                    sides[name], [sys.executable, "-m", "qcactus.cli", *args.split()],
+                    _env(PYTHONPATH="src"))
+                runs[name].append({"status": status, "sha256": hashlib.sha256(out).hexdigest()[:16],
+                                   "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)})
+                print(f"{args} [{name}] {runs[name][-1]}", flush=True)
+        results[args] = {name: {
+            "wall_s": [run["wall_s"] for run in rs],
+            "median_wall_s": round(statistics.median(run["wall_s"] for run in rs), 3),
+            "peak_rss_mb": [run["peak_rss_mb"] for run in rs],
+            "status": sorted({run["status"] for run in rs}),
+            "sha256": sorted({run["sha256"] for run in rs}),
+        } for name, rs in runs.items()}
+    return results
+
+
+def _load(name, side):
+    """The side's qcactus, imported as the package `name`: (cli, crystals)."""
+    package = side / "src" / "qcactus"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.crystals")
+
+
+def in_process(sides):
+    loaded = {name: _load(f"qcactus_{name}", side) for name, side in sides.items()}
+    results = {}
+    for args, runs in IN_PROCESS:
+        times = {name: [] for name in loaded}
+        for r in range(runs):
+            for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                cli, crystals = loaded[name]
+                for value in vars(crystals).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+                start = time.process_time()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.run(args.split())
+                times[name].append(time.process_time() - start)
+        ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+        results[args] = {f"{name}_median_ms": round(1000 * statistics.median(ts), 1)
+                         for name, ts in times.items()}
+        results[args]["change_over_parent_median"] = round(statistics.median(ratios), 3)
+        print(f"{args}: {results[args]}", flush=True)
+    return results
+
+
+def bench_pairs(sides, pairs, seconds, first_seed):
+    runs, k = [], 0
+    for workload in WORKLOADS:
+        for seed in range(first_seed, first_seed + pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for name in order:
+                argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+                status, out, _, _ = _launch(sides[name], argv, _env())
+                last = out.decode().strip().splitlines()[-1]
+                runs.append({"workload": workload, "seed": seed, "side": name,
+                             "status": status, "last_line": last})
+                print(f"{workload} seed {seed} [{name}] {last}", flush=True)
+            k += 1
+    return runs
+
+
+def summarize(runs):
+    lines = []
+    for workload in WORKLOADS:
+        data = {name: [json.loads(r["last_line"]) for r in runs
+                       if r["workload"] == workload and r["side"] == name]
+                for name in ("parent", "change")}
+        correct = all(d["correct"] and d["failed"] == 0 for ds in data.values() for d in ds)
+        lines.append(f"{workload}: {len(data['parent'])} pairs, all correct with 0 failed: {correct}")
+        for metric in METRICS:
+            values = {name: [d["metrics"][metric]["value"] for d in ds] for name, ds in data.items()}
+            p, c = (statistics.median(values[name]) for name in ("parent", "change"))
+            lower = sum(b < a for a, b in zip(values["parent"], values["change"]))
+            lines.append(
+                f"  {metric}: parent median {p:.4f}, change median {c:.4f} "
+                f"({(c - p) / p:+.1%}), change lower in {lower}/{len(values['parent'])}; "
+                f"parent range {min(values['parent']):.4f}-{max(values['parent']):.4f}, "
+                f"change range {min(values['change']):.4f}-{max(values['change']):.4f}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="the git revision to compare against")
+    parser.add_argument("--workdir", required=True, type=Path, help="where the copies are made")
+    parser.add_argument("--repeats", type=int, default=3, help="cold launches per side and case")
+    parser.add_argument("--pairs", type=int, default=3, help="benchmark pairs per workload")
+    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--first-seed", type=int, default=2101)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_commutor_components.json")
+    args = parser.parse_args(argv)
+
+    sides = make_sides(args.parent, args.workdir.resolve())
+    cold_results = cold(sides, args.repeats)
+    in_process_results = in_process(sides)
+    runs = bench_pairs(sides, args.pairs, args.seconds, args.first_seed)
+    report = {
+        "command": "python3 tools/bench_commutor_components.py " + " ".join(
+            ["--parent", args.parent, "--workdir", "DIR", "--repeats", str(args.repeats),
+             "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
+             "--first-seed", str(args.first_seed)]),
+        "procedure": __doc__.split("\n\n", 2)[2].strip().replace("\n", " "),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "
+                   f"{platform.release()}; no CPU isolation",
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "parent_commit": _git("rev-parse", args.parent).decode().strip(),
+        "change": "the commit that adds this file; its src/ tree is the one the runs measured",
+        "claim": "none: peak memory and wall time are recorded, no benchmark gain is claimed",
+        "cold": cold_results,
+        "in_process": in_process_results,
+        "perfbench_summary": summarize(runs),
+        "perfbench_runs": runs,
+    }
+    args.out.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
