@@ -16,8 +16,9 @@ Importing the package loads no layer.  A layer loads on first use of its
 name or of a name the package re-exports from it (``qcactus.uqsl2``,
 ``qcactus.QMatrix``), and ``from qcactus import *`` loads all four.  The
 crystal side does not need the quantum one: ``groups`` and ``crystals``
-import only the standard library and ``Record``, and ``uqsl2`` imports
-``crystals`` only to compare with the crystal commutor.
+import only the standard library, ``Record`` and the shape rule
+``_shape``, and ``uqsl2`` imports ``crystals`` only to compare with the
+crystal commutor.
 
 A failed verification inside a layer -- a broken crystal invariant, a
 drifted reference braiding, a unitarization that fails its exact
@@ -87,6 +88,22 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+def _shape(value) -> tuple:
+    """tuple(value) if it is a shape: nonempty, each entry an int (by type, so
+    no bool or float) and nonnegative; TypeError or ValueError otherwise.  The
+    package's one shape rule, applied by every public entry before it reads a
+    cache, whose keys compare True == 1.0 == 1."""
+    shape = tuple(value)
+    if not shape:
+        raise ValueError("shape must be nonempty: a tensor word has at least one factor")
+    for n in shape:  # one pass: this runs at every public crystal call and every CrystalMap
+        if type(n) is not int:
+            raise TypeError(f"a shape is a tuple of ints, got {shape!r}")
+        if n < 0:
+            raise ValueError("highest weight must be nonnegative")
+    return shape
 
 
 _EXPORTS = {

@@ -15,17 +15,14 @@ from itertools import combinations_with_replacement
 
 # each command imports only the layers it runs, so that a crystal command
 # never loads qexact or uqsl2 and rmatrix never loads crystals or groups
-from . import VerificationError
+from . import VerificationError, _shape
 
 
 def _parse_shape(text: str) -> tuple:
     try:
-        shape = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad shape {text!r}; expected e.g. 1,2,1")
-    if not shape or any(n < 0 for n in shape):
-        raise argparse.ArgumentTypeError("shape entries must be nonnegative integers")
-    return shape
+        return _shape(int(part) for part in text.split(","))
+    except ValueError as exc:  # an entry that is not an int, or the shape rule
+        raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}; expected e.g. 1,2,1")
 
 
 def _weight_bound(text: str) -> int:

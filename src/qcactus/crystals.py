@@ -37,7 +37,7 @@ from itertools import islice, permutations, product
 import json
 from math import prod
 
-from . import Record, VerificationError
+from . import Record, VerificationError, _shape
 
 __all__ = [
     "CrystalInvariantError",
@@ -128,8 +128,7 @@ class ChainElement(Record):
 
 def chain_crystal(n: int):
     """The chain of highest weight n, from b_n down to b_(-n)."""
-    if n < 0:
-        raise ValueError("highest weight must be nonnegative")
+    n, = _shape((n,))
     return [ChainElement(n, n - 2 * i) for i in range(n + 1)]
 
 
@@ -179,27 +178,16 @@ def words(shape):
     modules, which keeps crystal words and matrix rows aligned.  Each
     shape is enumerated once; every call returns a fresh list.
     """
-    return list(_words(tuple(shape)))
+    return list(_words(_shape(shape)))
 
 
 @lru_cache(maxsize=None)
 def _words(shape):
-    _check_shape(shape)
     chains = [chain_crystal(n) for n in shape]
     return tuple(
         TensorWord(tuple(chains[t][d] for t, d in enumerate(reversed(rev))))
         for rev in product(*[range(n + 1) for n in reversed(shape)])
     )
-
-
-def _check_shape(shape):
-    """Refuse a shape with no factor, a factor that is not an int, or a negative weight."""
-    if not shape:
-        raise ValueError("tensor words must have at least one factor")
-    if {*map(type, shape)} != {int}:
-        raise TypeError(f"shape entries must be ints: {shape!r}")
-    if min(shape) < 0:
-        raise ValueError("highest weight must be nonnegative")
 
 
 def _names(shape):
@@ -208,7 +196,6 @@ def _names(shape):
     The names of the first factors are extended one factor at a time, the
     new factor slowest, so the list follows _words without building a word.
     """
-    _check_shape(shape)
     first, *rest = shape
     names = [str(b) for b in chain_crystal(first)]
     for n in rest:
@@ -244,10 +231,8 @@ def _table(shape):
     factor holding the leftmost uncancelled plus.  One bracketing pass runs
     over the depth digits, one factor at a time for all word prefixes,
     keeping (eps, phi, stride of the factor f acts on); f moves an index by
-    that stride, and e is f's partial inverse.  Every shape query passes
-    through here, so a shape that words() refuses is refused here too.
+    that stride, and e is f's partial inverse.
     """
-    _check_shape(shape)
     states, stride = [(0, 0, 1)], 1
     for n in shape:
         states = [(e_tot + d - p_tot, n - d, stride) if d >= p_tot  # every plus cancelled
@@ -308,7 +293,7 @@ def decompose(shape):
     the multiset of highest weights is the ladder
     m+n, m+n-2, ..., |m-n|, each once.
     """
-    shape = tuple(shape)
+    shape = _shape(shape)
     return tuple(_component(shape, hw, chain) for hw, chain in _chains(shape))
 
 
@@ -357,9 +342,7 @@ class CrystalMap(Record):
     __slots__ = ("domain", "codomain", "index")
 
     def __init__(self, domain, codomain, index):
-        domain, codomain, index = tuple(domain), tuple(codomain), tuple(index)
-        _check_shape(domain)
-        _check_shape(codomain)
+        domain, codomain, index = _shape(domain), _shape(codomain), tuple(index)
         if len(index) != _size(domain) or -1 in index:
             raise ValueError("table is not total on the domain shape")
         if {*map(type, index)} != {int}:
@@ -383,7 +366,7 @@ class CrystalMap(Record):
 
     @classmethod
     def identity(cls, shape) -> "CrystalMap":
-        shape = tuple(shape)
+        shape = _shape(shape)
         return cls(shape, shape, range(_size(shape)))
 
     def compose(self, other: "CrystalMap") -> "CrystalMap":
@@ -435,7 +418,7 @@ class CrystalMap(Record):
     @classmethod
     def from_json(cls, text: str) -> "CrystalMap":
         data = json.loads(text)
-        dom, cod, table = tuple(data["domain_shape"]), tuple(data["codomain_shape"]), data["map"]
+        dom, cod, table = _shape(data["domain_shape"]), _shape(data["codomain_shape"]), data["map"]
         names = _names(dom)
         if table.keys() != set(names):
             raise ValueError(f"the map's keys are not the words of shape {dom}")
@@ -450,7 +433,7 @@ class CrystalMap(Record):
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
     """id (x) m (x) id on the shape left + m.domain + right, carried by word index."""
     left, right = tuple(left), tuple(right)
-    dom = left + m.domain + right
+    dom = _shape(left + m.domain + right)  # an empty pad is no fault
     return CrystalMap(dom, left + m.codomain + right,
                       _on_slice(range(_size(dom)), dom, len(left), m))
 
@@ -462,7 +445,7 @@ def schutzenberger(shape) -> CrystalMap:
     the element at depth m-d; this negates weights and swaps e with f,
     which forces the map on every chain.
     """
-    shape = tuple(shape)
+    shape = _shape(shape)
     index = [0] * _size(shape)
     for _, chain in _chains(shape):
         for i, j in zip(chain, reversed(chain)):
@@ -473,7 +456,7 @@ def schutzenberger(shape) -> CrystalMap:
 def commutor_S(shape_a, shape_b) -> CrystalMap:
     """The commutor built from the involution xi:
     a (x) b  |->  xi(xi(b) (x) xi(a))."""
-    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    shape_a, shape_b = _shape(shape_a), _shape(shape_b)
     xi_a = schutzenberger(shape_a).index
     xi_b = schutzenberger(shape_b).index
     xi_ba = schutzenberger(shape_b + shape_a).index
@@ -494,7 +477,7 @@ def commutor_c(shape_a, shape_b) -> CrystalMap:
     for (e, e') the image of (d, d').  The definition through highest weight
     words is the reference in the tests' crystal oracle.
     """
-    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    shape_a, shape_b = _shape(shape_a), _shape(shape_b)
     if len(shape_a) == len(shape_b) == 1:
         return _chain_commutor(*shape_a, *shape_b)
     chains_a, chains_b = _chains(shape_a), _chains(shape_b)
@@ -532,7 +515,8 @@ def _on_slice(indices, shape, start, sigma):
     """
     lo = _size(shape[:start])
     delta = [lo * (j - m) for m, j in enumerate(sigma.index)]
-    return [i + delta[i // lo % len(delta)] for i in indices]
+    size = len(delta)
+    return [i + delta[i // lo % size] for i in indices]
 
 
 def cactus_action(shape, p: int, q: int) -> CrystalMap:
@@ -545,7 +529,7 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     word is carried through them in turn, by its index, and is named
     only when read.  The result reverses the interval p..q of the shape.
     """
-    shape = tuple(shape)
+    shape = _shape(shape)
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
@@ -581,6 +565,7 @@ def cactus_generator_images(base_shape):
     their verifier, not here.  The relations alone would pass a shifted
     action, which is itself an action of the cactus group.
     """
+    base_shape = _shape(base_shape)
     orbit = sorted(set(permutations(base_shape)))
     size, k = _size(base_shape), len(base_shape)
     offset = {s: i * size for i, s in enumerate(orbit)}
@@ -603,7 +588,7 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
     Exists iff both decompositions are multiplicity-free with matching
     highest weights; otherwise a ValueError explains which weight fails.
     """
-    shape_a, shape_b = tuple(shape_a), tuple(shape_b)
+    shape_a, shape_b = _shape(shape_a), _shape(shape_b)
     chains_a, chains_b = _chains(shape_a), _chains(shape_b)
     hws_a, hws_b = Counter(hw for hw, _ in chains_a), Counter(hw for hw, _ in chains_b)
     if hws_a.keys() != hws_b.keys():
@@ -640,7 +625,7 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
         A B C -> B A C -> C B A   (swap A,B, then B A across C)
     and the two images must agree; only the witnesses are named.
     """
-    a, b, c = tuple(shape_a), tuple(shape_b), tuple(shape_c)
+    a, b, c = _shape(shape_a), _shape(shape_b), _shape(shape_c)
     # built in this order, so that a broken invariant names the same word
     outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
     outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
@@ -685,7 +670,7 @@ def check_coboundary(triples) -> CoboundaryReport:
     count = 0
     pairs = set()
     for a, b, c in triples:
-        a, b, c = tuple(a), tuple(b), tuple(c)
+        a, b, c = _shape(a), _shape(b), _shape(c)
         count += 1
         for w, v in involutivity_failures(commutor_c(a, b), commutor_c(b, a)):
             failures.append(((a, b, c), "involution", w))
@@ -768,8 +753,8 @@ def crystal_dot(shape) -> str:
     clusters; node names are the literal word strings so outputs diff
     cleanly.
     """
-    shape = tuple(shape)
-    chains = _chains(shape)  # refuses a shape that words() refuses
+    shape = _shape(shape)
+    chains = _chains(shape)
     names = _names(shape)
     lines = ["digraph crystal {", "  rankdir=LR;"]
     for ci, (hw, chain) in enumerate(chains):

@@ -65,7 +65,7 @@ from .qexact import (
     quantum_int,
     reduce_mod_qhalf,
 )
-from . import Record, VerificationError
+from . import Record, VerificationError, _shape
 
 __all__ = [
     "QMatrix",
@@ -318,7 +318,8 @@ class UqModule(Record):
     """The weight module of a shape, with exact E and F action matrices.
 
     The shape, the highest weights of the factors tensored left to right,
-    is the only field.  K scales the weight-j basis vector by q^j.  The
+    is the only field: a tuple, checked by the package's one shape rule
+    ``qcactus._shape``.  K scales the weight-j basis vector by q^j.  The
     defining relations are not assumed; they are verified by
     ``module_relations_ok`` in the test suite for every module built here.
     """
@@ -326,13 +327,9 @@ class UqModule(Record):
     __slots__ = ("shape",)
 
     def _validate(self):
-        shape = self.shape
-        if type(shape) is not tuple or not all(type(n) is int for n in shape):
-            raise TypeError(f"a module shape is a tuple of ints, got {shape!r}")
-        if not shape:
-            raise ValueError("shape must be nonempty")
-        if min(shape) < 0:
-            raise ValueError("highest weight must be nonnegative")
+        if type(self.shape) is not tuple:
+            raise TypeError(f"a module shape is a tuple of ints, got {self.shape!r}")
+        _shape(self.shape)
 
     # read from the operators of the shape, built once per shape
     weights = property(lambda self: _operators(self.shape)[0])
@@ -378,7 +375,7 @@ def tensor_module(m: UqModule, n: UqModule) -> UqModule:
 
 def module_for_shape(shape) -> UqModule:
     """The tensor product of irreducibles along a shape, left to right."""
-    return UqModule(tuple(shape))
+    return UqModule(_shape(shape))
 
 
 @lru_cache(maxsize=None)

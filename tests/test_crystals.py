@@ -440,12 +440,33 @@ def test_tensor_words_refuse_malformed_factors():
 
 BAD_SHAPES = [((-1,), "nonnegative"), ((2, -1), "nonnegative"), ((), "at least one factor")]
 
+# every public entry that takes a shape, as a function of one shape
+SHAPE_ENTRIES = {
+    "words": words,
+    "decompose": decompose,
+    "schutzenberger": schutzenberger,
+    "commutor_S": lambda shape: commutor_S(shape, (1,)),
+    "commutor_c": lambda shape: commutor_c(shape, (1,)),
+    "cactus_action": lambda shape: cactus_action(shape, 1, 1),
+    "cactus_generator_images": cactus_generator_images,
+    "unique_component_isomorphism": lambda shape: unique_component_isomorphism(shape, shape),
+    "crystal_dot": crystal_dot,
+    "CrystalMap": lambda shape: CrystalMap(shape, shape, [0, 1]),
+    "CrystalMap.identity": CrystalMap.identity,
+    "check_coboundary": lambda shape: check_coboundary([(shape, shape, shape)]),
+    "extend_map": lambda shape: extend_map(CrystalMap.identity((1,)), shape, ()),
+    "CrystalMap.from_json": lambda shape: CrystalMap.from_json(json.dumps(
+        {"domain_shape": shape, "codomain_shape": shape, "map": {"b1": "b1", "b-1": "b-1"}})),
+}
+
 
 @pytest.mark.parametrize("shape, message", BAD_SHAPES)
 def test_shape_functions_refuse_what_words_refuses(shape, message):
     with pytest.raises(ValueError, match=message):
         words(shape)
-    for query in (decompose, schutzenberger, crystal_dot):
+    for name, query in SHAPE_ENTRIES.items():
+        if name == "extend_map" and not shape:  # an empty pad is no fault
+            continue
         with pytest.raises(ValueError, match=message):
             query(shape)
 
@@ -463,6 +484,44 @@ def test_crystal_maps_refuse_what_words_refuses(shape, message):
         for left, right in ((shape, ()), ((), shape), (shape, shape)):
             with pytest.raises(ValueError, match=message):
                 extend_map(sigma, left, right)
+
+
+@pytest.mark.parametrize("shape", [(True,), (1.0,)])
+def test_a_cached_shape_answers_for_no_refused_equal_one(shape):
+    # the caches' keys compare True == 1.0 == 1, so the rule must run before any read
+    answered = []
+    for name, entry in SHAPE_ENTRIES.items():
+        entry((1,))
+        try:
+            entry(shape)
+        except TypeError as exc:
+            assert "ints" in str(exc), name
+        else:
+            answered.append(name)
+    assert answered == []
+
+
+def test_a_cached_chain_commutor_answers_for_no_refused_weight():
+    commutor_c((1,), (1,))
+    for shape_a, shape_b in (((True,), (1,)), ((1,), (1.0,)), ((1.0,), (True,))):
+        with pytest.raises(TypeError, match="ints"):
+            commutor_c(shape_a, shape_b)
+
+
+def test_a_shape_with_a_float_is_refused_before_any_walk():
+    with pytest.raises(TypeError, match="ints"):
+        cactus_action((1, 1.0), 1, 2)
+    with pytest.raises(TypeError, match="ints"):
+        cactus_generator_images((1, 1.0))
+
+
+def test_chain_crystal_takes_the_shape_rule():
+    for n in (1.0, "1", True):
+        with pytest.raises(TypeError, match="tuple of ints"):
+            chain_crystal(n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chain_crystal(-1)
+    assert chain_crystal(1) == [ChainElement(1, 1), ChainElement(1, -1)]
 
 
 def test_crystal_maps_refuse_shapes_and_indices_of_non_ints():

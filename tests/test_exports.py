@@ -6,7 +6,9 @@ name left behind when a definition is deleted, so every listed name must
 exist.  The benchmark's tracer (``perfbench/tracer.py``, loaded here
 read-only) names the functions and methods it times, and each of those
 must resolve too.  The value types that validate on construction
-(``CrystalMap``, ``UqModule``) have no second, unchecked way to be built.
+(``CrystalMap``, ``UqModule``) have no second, unchecked way to be built,
+and every public crystal entry that takes a shape applies the package's one
+shape rule, ``qcactus._shape``, before it reads a cache.
 """
 
 import ast
@@ -113,6 +115,59 @@ def test_value_types_are_built_only_through_their_constructors():
                 if target in VALUE_TYPES or owner.get(id(node)) in VALUE_TYPES:
                     found.append(f"{where} object.__new__({target})")
     assert found == []
+
+
+# the parameters through which a public crystal entry takes a shape
+SHAPE_PARAMETERS = {"shape", "shape_a", "shape_b", "shape_c", "base_shape", "domain", "codomain",
+                    "triples"}
+
+
+def _public_functions(tree):
+    """(qualified name, def) of each public function, and method of a public class, of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        not item.name.startswith("_") or item.name == "__init__"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_crystal_entries_apply_the_shape_rule_before_any_cache():
+    # the cached cores' keys compare True == 1.0 == 1, so an entry that takes
+    # a shape calls _shape before it calls a private function of the layer or
+    # commutor_c; a call runs after its arguments, so calls are ordered by
+    # where they end.  TensorWord.from_weights reads no core: its chain
+    # elements check each weight.
+    path = Path(qcactus.__file__).resolve().parent / "crystals.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    cores = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    cores = cores - {"_shape"} | {"commutor_c"}
+    guarded, unchecked = set(), []
+    for name, node in _public_functions(tree):
+        if not SHAPE_PARAMETERS & {arg.arg for arg in node.args.args}:
+            continue
+        guarded.add(name)
+        calls = sorted(((call.end_lineno, call.end_col_offset), ast.unparse(call.func))
+                       for call in ast.walk(node) if isinstance(call, ast.Call))
+        called = [func for _, func in calls]
+        first_core = next((i for i, func in enumerate(called) if func in cores), len(called))
+        if "_shape" not in called[:first_core] and name != "TensorWord.from_weights":
+            unchecked.append(name)
+    assert unchecked == []
+    assert guarded >= {
+        "words", "decompose", "CrystalMap.__init__", "CrystalMap.identity", "schutzenberger",
+        "commutor_S", "commutor_c", "cactus_action", "cactus_generator_images",
+        "unique_component_isomorphism", "cactus_square_failures", "check_coboundary",
+        "crystal_dot"}
+
+
+def test_one_shape_rule_in_the_package():
+    package = Path(qcactus.__file__).resolve().parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "_check_shape" in path.read_text(encoding="utf-8")] == []
 
 
 def test_verification_errors_share_one_base():
