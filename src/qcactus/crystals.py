@@ -530,6 +530,9 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     only when read.  The result reverses the interval p..q of the shape.
     """
     shape = _shape(shape)
+    for n in (p, q):
+        if type(n) is not int:
+            raise TypeError(f"cactus generators take int indices, got {n!r}")
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
@@ -542,15 +545,26 @@ def _walk(shape, q):
 
     Each step commutes factor p against the block p+1..q of the shape the
     step before left, so the whole chain of s(p,q) for one q costs q-1
-    commutor applications.
+    commutor applications, each read from _walk_step.
     """
     indices, cur = range(_size(shape)), shape
     yield q, cur, indices
     for r in range(q - 1, 0, -1):
-        sigma = commutor_c((cur[r - 1],), cur[r:q])
+        sigma = _walk_step(cur[r - 1], cur[r:q])
         indices = _on_slice(indices, cur, r - 1, sigma)
         cur = cur[: r - 1] + sigma.codomain + cur[q:]
         yield r, cur, indices
+
+
+@lru_cache(maxsize=None)
+def _walk_step(lam, block) -> CrystalMap:
+    """The commutor of B(lam) against a block, one step of a cactus walk.
+
+    The walks of every orbit shape and q meet the same few (factor, block)
+    pairs again and again, so each step is built once, through the public
+    commutor_c; a caller who replaces commutor_c clears this cache.
+    """
+    return commutor_c((lam,), block)
 
 
 def cactus_generator_images(base_shape):

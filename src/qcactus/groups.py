@@ -222,6 +222,7 @@ def verify_action(images: dict, relations, name=lambda i: i):
     Returns one RelationFailure per violated relation, carrying its first
     witness in ``str`` order of the names, points with the same ``str`` in
     numbering order; ``name(i)`` names point i, and only in a failure.
+    An empty domain or an empty list of relations is a ValueError.
     """
     identity = list(range(len(next(iter(images.values()), ()))))
     for g, m in images.items():
@@ -235,6 +236,9 @@ def verify_action(images: dict, relations, name=lambda i: i):
     if not identity:
         # a check over no points proves nothing
         raise ValueError("generator images act on an empty domain")
+    if not relations:
+        # nor does a check of no relations
+        raise ValueError("no relations to check")
 
     def apply_word(word):
         xs = list(images[word[-1]]) if word else identity

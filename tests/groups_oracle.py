@@ -8,7 +8,8 @@ and the first point where they disagree is the witness.  The
 library takes the domain numbered 0 .. n-1, with a function naming the
 points, and applies each word to the whole list of numbers at once
 instead.  An empty domain is an error, after every
-letter has been looked up.
+letter has been looked up, and so, after that, is an empty list of
+relations.
 """
 
 from qcactus.groups import RelationFailure
@@ -46,6 +47,8 @@ def verify_action(gen_images: dict, relations):
                     if letter not in images:
                         raise ValueError(f"no image supplied for generator {letter!r}")
         raise ValueError("generator images act on an empty domain")
+    if not relations:
+        raise ValueError("no relations to check")
 
     failures = []
     for left, right in relations:

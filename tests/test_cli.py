@@ -122,6 +122,26 @@ def test_check_cactus_action_runs_through_the_public_route(capsys, monkeypatch):
     assert calls == {"cactus_generator_images": 4, "verify_action": 4}
 
 
+def test_check_cactus_action_builds_each_walk_step_once(capsys, monkeypatch):
+    # 1,536 walk steps meet 336 distinct (factor weight, block shape) pairs,
+    # and every step reads its commutor from crystals._walk_step
+    calls = []
+    commutor_c = crystals.commutor_c
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutor_c(a, b)
+
+    _clear_crystal_caches()
+    monkeypatch.setattr(crystals, "commutor_c", counted)
+    code, out = invoke(capsys, "check", "cactus-action", "--factors", "4", "--max", "3")
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    assert len(calls) == len(set(calls)) == 336
+    assert crystals._walk_step.cache_info().currsize == 336
+
+
 def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypatch):
     # b-1⊗b0⊗b0 is a word of both (1,0,2) and (1,2,0), in the orbit of
     # (0,2,1); this fault breaks one relation at both, so the report must
@@ -137,16 +157,22 @@ def test_cactus_action_failure_names_the_witness_and_its_shape(capsys, monkeypat
         return faulty if (tuple(a), tuple(b)) == ((1,), (2,)) else commutor_c(a, b)
 
     monkeypatch.setattr(crystals, "commutor_c", commutor)
-    code, out = invoke(capsys, "check", "cactus-action", "--factors", "3", "--max", "2")
-    relations = groups.cactus_relation_instances(3)
-    want = []
-    for combo in combinations_with_replacement(range(3), 3):
-        name, images = crystals.cactus_generator_images(combo)
-        words = {pq: {name(i): name(j) for i, j in enumerate(image)}
-                 for pq, image in images.items()}
-        want += [dict(f.as_dict(), shape=list(f.witness.shape))
-                 for f in groups_oracle.verify_action(words, relations)]
-    monkeypatch.undo()
+    # the walk reads its steps from a cache that a warm run would have filled
+    # with the real commutor, and that must not keep the faulty one after
+    crystals._walk_step.cache_clear()
+    try:
+        code, out = invoke(capsys, "check", "cactus-action", "--factors", "3", "--max", "2")
+        relations = groups.cactus_relation_instances(3)
+        want = []
+        for combo in combinations_with_replacement(range(3), 3):
+            name, images = crystals.cactus_generator_images(combo)
+            words = {pq: {name(i): name(j) for i, j in enumerate(image)}
+                     for pq, image in images.items()}
+            want += [dict(f.as_dict(), shape=list(f.witness.shape))
+                     for f in groups_oracle.verify_action(words, relations)]
+    finally:
+        monkeypatch.undo()
+        crystals._walk_step.cache_clear()
     assert code == 1
     assert json.loads(out)["failures"] == want
     assert {"relation": [[[1, 3], [1, 2]], [[2, 3], [1, 3]]], "witness": "b-1⊗b0⊗b0",

@@ -245,7 +245,12 @@ def test_cactus_action_matches_recursive_definition_under_a_fault(shape, interva
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crystals, "commutor_c", commutor)
-        got = cactus_action(shape, p, q)
+        # walk steps are cached: clear them so the fault is met, and again so it is not kept
+        crystals._walk_step.cache_clear()
+        try:
+            got = cactus_action(shape, p, q)
+        finally:
+            crystals._walk_step.cache_clear()
     assert got == oracle.cactus_action(shape, p, q, commutor=commutor)
     if faulty != commutor_c(*target) and steps.count(target) == 1:
         assert got != cactus_action(shape, p, q)

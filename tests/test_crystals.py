@@ -515,6 +515,13 @@ def test_a_shape_with_a_float_is_refused_before_any_walk():
         cactus_generator_images((1, 1.0))
 
 
+def test_cactus_action_takes_int_indices_only():
+    # True == 1 would otherwise give s(1,2), and 1.0 would fail inside islice
+    for p, q, bad in ((True, 2, "True"), (1.0, 2, "1.0"), (1, 2.0, "2.0"), (1, "2", "'2'")):
+        with pytest.raises(TypeError, match=f"int indices, got {bad}$"):
+            cactus_action((1, 1), p, q)
+
+
 def test_chain_crystal_takes_the_shape_rule():
     for n in (1.0, "1", True):
         with pytest.raises(TypeError, match="tuple of ints"):

@@ -181,3 +181,11 @@ def test_empty_domain_is_an_error():
         verify_action(images, cactus_relation_instances(3))
     with pytest.raises(ValueError, match="empty domain"):
         verify_action({}, [])
+
+
+def test_no_relations_is_an_error():
+    # a check of no relations proves nothing either: it passes any images
+    with pytest.raises(ValueError, match="no relations to check"):
+        verify_action({(1, 2): [1, 0]}, [])
+    with pytest.raises(ValueError, match="no relations to check"):
+        verify_action(shat_images(3), iter(()))

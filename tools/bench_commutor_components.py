@@ -1,7 +1,12 @@
 """Parent against change for the crystal commutor: cold launches and benchmark pairs.
 
     python3 tools/bench_commutor_components.py --parent REV --workdir DIR \\
-        [--repeats 3] [--pairs 3] [--seconds 40] [--out BENCH_commutor_components.json]
+        [--repeats 3] [--pairs 3] [--seconds 40] [--first-seed 2101] \\
+        [--cold ARGS ...] [--in-process ARGS:RUNS ...] [--claim TEXT] \\
+        [--out BENCH_commutor_components.json]
+``--cold`` and ``--in-process`` may be given again and again; each replaces
+the default list of its kind, and each case they name runs on both sides.
+``--claim`` is the gain the report states, "none" unless given.
 
 Each side is a fresh copy under DIR: the parent is ``git archive REV``, and
 the change is every file of the working tree that ``git ls-files`` lists
@@ -32,6 +37,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -60,8 +66,18 @@ IN_PROCESS = [  # (args, runs per side)
     ("check coboundary --max 5", 20),
     ("check coboundary --max 12", 4),
 ]
+CLAIM = "none: peak memory and wall time are recorded, no benchmark gain is claimed"
 WORKLOADS = ("kt07", "braid", "crystal")
 METRICS = ("setup_s", "wall_s", "cpu_s", "headline_s", "peak_rss_mb")
+
+
+def _in_process_case(text):
+    """ARGS:RUNS as (ARGS, RUNS), RUNS a positive int."""
+    args, _, runs = text.rpartition(":")
+    if not args or not runs.isdigit() or int(runs) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected ARGS:RUNS, e.g. 'check coboundary --max 5:20', got {text!r}")
+    return args, int(runs)
 
 
 def _git(*args, **kw):
@@ -105,9 +121,9 @@ def _launch(side, argv, env):
         return proc.returncode, out.read(), wall, usage.ru_maxrss / 1024
 
 
-def cold(sides, repeats):
+def cold(sides, repeats, cases):
     results = {}
-    for k, (args, names) in enumerate(COLD):
+    for k, (args, names) in enumerate(cases):
         runs = {name: [] for name in names}
         for r in range(repeats):
             order = names if (k + r) % 2 == 0 else names[::-1]
@@ -139,10 +155,10 @@ def _load(name, side):
     return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.crystals")
 
 
-def in_process(sides):
+def in_process(sides, cases):
     loaded = {name: _load(f"qcactus_{name}", side) for name, side in sides.items()}
     results = {}
-    for args, runs in IN_PROCESS:
+    for args, runs in cases:
         times = {name: [] for name in loaded}
         for r in range(runs):
             for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
@@ -191,9 +207,12 @@ def summarize(runs):
             values = {name: [d["metrics"][metric]["value"] for d in ds] for name, ds in data.items()}
             p, c = (statistics.median(values[name]) for name in ("parent", "change"))
             lower = sum(b < a for a, b in zip(values["parent"], values["change"]))
+            q1, _, q3 = (statistics.quantiles(values["parent"], n=4)
+                         if len(values["parent"]) > 1 else values["parent"] * 3)
             lines.append(
                 f"  {metric}: parent median {p:.4f}, change median {c:.4f} "
                 f"({(c - p) / p:+.1%}), change lower in {lower}/{len(values['parent'])}; "
+                f"parent quartiles {q1:.4f}-{q3:.4f} (IQR {q3 - q1:.4f}), "
                 f"parent range {min(values['parent']):.4f}-{max(values['parent']):.4f}, "
                 f"change range {min(values['change']):.4f}-{max(values['change']):.4f}")
     return lines
@@ -208,24 +227,37 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--first-seed", type=int, default=2101)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_commutor_components.json")
+    parser.add_argument("--cold", action="append", metavar="ARGS",
+                        help="CLI arguments of a cold case (default: the COLD list)")
+    parser.add_argument("--in-process", action="append", type=_in_process_case,
+                        metavar="ARGS:RUNS",
+                        help="CLI arguments of an in-process case and its runs per side "
+                             "(default: the IN_PROCESS list)")
+    parser.add_argument("--claim", default=CLAIM, help="the gain the report states")
     args = parser.parse_args(argv)
+    cold_cases = [(a, ("parent", "change")) for a in args.cold] if args.cold else COLD
 
     sides = make_sides(args.parent, args.workdir.resolve())
-    cold_results = cold(sides, args.repeats)
-    in_process_results = in_process(sides)
+    cold_results = cold(sides, args.repeats, cold_cases)
+    in_process_results = in_process(sides, args.in_process or IN_PROCESS)
     runs = bench_pairs(sides, args.pairs, args.seconds, args.first_seed)
+    options = ["--parent", args.parent, "--workdir", "DIR", "--repeats", str(args.repeats),
+               "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
+               "--first-seed", str(args.first_seed)]
+    options += [x for a in args.cold or () for x in ("--cold", a)]
+    options += [x for a, n in args.in_process or () for x in ("--in-process", f"{a}:{n}")]
+    if args.claim != CLAIM:
+        options += ["--claim", args.claim]
     report = {
-        "command": "python3 tools/bench_commutor_components.py " + " ".join(
-            ["--parent", args.parent, "--workdir", "DIR", "--repeats", str(args.repeats),
-             "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
-             "--first-seed", str(args.first_seed)]),
+        "command": "python3 tools/bench_commutor_components.py "
+                   + " ".join(map(shlex.quote, options)),
         "procedure": __doc__.split("\n\n", 2)[2].strip().replace("\n", " "),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "
                    f"{platform.release()}; no CPU isolation",
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "parent_commit": _git("rev-parse", args.parent).decode().strip(),
         "change": "the commit that adds this file; its src/ tree is the one the runs measured",
-        "claim": "none: peak memory and wall time are recorded, no benchmark gain is claimed",
+        "claim": args.claim,
         "cold": cold_results,
         "in_process": in_process_results,
         "perfbench_summary": summarize(runs),
