@@ -8,7 +8,14 @@ e the net Q-exponent, and n, d dense tuples of ints in x = Q^s, index i
 holding the coefficient of x^i.  Laurent polynomials in Q go in and come
 out as plain {Q-exponent: coefficient} dicts: ``QRational(num, den)``
 reads them, ``numerator`` and ``denominator`` return them with Fraction
-coefficients, and the parser fills one.
+coefficients, and the parser fills one.  Strings are printed from the
+integer parts, each coefficient a*p[i]/b reduced by one integer gcd, so
+arithmetic and printing never build a Fraction.  ``fractions`` is
+imported only at the edges where a Fraction goes in or out: Fraction
+and dict inputs (and the test of a non-int operand for being one),
+``numerator``, ``denominator``, ``evaluate``, ``reduce_mod_qhalf``, the
+parser and the hash of a constant.  A launch that only computes with
+ints and QRationals and prints them never loads it.
 
 Canonical form: b > 0 and gcd(a, b) = 1; n and d have nonzero constant
 terms, are primitive (coefficient gcd 1) with positive leading
@@ -42,7 +49,6 @@ All values are immutable after construction and every operation is a pure
 function, so they are safe to share between threads.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 import re
 
@@ -63,7 +69,9 @@ __all__ = [
 ]
 
 
-def _fr(x) -> Fraction:
+def _fr(x):
+    """x as a Fraction, for an int or a Fraction."""
+    from fractions import Fraction
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -77,8 +85,8 @@ def _laurent(x) -> dict:
         x = {0: x}
     out = {}
     for e, c in x.items():
-        if not isinstance(e, int):
-            raise TypeError("exponents must be integers (powers of Q)")
+        if type(e) is not int:
+            raise TypeError(f"Q takes int exponents, got {e!r}")
         c = _fr(c)
         if c:
             out[e] = c
@@ -231,6 +239,7 @@ def _joint_stride(n, d):
 
 def _integer_poly(h: dict, shift: int, stride: int):
     """(c, P) with h = c * Q^shift * P(Q^stride) and P a primitive int tuple."""
+    from fractions import Fraction
     scale = lcm(*(c.denominator for c in h.values()))
     out = [0] * ((max(h) - shift) // stride + 1)
     for e, c in h.items():
@@ -256,7 +265,12 @@ class QRational:
             a = num if isinstance(num, QRational) else QRational(num)
             b = den if isinstance(den, QRational) else QRational(den)
             parts = (a / b)._parts()
-        elif isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+        elif type(num) is int and type(den) is int:  # a bool takes the Fraction path
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            parts = (num // g, den // g, 0, 1, (1,), (1,)) if num else _ZERO_PARTS
+        elif _is_exact(num) and _is_exact(den):
             if not den:
                 raise ZeroDivisionError("zero denominator")
             c = _fr(num) / den
@@ -291,11 +305,13 @@ class QRational:
 
     @property
     def numerator(self) -> dict:
+        from fractions import Fraction
         a, b, s, top = self._a, self._b, self._s, max(self._e, 0)
         return {top + i * s: Fraction(a * x, b) for i, x in enumerate(self._n) if x}
 
     @property
     def denominator(self) -> dict:
+        from fractions import Fraction
         s, top = self._s, max(-self._e, 0)
         return {top + i * s: Fraction(x) for i, x in enumerate(self._d) if x}
 
@@ -309,7 +325,7 @@ class QRational:
     def _coerce(x):
         if isinstance(x, QRational):
             return x
-        if isinstance(x, (int, Fraction)):
+        if _is_exact(x):
             return QRational(x)
         return None
 
@@ -420,8 +436,8 @@ class QRational:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
+        if type(n) is not int:
+            raise TypeError(f"QRational takes int exponents, got {n!r}")
         if n < 0:
             return ONE / (self ** (-n))
         out = ONE
@@ -442,16 +458,18 @@ class QRational:
 
     def __hash__(self):
         if not self._e and len(self._n) <= 1 and len(self._d) == 1:
+            from fractions import Fraction
             return hash(Fraction(self._a, self._b))  # a constant hashes as the number it equals
         return hash(self._parts())
 
-    def evaluate(self, x) -> Fraction:
+    def evaluate(self, x) -> "Fraction":
         """Exact value at Q = x.
 
         Canonical form has coprime numerator and denominator, so any
         removable singularity has already been cancelled; a vanishing
         denominator therefore means the value genuinely diverges.
         """
+        from fractions import Fraction
         v = _fr(x)
         e, vs = self._e, v ** self._s
         d = _horner(self._d, vs) * v ** max(-e, 0)
@@ -463,10 +481,10 @@ class QRational:
         if not self._a:  # zero: most entries of a braiding
             return "0"
         e, s = self._e, self._s
-        num = _terms_str(_dense_terms(Fraction(self._a, self._b), self._n, max(e, 0), s))
+        num = _terms_str(self._a, self._b, self._n, max(e, 0), s)
         if e >= 0 and len(self._d) == 1:
             return num
-        return f"({num})/({_terms_str(_dense_terms(1, self._d, max(-e, 0), s))})"
+        return f"({num})/({_terms_str(1, 1, self._d, max(-e, 0), s)})"
 
     def __repr__(self):
         return f"QRational({str(self)!r})"
@@ -485,6 +503,14 @@ def _store(out, a, b, e, s, n, d):
     _set_s(out, s)
     _set_n(out, n)
     _set_d(out, d)
+
+
+def _is_exact(x) -> bool:
+    """True for an int or a Fraction."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+    return isinstance(x, Fraction)
 
 
 def _make(a, b, e, s, n, d) -> QRational:
@@ -534,6 +560,8 @@ def quantum_int(n: int) -> QRational:
 
     [0] = 0 and [-n] = -[n]; the substitution q -> 1 sends [n] to n.
     """
+    if type(n) is not int:
+        raise TypeError(f"quantum integers take int arguments, got {n!r}")
     if n < 0:
         return -quantum_int(-n)
     out = ZERO
@@ -544,6 +572,8 @@ def quantum_int(n: int) -> QRational:
 
 def quantum_factorial(n: int) -> QRational:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
+    if type(n) is not int:
+        raise TypeError(f"quantum factorials take int arguments, got {n!r}")
     if n < 0:
         raise ValueError("factorial of a negative integer")
     out = ONE
@@ -566,12 +596,13 @@ def is_regular_at_infinity(a: QRational) -> bool:
     return a.is_zero() or _degree_gap(a) <= 0
 
 
-def reduce_mod_qhalf(a: QRational) -> Fraction:
+def reduce_mod_qhalf(a: QRational) -> "Fraction":
     """Constant term of ``a`` as a power series in q^(-1/2).
 
     Defined only on elements regular at infinity, where it is a ring
     homomorphism onto the exact rationals.
     """
+    from fractions import Fraction
     if a.is_zero():
         return Fraction(0)
     gap = _degree_gap(a)
@@ -580,15 +611,6 @@ def reduce_mod_qhalf(a: QRational) -> Fraction:
     if gap < 0:
         return Fraction(0)
     return Fraction(a._a * a._n[-1], a._b * a._d[-1])
-
-
-def _fraction_sqrt(c: Fraction) -> Fraction:
-    if c < 0:
-        raise ValueError("square root of a negative coefficient")
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        raise ValueError(f"{c} is not the square of a rational")
-    return Fraction(rn, rd)
 
 
 def monomial_sqrt(a: QRational) -> QRational:
@@ -602,37 +624,49 @@ def monomial_sqrt(a: QRational) -> QRational:
         raise ValueError(f"{a} is not a monomial")
     if a._e % 2:
         raise ValueError(f"{a} has odd Q-exponent {a._e}")
-    return _fraction_sqrt(Fraction(a._a, a._b)) * Qpow(a._e // 2)
+    c, b = a._a, a._b  # coprime, so c/b is a square iff both are
+    if c < 0:
+        raise ValueError("square root of a negative coefficient")
+    rc, rb = isqrt(c), isqrt(b)
+    if rc * rc != c or rb * rb != b:
+        raise ValueError(f"{_terms_str(c, b, (1,), 0, 1)} is not the square of a rational")
+    return _make(rc, rb, a._e // 2, 1, (1,), (1,))
 
 
 # -- canonical string form -------------------------------------------------
 
-def _term_str(c: Fraction, e: int) -> str:
-    if e == 0:
-        return str(c)
-    qpart = "Q" if e == 1 else f"Q^{e}"
-    if c == 1:
-        return qpart
-    if c == -1:
-        return f"-{qpart}"
-    return f"{c}*{qpart}"
+def _terms_str(a: int, b: int, p, shift: int, stride: int) -> str:
+    """Canonical string of a/b * Q^shift * p(Q^stride), terms by descending exponent.
 
-
-def _dense_terms(c, p, shift, stride):
-    """(exponent, coefficient) pairs of c * Q^shift * p(Q^stride), exponents descending."""
-    return [(shift + i * stride, c * p[i]) for i in range(len(p) - 1, -1, -1) if p[i]]
-
-
-def _terms_str(terms) -> str:
-    """Canonical string of (exponent, coefficient) pairs, exponents descending."""
+    Each coefficient a*p[i]/b is reduced by one integer gcd and printed as
+    a Fraction prints; b > 0 and p has a nonzero term.
+    """
     parts = []
-    for e, c in terms:
+    for i in range(len(p) - 1, -1, -1):
+        if not p[i]:
+            continue
+        c = a * p[i]
         if parts:
             parts.append(" - " if c < 0 else " + ")
-            parts.append(_term_str(abs(c), e))
+            c = abs(c)
+        d = b
+        if d != 1:
+            g = gcd(c, d)
+            c, d = c // g, d // g
+        e = shift + i * stride
+        if not e:
+            parts.append(str(c) if d == 1 else f"{c}/{d}")
         else:
-            parts.append(_term_str(c, e))
-    return "".join(parts) or "0"
+            qpart = "Q" if e == 1 else f"Q^{e}"
+            if d != 1:
+                parts.append(f"{c}/{d}*{qpart}")
+            elif c == 1:
+                parts.append(qpart)
+            elif c == -1:
+                parts.append(f"-{qpart}")
+            else:
+                parts.append(f"{c}*{qpart}")
+    return "".join(parts)
 
 
 _TERM_RE = re.compile(
@@ -643,6 +677,7 @@ _TERM_RE = re.compile(
 
 def _parse_poly(s: str) -> dict:
     """The {Q-exponent: Fraction} map of a polynomial's text, zero terms dropped."""
+    from fractions import Fraction
     s = s.strip()
     if not s:
         raise ValueError("empty polynomial")
@@ -670,8 +705,11 @@ def _parse_poly(s: str) -> dict:
 def parse_qrational(s: str) -> QRational:
     """Parse the canonical string form, e.g. ``"(Q^4 - 1)/(Q^4 + 1)"``.
 
-    Malformed text, a zero denominator included, raises ValueError.
+    Malformed text, a zero denominator included, raises ValueError, and
+    anything but a str raises TypeError.
     """
+    if not isinstance(s, str):
+        raise TypeError(f"parse_qrational reads a str, got {type(s).__name__}")
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         idx = s.index(")/(")

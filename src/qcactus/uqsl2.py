@@ -245,8 +245,19 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "QMatrix":
+        """The matrix ``to_json`` wrote; any other JSON raises ValueError naming the field."""
         data = json.loads(text)
-        m = cls([[parse_qrational(x) for x in row] for row in data["entries"]])
+        if not isinstance(data, dict):
+            raise ValueError("a matrix is a JSON object")
+        for key in ("rows", "cols"):
+            if type(data.get(key)) is not int:
+                raise ValueError(f"'{key}' must be an int, got {data.get(key)!r}")
+        entries = data.get("entries")
+        if not (isinstance(entries, list)
+                and all(isinstance(row, list) and all(isinstance(x, str) for x in row)
+                        for row in entries)):
+            raise ValueError("'entries' must be a list of lists of strings")
+        m = cls([[parse_qrational(x) for x in row] for row in entries])
         if (m.rows, m.cols) != (data["rows"], data["cols"]):
             raise ValueError("inconsistent matrix dimensions in JSON")
         return m
@@ -733,7 +744,8 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
                 raise LatticeError(
                     f"lattice not preserved: entry ({i}, {j}) = {x} is not regular at q = infinity"
                 )
-    reduced = [[reduce_mod_qhalf(x) for x in row] for row in a.entries]
+    # zero entries, most of them, reduce to 0: the reduction is a ring homomorphism
+    reduced = [[reduce_mod_qhalf(x) if x else 0 for x in row] for row in a.entries]
     for i, row in enumerate(reduced):
         for j, v in enumerate(row):
             if v not in (0, 1, -1):

@@ -498,7 +498,20 @@ if argv is not None:
         code = exc.code
     sys.stdout = sys.__stdout__
 print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("qcactus.")))
+print(*sorted({{"fractions", "decimal"}} & set(sys.modules)))
 """
+
+
+def _loaded_by(argv):
+    """The two lines _LOADED_BY prints for one command in a fresh interpreter."""
+    argv = None if argv is None else argv.split()
+    src = str(Path(qcactus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY.format(argv=argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stderr
+    return lines
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -518,9 +531,19 @@ print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("qc
 ])
 def test_each_command_loads_only_its_layers(argv, loaded):
     # a crystal command must not pay for compiling qexact and uqsl2
-    argv = None if argv is None else argv.split()
-    src = str(Path(qcactus.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY.format(argv=argv)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stdout.split() == loaded.split(), proc.stderr
+    assert _loaded_by(argv)[0].split() == loaded.split()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, ""),
+    ("rmatrix --m 2 --n 1", ""),
+    ("rmatrix --m 1 --n 1 --frame s2", ""),
+    ("rmatrix --m 2 --n 1 --unitarize", ""),
+    ("check yang-baxter", ""),
+    # the lattice reduction returns Fractions: the one command that needs them
+    ("check kt07 --max 1", "decimal fractions"),
+])
+def test_only_kt07_loads_fractions(argv, loaded):
+    # the braid commands compute and print on ints, so they skip importing
+    # fractions, and with it decimal and numbers
+    assert _loaded_by(argv)[1].split() == loaded.split()

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,23 @@ def test_q_powers_take_int_exponents_only(k):
         Qpow(k)
     with pytest.raises(TypeError, match="int exponents"):
         qpow(k)
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, 2.0, "2", None])
+def test_exponents_and_quantum_integers_take_ints_only(k):
+    # a bool is an int to isinstance, but not an exponent: Qpow refuses it too
+    for call in (lambda: QRational({k: 1}), lambda: QRational(1, {k: 1}),
+                 lambda: QRational(2) ** k, lambda: quantum_int(k),
+                 lambda: quantum_factorial(k)):
+        with pytest.raises(TypeError, match=re.escape(repr(k))):
+            call()
+
+
+def test_bool_values_are_the_numbers_they_equal():
+    # only exponents refuse bools; as values True and False stay 1 and 0
+    assert QRational(True) == ONE and QRational(False) == ZERO
+    assert QRational({0: True}) == ONE and QRational(True, 2)._parts() == QRational(1, 2)._parts()
+    assert type(QRational(True)._a) is int
 
 
 def test_inverse_of_q_minus_qinv():
@@ -114,6 +135,12 @@ def test_monomial_sqrt():
     for bad in (q + 1, -q, Q):
         with pytest.raises(ValueError):
             monomial_sqrt(bad)
+    assert monomial_sqrt(QRational(Fraction(9, 4)) * q) == QRational(Fraction(3, 2)) * Q
+    for bad, message in ((QRational(Fraction(2, 9)), "2/9 is not the square"),
+                         (QRational(Fraction(4, 3)) * q, "4/3 is not the square"),
+                         (-4 * q, "negative coefficient")):
+        with pytest.raises(ValueError, match=message):
+            monomial_sqrt(bad)
 
 
 def test_monomial_sqrt_squares_back():
@@ -184,6 +211,12 @@ def test_zero_denominator_in_text_is_malformed_text():
         QMatrix.from_json(entries)
 
 
+@pytest.mark.parametrize("bad", [None, 1, b"Q", ["Q"], Q])
+def test_parser_reads_only_text(bad):
+    with pytest.raises(TypeError, match="reads a str"):
+        parse_qrational(bad)
+
+
 def test_canonical_form_is_reduced():
     a = QRational(
         {2: 2, 0: -2},  # 2Q^2 - 2
@@ -249,3 +282,43 @@ def test_values_that_compare_equal_hash_equal():
     assert {3: "x"}[QRational(3)] == "x"
     assert QRational(3) in {3}
     assert ZERO in {0} and QRational({0: 3}) in {3}
+
+
+# Call one Fraction edge of qexact first thing in a fresh interpreter, after
+# checking that importing the quantum layers did not load fractions; print
+# the result's repr and the type names of its values.
+_FIRST_CALL = """
+import sys
+import qcactus.qexact, qcactus.uqsl2
+from qcactus.qexact import QRational, Qpow, monomial_sqrt, parse_qrational, qpow, reduce_mod_qhalf
+print("fractions" in sys.modules)
+if {needs_fraction}:
+    from fractions import Fraction
+result = {expr}
+print(repr(result))
+print(*sorted({{type(v).__name__ for v in (result.values() if type(result) is dict else [result])}}))
+"""
+
+
+@pytest.mark.parametrize("expr, value, kind", [
+    ("QRational(Fraction(1, 2))", "QRational('1/2')", "QRational"),
+    ("QRational({0: Fraction(1, 3), 2: 1})", "QRational('Q^2 + 1/3')", "QRational"),
+    ("QRational({2: 2, 0: -2}, {2: 4, 1: 4})", "QRational('(1/2*Q - 1/2)/(Q)')", "QRational"),
+    ("((Qpow(2) + 1) / 3).numerator", "{0: Fraction(1, 3), 2: Fraction(1, 3)}", "Fraction"),
+    ("(Qpow(1) / (Qpow(2) + 1)).denominator", "{0: Fraction(1, 1), 2: Fraction(1, 1)}",
+     "Fraction"),
+    ("((Qpow(2) + 1) / 3).evaluate(2)", "Fraction(5, 3)", "Fraction"),
+    ("reduce_mod_qhalf((2 * Qpow(2) + 1) / (3 * Qpow(2)))", "Fraction(2, 3)", "Fraction"),
+    ("reduce_mod_qhalf(Qpow(0) * 0)", "Fraction(0, 1)", "Fraction"),
+    ("monomial_sqrt(4 * qpow(1) / 9)", "QRational('2/3*Q')", "QRational"),
+    ("parse_qrational('1/2*Q')", "QRational('1/2*Q')", "QRational"),
+    ("hash(QRational(1, 2)) == hash(1 / QRational(2)) == hash(Fraction(1, 2))", "True", "bool"),
+])
+def test_each_fraction_edge_works_as_the_first_call(expr, value, kind):
+    # the test process has long loaded fractions, so an edge that lost its
+    # import of Fraction would pass here and fail only in a fresh launch
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = _FIRST_CALL.format(expr=expr, needs_fraction="Fraction" in expr)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout.splitlines() == ["False", value, kind], proc.stderr

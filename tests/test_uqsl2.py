@@ -597,6 +597,31 @@ def test_qmatrix_json_round_trip():
     assert again == a
 
 
+def test_qmatrix_from_json_refuses_what_to_json_cannot_write():
+    import json
+
+    data = json.loads(QMatrix([[1, qpow(1)]]).to_json())
+    assert QMatrix.from_json(json.dumps(data)) == QMatrix([[1, qpow(1)]])
+    # a string row iterates as its characters, so "12" once read as [1, 2]
+    for change, message in [({"entries": ["12"]}, "'entries' must be a list of lists of str"),
+                            ({"entries": "12", "rows": 2, "cols": 1}, "'entries' must be"),
+                            ({"entries": [[1, 2]]}, "'entries' must be"),
+                            ({"entries": [["1", None]]}, "'entries' must be"),
+                            ({"entries": None}, "'entries' must be"),
+                            ({"rows": "1"}, "'rows' must be an int"),
+                            ({"rows": True}, "'rows' must be an int"),
+                            ({"cols": 2.0}, "'cols' must be an int"),
+                            ({"cols": 3}, "inconsistent matrix dimensions")]:
+        with pytest.raises(ValueError, match=message):
+            QMatrix.from_json(json.dumps({**data, **change}))
+    for key, message in [("entries", "'entries' must be"), ("rows", "'rows' must be an int")]:
+        with pytest.raises(ValueError, match=message):
+            QMatrix.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+    for text in ("[]", '[["1"]]', '"1"', "1", "null"):
+        with pytest.raises(ValueError, match="a matrix is a JSON object"):
+            QMatrix.from_json(text)
+
+
 def test_apply_on_slots_matches_tensor_structure():
     v1 = irreducible(1)
     sigma = braiding_matrix(v1, v1, "s1")

@@ -23,8 +23,9 @@ alternates too.  Benchmark pairs run ``perfbench/run.py --trace 0`` on
 each side in the same alternating order and keep its last line.  On a
 shared host the cold times spread widely, so each case is also timed in
 one process that loads both copies under different package names and
-alternates between them run by run, with every crystal cache cleared
-before each run (CPU time, ``time.process_time``).
+alternates between them run by run, with every ``lru_cache`` of every
+loaded module of that side's package cleared before each run (CPU time,
+``time.process_time``).
 Standard library only.
 """
 
@@ -145,14 +146,23 @@ def cold(sides, repeats, cases):
 
 
 def _load(name, side):
-    """The side's qcactus, imported as the package `name`: (cli, crystals)."""
+    """The side's qcactus, imported as the package `name`: its cli module."""
     package = side / "src" / "qcactus"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.crystals")
+    return importlib.import_module(f"{name}.cli")
+
+
+def _clear_caches(name):
+    """Clear every lru_cache of every loaded module of the package `name`."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith(f"{name}."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def in_process(sides, cases):
@@ -162,13 +172,10 @@ def in_process(sides, cases):
         times = {name: [] for name in loaded}
         for r in range(runs):
             for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                cli, crystals = loaded[name]
-                for value in vars(crystals).values():
-                    if hasattr(value, "cache_clear"):
-                        value.cache_clear()
+                _clear_caches(f"qcactus_{name}")
                 start = time.process_time()
                 with contextlib.redirect_stdout(io.StringIO()):
-                    cli.run(args.split())
+                    loaded[name].run(args.split())
                 times[name].append(time.process_time() - start)
         ratios = [c / p for p, c in zip(times["parent"], times["change"])]
         results[args] = {f"{name}_median_ms": round(1000 * statistics.median(ts), 1)
