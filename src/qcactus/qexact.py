@@ -265,16 +265,12 @@ class QRational:
             a = num if isinstance(num, QRational) else QRational(num)
             b = den if isinstance(den, QRational) else QRational(den)
             parts = (a / b)._parts()
-        elif type(num) is int and type(den) is int:  # a bool takes the Fraction path
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            parts = (num // g, den // g, 0, 1, (1,), (1,)) if num else _ZERO_PARTS
         elif _is_exact(num) and _is_exact(den):
-            if not den:
+            n, d = num.numerator * den.denominator, num.denominator * den.numerator
+            if not d:
                 raise ZeroDivisionError("zero denominator")
-            c = _fr(num) / den
-            parts = (c.numerator, c.denominator, 0, 1, (1,), (1,)) if c else _ZERO_PARTS
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            parts = (n // g, d // g, 0, 1, (1,), (1,)) if n else _ZERO_PARTS
         else:
             num, den = _laurent(num), _laurent(den)
             if not den:

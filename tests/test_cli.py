@@ -540,7 +540,8 @@ def test_each_command_loads_only_its_layers(argv, loaded):
     ("rmatrix --m 1 --n 1 --frame s2", ""),
     ("rmatrix --m 2 --n 1 --unitarize", ""),
     ("check yang-baxter", ""),
-    # the lattice reduction returns Fractions: the one command that needs them
+    # records the current cost, not a requirement: the lattice reduction
+    # still returns Fractions, and this case changes once it stops doing so
     ("check kt07 --max 1", "decimal fractions"),
 ])
 def test_only_kt07_loads_fractions(argv, loaded):
