@@ -5,9 +5,16 @@ verification suites.  Exit status is 0 on success or an empty failure
 report, 1 when a verification fails, 2 on usage errors.  Output goes to
 stdout unless -o/--output is given; relative output paths are resolved
 against $QCACTUS_OUTDIR when it is set.
+
+``main`` is the process entry point (``python -m qcactus.cli`` and the
+``qcactus`` script): it exits with ``run``'s status and freezes the heap on
+the way out, so the interpreter's last garbage collection has nothing to
+scan.  Call ``run(argv)`` to stay in-process; it returns the status and
+leaves the collector as it found it.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -317,7 +324,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        sys.exit(run())
+    finally:
+        gc.freeze()  # the process ends here: leave its objects to the OS
 
 
 if __name__ == "__main__":

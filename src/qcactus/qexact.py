@@ -592,6 +592,18 @@ def is_regular_at_infinity(a: QRational) -> bool:
     return a.is_zero() or _degree_gap(a) <= 0
 
 
+def _constant_at_infinity(a: QRational) -> tuple:
+    """``reduce_mod_qhalf(a)`` as an int pair (num, den): den > 0, not reduced."""
+    if a.is_zero():
+        return 0, 1
+    gap = _degree_gap(a)
+    if gap > 0:
+        raise ValueError(f"{a} is not regular at q = infinity")
+    if gap < 0:
+        return 0, 1
+    return a._a * a._n[-1], a._b * a._d[-1]
+
+
 def reduce_mod_qhalf(a: QRational) -> "Fraction":
     """Constant term of ``a`` as a power series in q^(-1/2).
 
@@ -599,14 +611,7 @@ def reduce_mod_qhalf(a: QRational) -> "Fraction":
     homomorphism onto the exact rationals.
     """
     from fractions import Fraction
-    if a.is_zero():
-        return Fraction(0)
-    gap = _degree_gap(a)
-    if gap > 0:
-        raise ValueError(f"{a} is not regular at q = infinity")
-    if gap < 0:
-        return Fraction(0)
-    return Fraction(a._a * a._n[-1], a._b * a._d[-1])
+    return Fraction(*_constant_at_infinity(a))
 
 
 def monomial_sqrt(a: QRational) -> QRational:

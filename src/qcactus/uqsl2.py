@@ -59,11 +59,11 @@ from .qexact import (
     ZERO,
     QRational,
     Qpow,
+    _constant_at_infinity,
     is_regular_at_infinity,
     parse_qrational,
     qpow,
     quantum_int,
-    reduce_mod_qhalf,
 )
 from . import Record, VerificationError, _shape
 
@@ -744,18 +744,22 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
                 raise LatticeError(
                     f"lattice not preserved: entry ({i}, {j}) = {x} is not regular at q = infinity"
                 )
-    # zero entries, most of them, reduce to 0: the reduction is a ring homomorphism
-    reduced = [[reduce_mod_qhalf(x) if x else 0 for x in row] for row in a.entries]
+    # each entry's constant term num/den, den > 0, is 0, 1 or -1 iff num is 0, den or -den
+    reduced = [[_constant_at_infinity(x) for x in row] for row in a.entries]
     for i, row in enumerate(reduced):
-        for j, v in enumerate(row):
-            if v not in (0, 1, -1):
-                raise LatticeError(f"reduction has entry {v} at ({i}, {j}); not a signed permutation")
+        for j, (num, den) in enumerate(row):
+            if num not in (0, den, -den):
+                from fractions import Fraction  # only to print the entry as a reduced fraction
+                raise LatticeError(
+                    f"reduction has entry {Fraction(num, den)} at ({i}, {j}); not a signed permutation"
+                )
+    reduced = [[num // den for num, den in row] for row in reduced]
     for i, (row, column) in enumerate(zip(reduced, zip(*reduced))):
         if sum(map(bool, row)) != 1:
             raise LatticeError(f"row {i} of the reduction is not a signed permutation row")
         if sum(map(bool, column)) != 1:
             raise LatticeError(f"column {i} of the reduction is not a signed permutation column")
-    return [[int(v) for v in row] for row in reduced]
+    return reduced
 
 
 class Kt07Report(Record):

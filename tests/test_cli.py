@@ -1,4 +1,6 @@
 from collections import Counter
+import gc
+import hashlib
 from itertools import combinations_with_replacement
 import json
 import os
@@ -11,7 +13,7 @@ import pytest
 import groups_oracle
 import qcactus
 
-from qcactus import crystals, groups, uqsl2
+from qcactus import cli, crystals, groups, uqsl2
 from qcactus.cli import run
 
 
@@ -482,6 +484,13 @@ def test_missing_output_directory_is_a_usage_error(capsys, tmp_path, monkeypatch
     assert "Traceback" not in err
 
 
+def _fresh(args, **kw):
+    """A fresh interpreter running `python args...` from this checkout's src, at 80 columns."""
+    src = str(Path(qcactus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60, **kw)
+
+
 # Run one command in a fresh interpreter, stdout discarded, and print its
 # exit status and the qcactus modules it loaded.
 _LOADED_BY = """
@@ -505,10 +514,7 @@ print(*sorted({{"fractions", "decimal"}} & set(sys.modules)))
 def _loaded_by(argv):
     """The two lines _LOADED_BY prints for one command in a fresh interpreter."""
     argv = None if argv is None else argv.split()
-    src = str(Path(qcactus.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY.format(argv=argv)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh(["-c", _LOADED_BY.format(argv=argv)], text=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 2, proc.stderr
     return lines
@@ -540,11 +546,92 @@ def test_each_command_loads_only_its_layers(argv, loaded):
     ("rmatrix --m 1 --n 1 --frame s2", ""),
     ("rmatrix --m 2 --n 1 --unitarize", ""),
     ("check yang-baxter", ""),
-    # records the current cost, not a requirement: the lattice reduction
-    # still returns Fractions, and this case changes once it stops doing so
-    ("check kt07 --max 1", "decimal fractions"),
+    # the lattice reduction compares the int parts of each constant term
+    ("check kt07 --max 1", ""),
 ])
 def test_only_kt07_loads_fractions(argv, loaded):
-    # the braid commands compute and print on ints, so they skip importing
-    # fractions, and with it decimal and numbers
+    # named when check kt07 still loaded it; now no command does: they
+    # compute and print on ints, so they skip importing fractions, and with
+    # it decimal and numbers
     assert _loaded_by(argv)[1].split() == loaded.split()
+
+
+# -- the process entry point ------------------------------------------------------
+
+@pytest.mark.parametrize("outcome", [0, 1, 2, SystemExit(2), RuntimeError("boom")],
+                         ids=["0", "1", "2", "argparse-exit", "error"])
+def test_main_exits_with_run_and_then_freezes_once(outcome, monkeypatch):
+    calls = []
+
+    def fake_run():
+        calls.append("run")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(BaseException) as info:
+        cli.main()
+    if isinstance(outcome, BaseException):
+        assert info.value is outcome
+    else:
+        assert type(info.value) is SystemExit and info.value.code == outcome
+    assert calls == ["run", "freeze"]
+
+
+def test_run_leaves_the_collector_unfrozen():
+    # library callers keep Python's normal teardown: only main freezes
+    code = ("import contextlib, gc, io\n"
+            "from qcactus import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.run(['check', 'yang-baxter'])\n"
+            "print(status, gc.get_freeze_count())\n")
+    proc = _fresh(["-c", code], text=True)
+    assert proc.stdout == "0 0\n", proc.stderr
+
+
+_HELP = """\
+usage: qcactus [-h] {crystal,commutor,cactus,rmatrix,check} ...
+
+exact braidings and cactus commutors for sl2 crystals and modules
+
+positional arguments:
+  {crystal,commutor,cactus,rmatrix,check}
+    crystal             crystal graphs and decompositions
+    commutor            the commutor between two shapes
+    cactus              cactus group actions
+    rmatrix             braiding matrices, optionally unitarized
+    check               verification suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+# status, stdout and stderr of `python -m qcactus.cli ARGS`, recorded with
+# Python's normal teardown: freezing the heap at exit must not change a byte
+@pytest.mark.parametrize("argv, status, out, err", [
+    ("check yang-baxter", 0, '{\n  "check": "yang-baxter",\n  "status": "pass"\n}\n', ""),
+    ("cactus act --shape 1,1 --p 2 --q 1", 2, "",
+     "qcactus: error: need 1 <= p <= q <= 2, got (2,1)\n"),
+    ("check kt07 --max -1", 2, "",
+     "usage: qcactus check kt07 [-h] [--max MAX] [-o OUTPUT]\n"
+     "qcactus check kt07: error: argument --max: weight bound must be nonnegative\n"),
+    ("--help", 0, _HELP, ""),
+])
+def test_launch_output_is_unchanged(argv, status, out, err):
+    proc = _fresh(["-m", "qcactus.cli", *argv.split()])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out.encode(), err.encode())
+
+
+def test_launch_output_file_matches_stdout(tmp_path):
+    argv = ["-m", "qcactus.cli", "rmatrix", "--m", "2", "--n", "1"]
+    path = tmp_path / "r.json"
+    to_file = _fresh(argv + ["-o", str(path)])
+    to_stdout = _fresh(argv)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert path.read_bytes() == to_stdout.stdout
+    assert hashlib.sha256(to_stdout.stdout).hexdigest() == (
+        "075061cc6a93fce8d74b796e5dbd58bbd59ee5a5e1d320d8152f62f2ce39923c")

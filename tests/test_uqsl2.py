@@ -490,6 +490,16 @@ def test_lattice_reduce_rejects_non_signed_permutations():
         lattice_check_and_reduce(QMatrix.zeros(4, 4), v1, v1)
 
 
+@pytest.mark.parametrize("entry, shown", [(QRational(1, 2), "1/2"), (QRational(2), "2")])
+def test_lattice_reduce_names_a_non_sign_entry_as_a_fraction(entry, shown):
+    # the check compares int parts; the message still prints the entry reduced
+    v0 = irreducible(0)
+    message = f"reduction has entry {shown} at (0, 0); not a signed permutation"
+    with pytest.raises(LatticeError) as info:
+        lattice_check_and_reduce(QMatrix([[entry]]), v0, v0)
+    assert str(info.value) == message
+
+
 def test_lattice_errors_keep_their_precedence():
     v1 = irreducible(1)
 

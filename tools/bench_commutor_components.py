@@ -17,15 +17,20 @@ keeps it from being written, so both sides compile ``qcactus`` each time;
 
 Cold launches run ``python3 -m qcactus.cli ARGS`` with ``PYTHONPATH=src``
 from the side's root and record the wall time, the child's own peak
-resident memory (``ru_maxrss`` from ``os.wait4``) and the stdout sha256.
-Launches alternate between the sides, and the side that goes first
-alternates too.  Benchmark pairs run ``perfbench/run.py --trace 0`` on
-each side in the same alternating order and keep its last line.  On a
-shared host the cold times spread widely, so each case is also timed in
-one process that loads both copies under different package names and
-alternates between them run by run, with every ``lru_cache`` of every
-loaded module of that side's package cleared before each run (CPU time,
-``time.process_time``).
+resident memory (``ru_maxrss`` from ``os.wait4``), the exit status and the
+sha256 of stdout and of stderr.  Launches alternate between the sides,
+and the side that goes first alternates too.  The report is written in
+any case, but the tool exits 1, naming each case, when a case's status,
+stdout or stderr differs between the sides or across its repeats.
+Benchmark pairs run ``perfbench/run.py --trace 0`` on each side in the
+same alternating order and keep its last line.  On a shared host the
+cold times spread widely, so each case is also timed in one process that
+loads both copies under different package names and alternates between
+them run by run, with every ``lru_cache`` of every loaded module of that
+side's package cleared before each run (CPU time, ``time.process_time``).
+These in-process cases call each side's ``cli.run``, not ``cli.main``, so
+they neither see nor cause what happens only as a launch ends, such as
+``main`` freezing the heap before the interpreter's teardown.
 Standard library only.
 """
 
@@ -110,16 +115,21 @@ def _env(**extra):
 
 
 def _launch(side, argv, env):
-    """Run argv from the side's root; (status, stdout bytes, wall s, peak MB of the child)."""
+    """Run argv from the side's root; (status, stdout, stderr, wall s, peak MB of the child)."""
     shutil.rmtree(side / "src" / "qcactus" / "__pycache__", ignore_errors=True)
-    with tempfile.TemporaryFile() as out:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=side, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, cwd=side, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
-        return proc.returncode, out.read(), wall, usage.ru_maxrss / 1024
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), wall, usage.ru_maxrss / 1024
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def cold(sides, repeats, cases):
@@ -129,10 +139,10 @@ def cold(sides, repeats, cases):
         for r in range(repeats):
             order = names if (k + r) % 2 == 0 else names[::-1]
             for name in order:
-                status, out, wall, rss = _launch(
+                status, out, err, wall, rss = _launch(
                     sides[name], [sys.executable, "-m", "qcactus.cli", *args.split()],
                     _env(PYTHONPATH="src"))
-                runs[name].append({"status": status, "sha256": hashlib.sha256(out).hexdigest()[:16],
+                runs[name].append({"status": status, "sha256": _sha(out), "stderr_sha256": _sha(err),
                                    "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)})
                 print(f"{args} [{name}] {runs[name][-1]}", flush=True)
         results[args] = {name: {
@@ -141,8 +151,16 @@ def cold(sides, repeats, cases):
             "peak_rss_mb": [run["peak_rss_mb"] for run in rs],
             "status": sorted({run["status"] for run in rs}),
             "sha256": sorted({run["sha256"] for run in rs}),
+            "stderr_sha256": sorted({run["stderr_sha256"] for run in rs}),
         } for name, rs in runs.items()}
     return results
+
+
+def output_mismatches(cold_results):
+    """The cold cases whose status, stdout or stderr is not one value over every launch."""
+    return [args for args, sides in cold_results.items()
+            if any(len({value for side in sides.values() for value in side[key]}) > 1
+                   for key in ("status", "sha256", "stderr_sha256"))]
 
 
 def _load(name, side):
@@ -193,7 +211,7 @@ def bench_pairs(sides, pairs, seconds, first_seed):
             for name in order:
                 argv = [sys.executable, "perfbench/run.py", "--workload", workload,
                         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-                status, out, _, _ = _launch(sides[name], argv, _env())
+                status, out, _, _, _ = _launch(sides[name], argv, _env())
                 last = out.decode().strip().splitlines()[-1]
                 runs.append({"workload": workload, "seed": seed, "side": name,
                              "status": status, "last_line": last})
@@ -266,12 +284,15 @@ def main(argv=None):
         "change": "the commit that adds this file; its src/ tree is the one the runs measured",
         "claim": args.claim,
         "cold": cold_results,
+        "cold_output_mismatches": output_mismatches(cold_results),
         "in_process": in_process_results,
         "perfbench_summary": summarize(runs),
         "perfbench_runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    return 0
+    for case in report["cold_output_mismatches"]:
+        print(f"output differs between the sides or across repeats: {case}", file=sys.stderr)
+    return 1 if report["cold_output_mismatches"] else 0
 
 
 if __name__ == "__main__":
