@@ -32,26 +32,23 @@ def _parse_shape(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}; expected e.g. 1,2,1")
 
 
-def _weight_bound(text: str) -> int:
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weight bound {text!r}; expected an integer")
-    if bound < 0:
-        # a negative bound selects no cases, and a check over no cases proves nothing
-        raise argparse.ArgumentTypeError("weight bound must be nonnegative")
-    return bound
+def _int_at_least(low: int, noun: str, too_small: str):
+    """An argparse type: the int of the text, refused below ``low`` with ``too_small``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {noun} {text!r}; expected an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(too_small)
+        return value
+    return parse
 
 
-def _factor_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad factor count {text!r}; expected an integer")
-    if count < 2:
-        # the cactus group on fewer than two fruits has no generator to check
-        raise argparse.ArgumentTypeError("need at least 2 factors")
-    return count
+# a negative bound selects no cases, and a check over no cases proves nothing
+_weight_bound = _int_at_least(0, "weight bound", "weight bound must be nonnegative")
+# the cactus group on fewer than two fruits has no generator to check
+_factor_count = _int_at_least(2, "factor count", "need at least 2 factors")
 
 
 def _emit(text: str, args) -> None:

@@ -7,15 +7,16 @@ a/b * Q^e * n(Q^s) / d(Q^s), stored graded: a/b is an integer content,
 e the net Q-exponent, and n, d dense tuples of ints in x = Q^s, index i
 holding the coefficient of x^i.  Laurent polynomials in Q go in and come
 out as plain {Q-exponent: coefficient} dicts: ``QRational(num, den)``
-reads them, ``numerator`` and ``denominator`` return them with Fraction
-coefficients, and the parser fills one.  Strings are printed from the
-integer parts, each coefficient a*p[i]/b reduced by one integer gcd, so
-arithmetic and printing never build a Fraction.  ``fractions`` is
-imported only at the edges where a Fraction goes in or out: Fraction
-and dict inputs (and the test of a non-int operand for being one),
-``numerator``, ``denominator``, ``evaluate``, ``reduce_mod_qhalf``, the
-parser and the hash of a constant.  A launch that only computes with
-ints and QRationals and prints them never loads it.
+reads each argument as one and divides, ``numerator`` and
+``denominator`` return them with Fraction coefficients, and the parser
+fills one.  Strings are printed from the integer parts, each coefficient
+a*p[i]/b reduced by one integer gcd, so arithmetic and printing never
+build a Fraction.  ``fractions`` is imported only at the edges where a
+Fraction goes in or out: Fraction and dict inputs (and the test of a
+non-int operand for being one), ``numerator``, ``denominator``,
+``evaluate``, ``reduce_mod_qhalf``, the parser and the hash of a
+constant.  A launch that only computes with ints and QRationals and
+prints them never loads it.
 
 Canonical form: b > 0 and gcd(a, b) = 1; n and d have nonzero constant
 terms, are primitive (coefficient gcd 1) with positive leading
@@ -237,59 +238,25 @@ def _joint_stride(n, d):
     return t
 
 
-def _integer_poly(h: dict, shift: int, stride: int):
-    """(c, P) with h = c * Q^shift * P(Q^stride) and P a primitive int tuple."""
-    from fractions import Fraction
-    scale = lcm(*(c.denominator for c in h.values()))
-    out = [0] * ((max(h) - shift) // stride + 1)
-    for e, c in h.items():
-        out[(e - shift) // stride] = c.numerator * (scale // c.denominator)
-    content, p = _primitive(out)
-    return Fraction(content, scale), p
-
-
 class QRational:
     """A rational function of q^(1/2) in canonical form.
 
     Construct from ints, Fractions, {Q-exponent: coefficient} dicts or
-    another QRational; an optional second argument is the denominator.
-    Arithmetic is exact field arithmetic; two values are equal iff their
-    canonical forms coincide.  ``numerator`` and ``denominator`` give the
-    canonical quotient back as {Q-exponent: Fraction} dicts.
+    another QRational; an optional second argument is the denominator,
+    and the value is num / den by the field division, so the arithmetic
+    is the one route to the canonical form.  Arithmetic is exact field
+    arithmetic; two values are equal iff their canonical forms coincide.
+    ``numerator`` and ``denominator`` give the canonical quotient back as
+    {Q-exponent: Fraction} dicts.
     """
 
     __slots__ = ("_a", "_b", "_e", "_s", "_n", "_d")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, QRational) or isinstance(den, QRational):
-            a = num if isinstance(num, QRational) else QRational(num)
-            b = den if isinstance(den, QRational) else QRational(den)
-            parts = (a / b)._parts()
-        elif _is_exact(num) and _is_exact(den):
-            n, d = num.numerator * den.denominator, num.denominator * den.numerator
-            if not d:
-                raise ZeroDivisionError("zero denominator")
-            g = gcd(n, d) if d > 0 else -gcd(n, d)
-            parts = (n // g, d // g, 0, 1, (1,), (1,)) if n else _ZERO_PARTS
-        else:
-            num, den = _laurent(num), _laurent(den)
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-            if not num:
-                parts = _ZERO_PARTS
-            else:
-                vn, vd = min(num), min(den)
-                s = 0
-                for h, v in ((num, vn), (den, vd)):
-                    for e in h:
-                        s = gcd(s, e - v)
-                s = s or 1
-                cn, n = _integer_poly(num, vn, s)
-                cd, d = _integer_poly(den, vd, s)
-                n, d, _ = _cancel(n, d)
-                c = cn / cd
-                parts = (c.numerator, c.denominator, vn - vd, *_decimate(s, n, d))
-        _store(self, *parts)
+        num, den = _read(num), _read(den)
+        if not den._a:
+            raise ZeroDivisionError("zero denominator")
+        _store(self, *(num / den)._parts())
 
     __setattr__ = __delattr__ = Record.__setattr__
 
@@ -322,7 +289,7 @@ class QRational:
         if isinstance(x, QRational):
             return x
         if _is_exact(x):
-            return QRational(x)
+            return _read(x)
         return None
 
     def __add__(self, other):
@@ -488,7 +455,6 @@ class QRational:
 
 _set_a, _set_b, _set_e, _set_s, _set_n, _set_d = (
     getattr(QRational, name).__set__ for name in QRational.__slots__)
-_ZERO_PARTS = (0, 1, 0, 1, (), (1,))
 
 
 def _store(out, a, b, e, s, n, d):
@@ -507,6 +473,29 @@ def _is_exact(x) -> bool:
         return True
     from fractions import Fraction
     return isinstance(x, Fraction)
+
+
+def _read(x) -> QRational:
+    """One argument of ``QRational(num, den)`` as a QRational.
+
+    An int is built from its int part, so no Fraction is made for it; a
+    Fraction or a {Q-exponent: coefficient} dict is the Laurent polynomial
+    a/b * Q^v * p(Q), p primitive, rewritten at its stride.
+    """
+    if isinstance(x, QRational):
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 1, 0, 1, (1,), (1,)) if x else ZERO
+    h = _laurent(x)
+    if not h:
+        return ZERO
+    v, b = min(h), lcm(*(c.denominator for c in h.values()))
+    p = [0] * (max(h) - v + 1)
+    for e, c in h.items():
+        p[e - v] = c.numerator * (b // c.denominator)
+    a, p = _primitive(p)
+    g = gcd(a, b)
+    return _make(a // g, b // g, v, *_decimate(1, p, (1,)))
 
 
 def _make(a, b, e, s, n, d) -> QRational:
@@ -533,8 +522,8 @@ def _horner(p, x):
     return acc
 
 
-ZERO = QRational(0)
-ONE = QRational(1)
+ZERO = _make(0, 1, 0, 1, (), (1,))
+ONE = _make(1, 1, 0, 1, (1,), (1,))
 
 
 def Qpow(k: int) -> QRational:

@@ -77,7 +77,6 @@ __all__ = [
     "irreducible",
     "tensor_module",
     "module_for_shape",
-    "module_relations_ok",
     "highest_weight_vectors",
     "module_components",
     "isotypic_frame",
@@ -100,7 +99,7 @@ class SingularMatrixError(ValueError):
     pass
 
 
-class LatticeError(ValueError):
+class LatticeError(VerificationError):
     pass
 
 
@@ -331,8 +330,9 @@ class UqModule(Record):
     The shape, the highest weights of the factors tensored left to right,
     is the only field: a tuple, checked by the package's one shape rule
     ``qcactus._shape``.  K scales the weight-j basis vector by q^j.  The
-    defining relations are not assumed; they are verified by
-    ``module_relations_ok`` in the test suite for every module built here.
+    defining relations are not assumed; the test suite verifies them for
+    every module built here with ``module_relations_ok`` in
+    ``tests/uqsl2_oracle.py``.
     """
 
     __slots__ = ("shape",)
@@ -407,25 +407,6 @@ def _operators(shape):
     e = _tensor_operator([(m.e, n.k_matrix()), (QMatrix.identity(m.dim), n.e)])
     f = _tensor_operator([(m.f, QMatrix.identity(n.dim)), (m.k_matrix(-1), n.f)])
     return tuple(a + b for b in n.weights for a in m.weights), e, f
-
-
-def module_relations_ok(m: UqModule) -> bool:
-    """Exact check of the defining relations on a module.
-
-    K E K^-1 = q^2 E and K F K^-1 = q^-2 F reduce to E raising and F
-    lowering weights by exactly 2; the commutator [E, F] must equal the
-    diagonal of balanced q-integers of the weights.
-    """
-    weights, e, f = m.weights, m.e, m.f
-    for r in range(m.dim):
-        for c in range(m.dim):
-            if e[r, c] and weights[r] != weights[c] + 2:
-                return False
-            if f[r, c] and weights[r] != weights[c] - 2:
-                return False
-    commutator = e @ f - f @ e
-    expected = QMatrix.diagonal([quantum_int(w) for w in weights])
-    return commutator == expected
 
 
 def highest_weight_vectors(m: UqModule):

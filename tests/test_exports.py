@@ -174,7 +174,7 @@ def test_verification_errors_share_one_base():
     from qcactus import crystals, uqsl2
 
     for error in (crystals.CrystalInvariantError, uqsl2.CalibrationError,
-                  uqsl2.UnitarizationError):
+                  uqsl2.LatticeError, uqsl2.UnitarizationError):
         assert issubclass(error, qcactus.VerificationError)
         assert issubclass(error, RuntimeError)
 

@@ -60,10 +60,16 @@ def fraction_pairs(draw):
 values = fraction_pairs().map(lambda nd: QRational(*nd))
 
 
-@given(fraction_pairs())
-def test_constructor_matches_oracle(pair):
+@given(fraction_pairs(), coefficients, st.sampled_from(["dict", "QRational", "Fraction"]),
+       st.sampled_from(["dict", "QRational"]))
+def test_constructor_matches_oracle(pair, c, num_type, den_type):
+    # each side as a dict or as a QRational read on its own; a Fraction
+    # numerator stands for the constant dict {0: c}
     num, den = pair
-    x = QRational(num, den)
+    if num_type == "Fraction":
+        num = {0: c}
+    as_type = {"dict": lambda p: p, "QRational": QRational, "Fraction": lambda p: c}
+    x = QRational(as_type[num_type](num), as_type[den_type](den))
     n, d = canonical(num, den)
     assert x.numerator == n
     assert x.denominator == d

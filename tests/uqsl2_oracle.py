@@ -16,6 +16,9 @@ from the irreducible blocks through the component embeddings.
 ``twist_on_components`` states the ribbon twist T^(+-) by what it does:
 it scales each irreducible component of highest weight lam by
 Q^(+-floor(lam(lam+2)/2)).
+
+``module_relations_ok`` checks the defining relations of U_q(sl2) on a
+module's E, F and weights, which the library builds but never assumes.
 """
 
 from dataclasses import dataclass
@@ -155,3 +158,22 @@ def twist_on_components(shape, sign: int):
         lam = comp.highest_weight
         out.append((comp.columns, comp.columns.scale(Qpow(sign * (lam * (lam + 2) // 2)))))
     return out
+
+
+def module_relations_ok(m: UqModule) -> bool:
+    """Exact check of the defining relations on a module.
+
+    K E K^-1 = q^2 E and K F K^-1 = q^-2 F reduce to E raising and F
+    lowering weights by exactly 2; the commutator [E, F] must equal the
+    diagonal of balanced q-integers of the weights.
+    """
+    weights, e, f = m.weights, m.e, m.f
+    for r in range(m.dim):
+        for c in range(m.dim):
+            if e[r, c] and weights[r] != weights[c] + 2:
+                return False
+            if f[r, c] and weights[r] != weights[c] - 2:
+                return False
+    commutator = e @ f - f @ e
+    expected = QMatrix.diagonal([quantum_int(w) for w in weights])
+    return commutator == expected
