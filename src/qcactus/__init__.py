@@ -90,19 +90,28 @@ class Record:
     __delattr__ = __setattr__
 
 
+_WORD_BUDGET = 1 << 20
+
+
 def _shape(value) -> tuple:
     """tuple(value) if it is a shape: nonempty, each entry an int (by type, so
-    no bool or float) and nonnegative; TypeError or ValueError otherwise.  The
+    no bool or float) and nonnegative, with at most _WORD_BUDGET = 2^20 words,
+    the product of the n + 1; TypeError or ValueError otherwise.  The
     package's one shape rule, applied by every public entry before it reads a
-    cache, whose keys compare True == 1.0 == 1."""
+    cache, whose keys compare True == 1.0 == 1, and before any table of the
+    shape's words or basis is allocated."""
     shape = tuple(value)
     if not shape:
         raise ValueError("shape must be nonempty: a tensor word has at least one factor")
+    words = 1
     for n in shape:  # one pass: this runs at every public crystal call and every CrystalMap
         if type(n) is not int:
             raise TypeError(f"a shape is a tuple of ints, got {shape!r}")
         if n < 0:
             raise ValueError("highest weight must be nonnegative")
+        words *= n + 1
+    if words > _WORD_BUDGET:
+        raise ValueError(f"shape has {words} words, over the budget of {_WORD_BUDGET}")
     return shape
 
 

@@ -2,7 +2,10 @@
 
 Subcommands expose crystal graphs, commutors, braiding matrices and the
 verification suites.  Exit status is 0 on success or an empty failure
-report, 1 when a verification fails, 2 on usage errors.  Output goes to
+report, 1 when a verification fails, 2 on usage errors.  argparse checks
+every argument of a ``check`` before it runs, so an error a layer raises
+during a check is a failed verification, never a usage error; an output
+file that cannot be written is a usage error everywhere.  Output goes to
 stdout unless -o/--output is given; relative output paths are resolved
 against $QCACTUS_OUTDIR when it is set.
 
@@ -51,6 +54,10 @@ _weight_bound = _int_at_least(0, "weight bound", "weight bound must be nonnegati
 _factor_count = _int_at_least(2, "factor count", "need at least 2 factors")
 
 
+class _Unwritable(Exception):
+    """An output file that cannot be written: reported by run() as a usage error, exit 2."""
+
+
 def _emit(text: str, args) -> None:
     path = getattr(args, "output", None)
     if path is None:
@@ -63,8 +70,7 @@ def _emit(text: str, args) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
-        # reported by run() as a usage error, exit 2
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_report(name: str, ok: bool, payload: dict, args) -> int:
@@ -310,14 +316,18 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:
-        # a failed verification, not a usage error; the text names the witness
-        print(f"qcactus: verification failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # bad argument combinations (out-of-range indices, wrong frames)
+    except _Unwritable as exc:
         print(f"qcactus: error: {exc}", file=sys.stderr)
         return 2
+    except (VerificationError, ValueError) as exc:
+        # argparse has validated every argument of a check, so a ValueError
+        # there is a failed verification; elsewhere it is a bad argument
+        # combination (out-of-range indices, wrong frames)
+        if isinstance(exc, ValueError) and args.command != "check":
+            print(f"qcactus: error: {exc}", file=sys.stderr)
+            return 2
+        print(f"qcactus: verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -9,14 +9,17 @@ holding the coefficient of x^i.  Laurent polynomials in Q go in and come
 out as plain {Q-exponent: coefficient} dicts: ``QRational(num, den)``
 reads each argument as one and divides, ``numerator`` and
 ``denominator`` return them with Fraction coefficients, and the parser
-fills one.  Strings are printed from the integer parts, each coefficient
-a*p[i]/b reduced by one integer gcd, so arithmetic and printing never
-build a Fraction.  ``fractions`` is imported only at the edges where a
-Fraction goes in or out: Fraction and dict inputs (and the test of a
-non-int operand for being one), ``numerator``, ``denominator``,
-``evaluate``, ``reduce_mod_qhalf``, the parser and the hash of a
-constant.  A launch that only computes with ints and QRationals and
-prints them never loads it.
+fills one.  One reader, ``_read``, decides what an exact input is: a
+QRational, an int, a Fraction, or such a dict of ints and Fractions.  The
+constructor, the operands of the arithmetic (where a dict is not a
+number) and the point of ``evaluate`` all go through it.  Strings are
+printed from the integer parts, each coefficient a*p[i]/b reduced by one
+integer gcd, so arithmetic and printing never build a Fraction.
+``fractions`` is imported only at the edges where a Fraction goes in or
+out: any input but an int or a QRational, ``numerator``,
+``denominator``, ``evaluate``, ``reduce_mod_qhalf``, the parser and the
+hash of a constant.  A launch that only computes with ints and
+QRationals and prints them never loads it.
 
 Canonical form: b > 0 and gcd(a, b) = 1; n and d have nonzero constant
 terms, are primitive (coefficient gcd 1) with positive leading
@@ -68,30 +71,6 @@ __all__ = [
     "monomial_sqrt",
     "parse_qrational",
 ]
-
-
-def _fr(x):
-    """x as a Fraction, for an int or a Fraction."""
-    from fractions import Fraction
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _laurent(x) -> dict:
-    """The {Q-exponent: Fraction} map of a number or a dict, zero terms dropped."""
-    if not isinstance(x, dict):
-        x = {0: x}
-    out = {}
-    for e, c in x.items():
-        if type(e) is not int:
-            raise TypeError(f"Q takes int exponents, got {e!r}")
-        c = _fr(c)
-        if c:
-            out[e] = c
-    return out
 
 
 # -- dense integer polynomials: nonempty int tuples, index = exponent of x --
@@ -286,11 +265,13 @@ class QRational:
 
     @staticmethod
     def _coerce(x):
+        """An operand as a QRational: itself, an int or a Fraction; None for anything else."""
         if isinstance(x, QRational):
             return x
-        if _is_exact(x):
-            return _read(x)
-        return None
+        try:
+            return None if isinstance(x, dict) else _read(x)
+        except TypeError:
+            return None
 
     def __add__(self, other):
         if not isinstance(other, QRational):
@@ -433,12 +414,12 @@ class QRational:
         denominator therefore means the value genuinely diverges.
         """
         from fractions import Fraction
-        v = _fr(x)
-        e, vs = self._e, v ** self._s
-        d = _horner(self._d, vs) * v ** max(-e, 0)
+        _read({0: x})  # TypeError unless the point is an int or a Fraction
+        e, vs = self._e, x ** self._s
+        d = _horner(self._d, vs) * x ** max(-e, 0)
         if d == 0:
             raise ZeroDivisionError(f"pole at Q = {x}")
-        return Fraction(self._a, self._b) * _horner(self._n, vs) * v ** max(e, 0) / d
+        return Fraction(self._a, self._b) * _horner(self._n, vs) * x ** max(e, 0) / d
 
     def __str__(self):
         if not self._a:  # zero: most entries of a braiding
@@ -467,26 +448,28 @@ def _store(out, a, b, e, s, n, d):
     _set_d(out, d)
 
 
-def _is_exact(x) -> bool:
-    """True for an int or a Fraction."""
-    if isinstance(x, int):
-        return True
-    from fractions import Fraction
-    return isinstance(x, Fraction)
-
-
 def _read(x) -> QRational:
-    """One argument of ``QRational(num, den)`` as a QRational.
+    """An exact input as a QRational: the one rule for what is exact.
 
-    An int is built from its int part, so no Fraction is made for it; a
-    Fraction or a {Q-exponent: coefficient} dict is the Laurent polynomial
-    a/b * Q^v * p(Q), p primitive, rewritten at its stride.
+    A QRational is kept as it is.  An int is built from its int part, so no
+    Fraction is made for it.  A Fraction, or a {Q-exponent: coefficient}
+    dict with int exponents and int or Fraction coefficients, is the Laurent
+    polynomial a/b * Q^v * p(Q), p primitive, rewritten at its stride.
+    Anything else raises TypeError.
     """
     if isinstance(x, QRational):
         return x
     if isinstance(x, int):
         return _make(int(x), 1, 0, 1, (1,), (1,)) if x else ZERO
-    h = _laurent(x)
+    from fractions import Fraction
+    h = {}
+    for e, c in x.items() if isinstance(x, dict) else ((0, x),):
+        if type(e) is not int:
+            raise TypeError(f"Q takes int exponents, got {e!r}")
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+        if c:
+            h[e] = c
     if not h:
         return ZERO
     v, b = min(h), lcm(*(c.denominator for c in h.values()))

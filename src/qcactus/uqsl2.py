@@ -25,10 +25,11 @@ irreducible and composite factors:
     (R^op R)^(-1/2) on M (x) N = Q^(eps_M eps_N) (T_M^+ (x) T_N^+) T_(M (x) N)^-,
 
 with T^(+-) = sum_lam Q^(+-floor(lam(lam+2)/2)) P_lam over the isotypic
-projectors, a polynomial in the Casimir, and eps the parity of the
-weights.  It takes the positive branch, a monomial on each block.  The
-formula is a theorem and is checked exactly: (R^op R) X^2 must fix every
-highest weight vector, or UnitarizationError is raised.  The resulting
+projectors, a polynomial in the Casimir built on each weight block in
+one pass of Newton's form, and eps the parity of the weights.  It takes
+the positive branch, a monomial on each block.  The formula is a
+theorem and is checked exactly: (R^op R) X^2 must fix every highest
+weight vector, or UnitarizationError is raised.  The resulting
 involution preserves the lattice of the crystal basis.  Reducing its
 product-frame matrix at q = infinity yields a signed permutation of the
 crystal words, which is compared entry by entry against the crystal
@@ -584,37 +585,6 @@ def _casimir_eigenvalue(lam: int) -> QRational:
     return qpow(lam + 1) + qpow(-lam - 1)
 
 
-def _casimir_blocks(shape):
-    """The Newton basis of the Casimir on each weight block of a module.
-
-    The Casimir C = (q - q^-1)^2 FE + qK + q^-1 K^-1 acts on V_lam by
-    c_lam = q^(lam+1) + q^-(lam+1).  C preserves weights, and the
-    weight-w block meets only the components of highest weight lam >= |w|.
-    Yields, per weight, the block's basis indices, those lam in
-    descending order, and B_k = (C - c_lam_0) ... (C - c_lam_(k-1)).
-    FE is formed only once some block meets two components.
-    """
-    m = module_for_shape(shape)
-    weights, fe = m.weights, None
-    count = Counter(weights)
-    present = tuple(lam for lam in sorted(count, reverse=True)
-                    if lam >= 0 and count[lam] > count[lam + 2])
-    for w in sorted(count, reverse=True):
-        idx = [i for i, x in enumerate(weights) if x == w]
-        lams = tuple(lam for lam in present if lam >= abs(w))
-        basis = [QMatrix.identity(len(idx))]
-        if len(lams) > 1 and fe is None:
-            qdiff = qpow(1) - qpow(-1)
-            fe = (m.f @ m.e).scale(qdiff * qdiff).entries
-        for mu in lams[:-1]:
-            # C - c_mu on the block: FE plus c_w - c_mu on the diagonal
-            s = _casimir_eigenvalue(w) - _casimir_eigenvalue(mu)
-            shifted = QMatrix._of([[fe[i][j] + s if i == j else fe[i][j] for j in idx]
-                                   for i in idx])
-            basis.append(shifted if len(basis) == 1 else basis[-1] @ shifted)
-        yield idx, lams, basis
-
-
 def _twist_exponent(lam: int) -> int:
     return lam * (lam + 2) // 2
 
@@ -638,22 +608,43 @@ def _twist(shape, sign: int) -> QMatrix:
     """T^(+-) = sum of Q^(+-floor(lam(lam+2)/2)) P_lam on the module of a shape.
 
     P_lam projects onto the isotypic component of highest weight lam, so
-    T = f(C) for the polynomial f through the points (c_lam, Q^(+-...)).
-    On each weight block f is taken in Newton's form, with the divided
-    differences of those values as coefficients: one matrix product per
-    extra eigenvalue, where the Lagrange projectors need one per pair.
-    FE is formed only when a block meets two or more components, so the
-    twist of an irreducible is its monomial times the identity, built
-    with no matrix product.
+    T = f(C) for the polynomial f through the points (c_lam, Q^(+-...)),
+    where the Casimir C = (q - q^-1)^2 FE + qK + q^-1 K^-1 acts on V_lam
+    by c_lam = q^(lam+1) + q^-(lam+1).  C preserves weights, and the
+    weight-w block meets only the components of highest weight
+    lam >= |w|.  On each block f is taken in Newton's form over those lam
+    in descending order, with the divided differences of the values as
+    coefficients: B_0 is the identity and B_k = B_(k-1) (C - c_lam_(k-1)),
+    one matrix product per extra eigenvalue, where the Lagrange projectors
+    need one per pair.  Each coef_k B_k is added as soon as it is formed,
+    so one B_k per block is alive.  FE is formed only when a block meets
+    two or more components, so the twist of an irreducible is its
+    monomial times the identity, built with no matrix product.
     """
-    dim = module_for_shape(shape).dim
-    out = [[ZERO] * dim for _ in range(dim)]
-    for idx, lams, basis in _casimir_blocks(shape):
-        for b, k in zip(basis, _newton_coefficients(lams, sign)):
+    m = module_for_shape(shape)
+    weights, fe = m.weights, None
+    count = Counter(weights)
+    present = tuple(lam for lam in sorted(count, reverse=True)
+                    if lam >= 0 and count[lam] > count[lam + 2])
+    out = [[ZERO] * m.dim for _ in range(m.dim)]
+    for w in sorted(count, reverse=True):
+        idx = [i for i, x in enumerate(weights) if x == w]
+        lams = tuple(lam for lam in present if lam >= abs(w))
+        if len(lams) > 1 and fe is None:
+            qdiff = qpow(1) - qpow(-1)
+            fe = (m.f @ m.e).scale(qdiff * qdiff).entries
+        b = QMatrix.identity(len(idx))
+        for k, coef in enumerate(_newton_coefficients(lams, sign)):
+            if k:
+                # C - c_lam_(k-1) on the block: FE plus c_w - c_lam_(k-1) on the diagonal
+                s = _casimir_eigenvalue(w) - _casimir_eigenvalue(lams[k - 1])
+                shifted = QMatrix._of([[fe[i][j] + s if i == j else fe[i][j] for j in idx]
+                                       for i in idx])
+                b = shifted if k == 1 else b @ shifted
             for i, row in zip(idx, b.entries):
                 for j, x in zip(idx, row):
                     if x:
-                        out[i][j] += k * x
+                        out[i][j] += coef * x
     return QMatrix._of(out)
 
 

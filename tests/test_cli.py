@@ -202,6 +202,49 @@ def test_cactus_action_rejects_a_shifted_action(capsys, monkeypatch):
                             "lands on shape (0, 0, 0, 1), not (0, 0, 1, 0)\n")
 
 
+def test_a_value_error_inside_a_check_is_a_failed_verification(capsys, monkeypatch):
+    # argparse has validated every argument of a check, so a layer's
+    # ValueError during the check is a fault of the code, not of the user
+    on_slice = crystals._on_slice
+
+    def repeats_its_first(*args):
+        out = on_slice(*args)
+        if len(out) > 1:
+            out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(crystals, "_on_slice", repeats_its_first)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "cactus-action", "--factors", "3", "--max", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: "
+                            "image of generator (1, 2) is not invertible\n")
+
+
+def test_an_unwritable_check_report_is_still_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code = run(["check", "coboundary", "-o", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"qcactus: error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_a_shape_over_the_word_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["cactus", "act", "--shape", "99999999", "--p", "1", "--q", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --shape: bad shape '99999999': shape has 100000000 words" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_check_yang_baxter(capsys):
     code, out = invoke(capsys, "check", "yang-baxter")
     assert code == 0

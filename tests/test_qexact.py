@@ -196,6 +196,19 @@ def test_dict_input_must_be_exact():
             QRational(1, bad)
     with pytest.raises(TypeError):
         QRational(0.5)
+    # one rule for every exact input: an operand is an int or a Fraction
+    for bad in (lambda: ONE + 0.5, lambda: 0.5 * ONE, lambda: ONE / "1", lambda: ONE - None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bad()
+    assert (ONE == 0.5) is False
+    assert ONE + True == 2
+    assert 2 - ONE == ONE
+    assert Fraction(1, 2) / ONE == QRational(Fraction(1, 2))
+    # and so is the point of evaluate
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        Qpow(1).evaluate(0.5)
+    assert Qpow(3).evaluate(True) == 1
+    assert (Qpow(3) + 1).evaluate(Fraction(1, 2)) == Fraction(9, 8)
 
 
 def test_zero_denominator_in_text_is_malformed_text():

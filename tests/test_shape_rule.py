@@ -9,6 +9,7 @@ the same exception type, whatever equal shape was cached before.
 import argparse
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 import qcactus
 from qcactus import cli, crystals, uqsl2
@@ -49,3 +50,22 @@ def test_the_layers_accept_and_refuse_the_same_shapes(value):
     except argparse.ArgumentTypeError:
         parsed = None
     assert parsed == (None if refusal else value)
+
+
+def test_a_shape_over_the_word_budget_is_refused_before_any_table():
+    budget = qcactus._WORD_BUDGET
+    over = f"shape has {budget + 1} words, over the budget of {budget}"
+    # the words of a shape are the product of its n + 1; nothing is built here
+    for value in ((budget,), (0, budget, 0)):
+        with pytest.raises(ValueError, match=over):
+            qcactus._shape(value)
+        with pytest.raises(ValueError, match=over):
+            crystals.words(value)
+        with pytest.raises(ValueError, match=over):
+            uqsl2.module_for_shape(value)
+    with pytest.raises(ValueError, match=f"shape has {2 * budget} words"):
+        qcactus._shape((1023, 1023, 1))
+    assert qcactus._shape((1023, 1023)) == (1023, 1023)
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="bad shape '99999999': shape has 100000000 words, over the budget"):
+        cli._parse_shape("99999999")

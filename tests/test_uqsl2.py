@@ -438,8 +438,12 @@ def test_newton_coefficients_are_computed_once_per_key(capsys, monkeypatch):
     _clear_uqsl2_caches()
     assert run(["check", "kt07", "--max", "3"]) == 0
     capsys.readouterr()
-    keys = {(lams, sign) for shape, sign in twisted
-            for _idx, lams, _basis in uqsl2._casimir_blocks(shape)}
+    # the weight-w block of a twisted shape meets its components of highest weight lam >= |w|
+    keys = set()
+    for shape, sign in twisted:
+        m = module_for_shape(shape)
+        lams = sorted({lam for lam, _vec in highest_weight_vectors(m)}, reverse=True)
+        keys |= {(tuple(lam for lam in lams if lam >= abs(w)), sign) for w in m.weights}
     info = uqsl2._newton_coefficients.cache_info()
     assert info.misses == len(keys)
     assert info.hits > 0

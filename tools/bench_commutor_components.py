@@ -1,9 +1,12 @@
-"""Parent against change for the crystal commutor: cold launches and benchmark pairs.
+"""Parent against change for any A/B of qcactus: cold launches and benchmark pairs.
 
     python3 tools/bench_commutor_components.py --parent REV --workdir DIR \\
-        [--repeats 3] [--pairs 3] [--seconds 40] [--first-seed 2101] \\
-        [--cold ARGS ...] [--in-process ARGS:RUNS ...] [--claim TEXT] \\
-        [--out BENCH_commutor_components.json]
+        --out BENCH_NAME.json [--repeats 3] [--pairs 3] [--seconds 40] \\
+        [--first-seed 2101] [--cold ARGS ...] [--in-process ARGS:RUNS ...] \\
+        [--claim TEXT]
+``--out`` names the report, relative to the repository root, and is part
+of the command the report records, so a replayed command rewrites its own
+record.
 ``--cold`` and ``--in-process`` may be given again and again; each replaces
 the default list of its kind, and each case they name runs on both sides.
 ``--claim`` is the gain the report states, "none" unless given.
@@ -251,7 +254,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=3, help="benchmark pairs per workload")
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--first-seed", type=int, default=2101)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_commutor_components.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the report to write, e.g. BENCH_NAME.json")
     parser.add_argument("--cold", action="append", metavar="ARGS",
                         help="CLI arguments of a cold case (default: the COLD list)")
     parser.add_argument("--in-process", action="append", type=_in_process_case,
@@ -266,7 +270,8 @@ def main(argv=None):
     cold_results = cold(sides, args.repeats, cold_cases)
     in_process_results = in_process(sides, args.in_process or IN_PROCESS)
     runs = bench_pairs(sides, args.pairs, args.seconds, args.first_seed)
-    options = ["--parent", args.parent, "--workdir", "DIR", "--repeats", str(args.repeats),
+    options = ["--parent", args.parent, "--workdir", "DIR", "--out", str(args.out),
+               "--repeats", str(args.repeats),
                "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
                "--first-seed", str(args.first_seed)]
     options += [x for a in args.cold or () for x in ("--cold", a)]
@@ -289,7 +294,7 @@ def main(argv=None):
         "perfbench_summary": summarize(runs),
         "perfbench_runs": runs,
     }
-    args.out.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    (ROOT / args.out).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     for case in report["cold_output_mismatches"]:
         print(f"output differs between the sides or across repeats: {case}", file=sys.stderr)
     return 1 if report["cold_output_mismatches"] else 0
