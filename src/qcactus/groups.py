@@ -13,8 +13,6 @@ lists of the generators on points numbered 0 .. n-1 and checks a list of
 relations pointwise, reporting a witness for every violation.
 """
 
-import re
-
 from . import Record
 
 __all__ = [
@@ -89,19 +87,6 @@ class BraidWord(Record):
             if e not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {e}")
 
-    @classmethod
-    def parse(cls, text: str, n: int) -> "BraidWord":
-        """Parse text like ``"g1G2g1"``; capital letters are inverses."""
-        letters = []
-        for m in re.finditer(r"([gG])(\d+)|(\S)", text.replace(" ", "")):
-            if not m.group(1):
-                raise ValueError(f"bad braid word syntax near {m.group(3)!r}")
-            letters.append((int(m.group(2)), 1 if m.group(1) == "g" else -1))
-        return cls(tuple(letters), n)
-
-    def __str__(self):
-        return "".join(("g" if e == 1 else "G") + str(i) for i, e in self.letters)
-
 
 class CactusWord(Record):
     """Word in cactus generators; letters are (p, q) interval pairs.
@@ -116,31 +101,14 @@ class CactusWord(Record):
             if not 1 <= p < q <= self.n:
                 raise ValueError(f"bad interval ({p},{q}) for n={self.n}")
 
-    @classmethod
-    def parse(cls, text: str, n: int) -> "CactusWord":
-        """Parse text like ``"s(1,3).s(1,2)"``."""
-        text = text.strip()
-        if not text:
-            return cls((), n)
-        letters = []
-        for part in text.split("."):
-            m = re.fullmatch(r"\s*s\((\d+),(\d+)\)\s*", part)
-            if not m:
-                raise ValueError(f"bad cactus word syntax: {part!r}")
-            letters.append((int(m.group(1)), int(m.group(2))))
-        return cls(tuple(letters), n)
-
-    def __str__(self):
-        return ".".join(f"s({p},{q})" for p, q in self.letters)
-
 
 def cactus_relation_instances(n: int):
     """All defining relation instances of the cactus group on n fruits.
 
     Returns (left, right) pairs of CactusWords: the squares
     s(p,q)s(p,q) = 1, the commutations for disjoint intervals, and
-    s(p,q)s(k,l) = s(r,t)s(p,q) for contained intervals, where r and t
-    are the images of l and k under the reversal of p..q.
+    s(p,q)s(k,l) = s(r,t)s(p,q) for contained intervals, where
+    (r, t) = (p+q-l, p+q-k) is k..l reversed inside p..q.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -158,10 +126,9 @@ def cactus_relation_instances(n: int):
                     )
                 )
     for p, q in intervals:
-        rev = s_hat(p, q, n)
         for k, l in intervals:
             if (p, q) != (k, l) and p <= k < l <= q:
-                r, t = rev(l), rev(k)
+                r, t = p + q - l, p + q - k
                 out.append(
                     (
                         CactusWord(((p, q), (k, l)), n),

@@ -37,11 +37,12 @@ commutor.
 
 A module is its shape, the tuple of highest weights of its factors;
 its weights, E and F are built once per shape, from the cached prefix
-and last factor.  Braidings and isotypic frames are cached by the
-shapes of the factors too.  The Newton coefficients of the twists are
-cached by the highest weights they interpolate at and the sign.  The
-unitarization, its product twists and the module components, which no
-caller asks for twice, are recomputed per call.  One Gauss-Jordan
+and last factor.  Braidings are cached by the shapes of the factors
+too.  The Newton coefficients of the twists are cached by the highest
+weights they interpolate at and the sign.  The unitarization, its
+product twists, the module components and the isotypic frames, which no
+command asks for twice, are recomputed per call; a frame change builds
+one frame when domain and codomain are the same product.  One Gauss-Jordan
 elimination serves inverses, kernels, and frame changes, which solve
 against the target frame rather than invert it.
 
@@ -66,7 +67,7 @@ from .qexact import (
     qpow,
     quantum_int,
 )
-from . import Record, VerificationError, _shape
+from . import Record, VerificationError, _WORD_BUDGET, _shape
 
 __all__ = [
     "QMatrix",
@@ -396,8 +397,14 @@ def _operators(shape):
 
     A longer shape tensors its prefix with its last factor through the
     coproduct, a left fold through this cache: each prefix and each
-    factor is built once.
+    factor is built once.  E and F are dense, so a shape whose dimension
+    squared exceeds qcactus._WORD_BUDGET (a dimension over 1024) is
+    refused before anything is built.
     """
+    dim = prod(n + 1 for n in shape)
+    if dim * dim > _WORD_BUDGET:
+        raise ValueError(f"module of shape {shape} has dimension {dim}: {dim * dim} dense "
+                         f"matrix entries, over the budget of {_WORD_BUDGET}")
     if len(shape) == 1:
         (n,) = shape
         basis = range(n + 1)  # row r holds v_(n-2r)
@@ -462,12 +469,7 @@ def isotypic_frame(m: UqModule, n: UqModule):
     lists the top vector, the singlet, the middle triplet vector, and
     the bottom vector in that order.
     """
-    return _isotypic_frame(m.shape + n.shape)
-
-
-@lru_cache(maxsize=None)
-def _isotypic_frame(shape):
-    t = module_for_shape(shape)
+    t = module_for_shape(m.shape + n.shape)
     comps = module_components(t)
     seen = {comp.highest_weight: comp for comp in comps}
     if len(seen) != len(comps):
@@ -551,7 +553,9 @@ def _in_frame(a: QMatrix, frame: str, source, target) -> QMatrix:
         return a
     if frame == "s2":
         f_source, _ = isotypic_frame(*source)
-        f_target, _ = isotypic_frame(*target)
+        # a frame is its product's: one serves both sides when the shapes agree
+        same = target[0].shape + target[1].shape == source[0].shape + source[1].shape
+        f_target = f_source if same else isotypic_frame(*target)[0]
         return _solve(f_target, a @ f_source)
     raise ValueError(f"unknown frame {frame!r}")
 

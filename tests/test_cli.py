@@ -245,6 +245,28 @@ def test_a_shape_over_the_word_budget_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_a_module_over_the_dense_budget_is_a_usage_error(capsys):
+    # 100,001 words pass the word budget, but E and F would have 10^10 entries each
+    code = run(["rmatrix", "--m", "100000", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("qcactus: error: module of shape (100000,) has dimension 100001: "
+                            "10000200001 dense matrix entries, over the budget of 1048576\n")
+
+
+def test_a_check_that_reaches_the_dense_budget_is_a_failed_verification(capsys, monkeypatch):
+    # at a budget of 16 entries, V_1 (x) V_2 (dimension 6) is the first pair over it
+    monkeypatch.setattr(uqsl2, "_WORD_BUDGET", 16)
+    uqsl2._operators.cache_clear()  # the budget is checked as a module is built
+    code = run(["check", "kt07", "--max", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("qcactus: verification failed: module of shape (1, 2) has "
+                            "dimension 6: 36 dense matrix entries, over the budget of 16\n")
+
+
 def test_check_yang_baxter(capsys):
     code, out = invoke(capsys, "check", "yang-baxter")
     assert code == 0
@@ -658,6 +680,9 @@ options:
     ("check yang-baxter", 0, '{\n  "check": "yang-baxter",\n  "status": "pass"\n}\n', ""),
     ("cactus act --shape 1,1 --p 2 --q 1", 2, "",
      "qcactus: error: need 1 <= p <= q <= 2, got (2,1)\n"),
+    ("rmatrix --m 100000 --n 0", 2, "",
+     "qcactus: error: module of shape (100000,) has dimension 100001: "
+     "10000200001 dense matrix entries, over the budget of 1048576\n"),
     ("check kt07 --max -1", 2, "",
      "usage: qcactus check kt07 [-h] [--max MAX] [-o OUTPUT]\n"
      "qcactus check kt07: error: argument --max: weight bound must be nonnegative\n"),

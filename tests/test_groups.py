@@ -47,6 +47,21 @@ def test_relation_instances_small():
     assert disjoint in rels4
 
 
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 5), (4, 16), (5, 40), (6, 85), (7, 161)])
+def test_relation_instances_match_the_interval_reversals(n, count):
+    # the contained intervals' relation built through the reversal permutation s_hat(p, q)
+    intervals = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    expected = [(CactusWord((pq, pq), n), CactusWord((), n)) for pq in intervals]
+    expected += [(CactusWord(((p, q), (k, l)), n), CactusWord(((k, l), (p, q)), n))
+                 for p, q in intervals for k, l in intervals if q < k]
+    for p, q in intervals:
+        rev = s_hat(p, q, n)
+        expected += [(CactusWord(((p, q), (k, l)), n), CactusWord(((rev(l), rev(k)), (p, q)), n))
+                     for k, l in intervals if (p, q) != (k, l) and p <= k < l <= q]
+    assert cactus_relation_instances(n) == expected
+    assert len(expected) == count
+
+
 def test_project_to_symmetric():
     w = CactusWord(((1, 3), (1, 3)), 3)
     assert project_to_symmetric(w).is_identity()
@@ -143,21 +158,6 @@ def test_mismatched_domains_is_an_error():
 def test_missing_generator_image_is_an_error():
     with pytest.raises(ValueError):
         verify_action({(1, 2): [0]}, cactus_relation_instances(3))
-
-
-def test_word_parsing_round_trip():
-    w = CactusWord.parse("s(1,3).s(1,2)", 3)
-    assert w.letters == ((1, 3), (1, 2))
-    assert CactusWord.parse(str(w), 3) == w
-    assert CactusWord.parse("", 4).letters == ()
-
-    b = BraidWord.parse("g1G2g1", 3)
-    assert b.letters == ((1, 1), (2, -1), (1, 1))
-    assert BraidWord.parse(str(b), 3) == b
-    with pytest.raises(ValueError):
-        BraidWord.parse("x1", 3)
-    with pytest.raises(ValueError):
-        CactusWord.parse("s(3,1)", 3)
 
 
 def test_permutation_basics():

@@ -139,7 +139,7 @@ def test_records_with_different_fields_differ():
     (lambda: Permutation(images=(0, 1)), "not a permutation of 1..2: (0, 1)"),
     (lambda: BraidWord(((3, 1),), 3), "generator index 3 out of range for n=3"),
     (lambda: BraidWord(((1, 2),), 3), "exponent must be +-1, got 2"),
-    (lambda: BraidWord.parse("g1G4", 4), "generator index 4 out of range for n=4"),
+    (lambda: BraidWord(((1, 1), (4, -1)), 4), "generator index 4 out of range for n=4"),
     (lambda: CactusWord(((2, 2),), 3), "bad interval (2,2) for n=3"),
     (lambda: CactusWord(letters=((1, 4),), n=3), "bad interval (1,4) for n=3"),
     (lambda: ChainElement(-1, -1), "highest weight must be nonnegative"),

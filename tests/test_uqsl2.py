@@ -1,4 +1,5 @@
 from itertools import product
+import time
 
 import pytest
 
@@ -389,8 +390,20 @@ def test_caches_are_keyed_by_shape():
     assert built == module_for_shape((1, 1, 1))
     assert module_components(built) == module_components(module_for_shape((1, 1, 1)))
     v2, v01, v20 = irreducible(2), module_for_shape((0, 1)), module_for_shape((2, 0))
-    assert isotypic_frame(v2, v01) is isotypic_frame(v20, v1)
+    assert isotypic_frame(v2, v01) == isotypic_frame(v20, v1)
     assert braiding_matrix(tensor_module(v1, v1), v1) is braiding_matrix(v11, v1)
+
+
+def test_a_frame_change_within_one_product_builds_one_frame(monkeypatch):
+    built = []
+    frame = uqsl2.isotypic_frame
+    monkeypatch.setattr(uqsl2, "isotypic_frame",
+                        lambda m, n: built.append(m.shape + n.shape) or frame(m, n))
+    v1, v2 = irreducible(1), irreducible(2)
+    braiding_matrix(v2, v2, "s2")
+    rop_r_inverse_sqrt(v2, v1, "s2")
+    braiding_matrix(v2, v1, "s2")
+    assert built == [(2, 2), (2, 1), (2, 1), (1, 2)]
 
 
 def test_non_diagonal_unitarized_s2_is_a_unitarization_error(monkeypatch):
@@ -456,6 +469,21 @@ def test_module_for_shape_builds_each_prefix_and_factor_once():
     assert uqsl2._operators.cache_info().misses == 4
     module_for_shape((1, 2)).f
     assert uqsl2._operators.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("shape, dim", [((1024,), 1025), ((31, 32), 1056)])
+def test_a_module_over_the_dense_budget_is_refused_before_any_operator(shape, dim):
+    module = module_for_shape(shape)  # under the word budget: the shape rule admits it
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        module.e
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == (f"module of shape {shape} has dimension {dim}: {dim * dim} "
+                               f"dense matrix entries, over the budget of 1048576")
+
+
+def test_a_module_at_the_dense_budget_is_built():
+    assert module_for_shape((31, 31)).dim == 1024
 
 
 def test_public_constructor_coerces_and_checks_rows():

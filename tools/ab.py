@@ -1,15 +1,15 @@
 """Parent against change for any A/B of qcactus: cold launches and benchmark pairs.
 
-    python3 tools/bench_commutor_components.py --parent REV --workdir DIR \\
-        --out BENCH_NAME.json [--repeats 3] [--pairs 3] [--seconds 40] \\
-        [--first-seed 2101] [--cold ARGS ...] [--in-process ARGS:RUNS ...] \\
+    python3 tools/ab.py --parent REV --workdir DIR --out BENCH_NAME.json \\
+        --cold ARGS [--cold ARGS ...] [--in-process ARGS:RUNS ...] \\
+        [--repeats 3] [--pairs 3] [--seconds 40] [--first-seed 2101] \\
         [--claim TEXT]
-``--out`` names the report, relative to the repository root, and is part
-of the command the report records, so a replayed command rewrites its own
-record.
-``--cold`` and ``--in-process`` may be given again and again; each replaces
-the default list of its kind, and each case they name runs on both sides.
-``--claim`` is the gain the report states, "none" unless given.
+``--out`` names the report, relative to the repository root.  The report
+records the command as it was given, with the ``--workdir`` value written
+as DIR, so a replayed command rewrites its own record.
+``--cold`` (at least one) and ``--in-process`` may be given again and
+again, and each case they name runs on both sides.  ``--claim`` is the
+gain the report states, "none" unless given.
 
 Each side is a fresh copy under DIR: the parent is ``git archive REV``, and
 the change is every file of the working tree that ``git ls-files`` lists
@@ -26,7 +26,9 @@ and the side that goes first alternates too.  The report is written in
 any case, but the tool exits 1, naming each case, when a case's status,
 stdout or stderr differs between the sides or across its repeats.
 Benchmark pairs run ``perfbench/run.py --trace 0`` on each side in the
-same alternating order and keep its last line.  On a shared host the
+same alternating order and keep its status and last line; a pair where
+either side exits nonzero or ends without a JSON line is reported as
+failed, and the tool then exits 1 too.  On a shared host the
 cold times spread widely, so each case is also timed in one process that
 loads both copies under different package names and alternates between
 them run by run, with every ``lru_cache`` of every loaded module of that
@@ -57,25 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COLD = [  # (args, sides): the change alone where the parent would need over a gigabyte
-    ("check coboundary --max 8", ("parent", "change")),
-    ("check coboundary --max 12", ("parent", "change")),
-    ("check coboundary --max 16", ("parent", "change")),
-    ("check coboundary --max 20", ("change",)),
-    ("check cactus-action --factors 4 --max 3", ("parent", "change")),
-    ("check cactus-action --factors 5 --max 3", ("parent", "change")),
-    ("check cactus-action --factors 6 --max 2", ("parent", "change")),
-    ("check cactus-action --factors 4 --max 5", ("parent", "change")),
-]
-IN_PROCESS = [  # (args, runs per side)
-    ("check cactus-action --factors 4 --max 3", 30),
-    ("check cactus-action --factors 5 --max 3", 6),
-    ("check cactus-action --factors 6 --max 2", 6),
-    ("check cactus-action --factors 4 --max 5", 8),
-    ("check coboundary --max 5", 20),
-    ("check coboundary --max 12", 4),
-]
-CLAIM = "none: peak memory and wall time are recorded, no benchmark gain is claimed"
+SIDES = ("parent", "change")
 WORKLOADS = ("kt07", "braid", "crystal")
 METRICS = ("setup_s", "wall_s", "cpu_s", "headline_s", "peak_rss_mb")
 
@@ -137,10 +121,10 @@ def _sha(data):
 
 def cold(sides, repeats, cases):
     results = {}
-    for k, (args, names) in enumerate(cases):
-        runs = {name: [] for name in names}
+    for k, args in enumerate(cases):
+        runs = {name: [] for name in SIDES}
         for r in range(repeats):
-            order = names if (k + r) % 2 == 0 else names[::-1]
+            order = SIDES if (k + r) % 2 == 0 else SIDES[::-1]
             for name in order:
                 status, out, err, wall, rss = _launch(
                     sides[name], [sys.executable, "-m", "qcactus.cli", *args.split()],
@@ -192,7 +176,7 @@ def in_process(sides, cases):
     for args, runs in cases:
         times = {name: [] for name in loaded}
         for r in range(runs):
-            for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            for name in (SIDES if r % 2 == 0 else SIDES[::-1]):
                 _clear_caches(f"qcactus_{name}")
                 start = time.process_time()
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -210,12 +194,11 @@ def bench_pairs(sides, pairs, seconds, first_seed):
     runs, k = [], 0
     for workload in WORKLOADS:
         for seed in range(first_seed, first_seed + pairs):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for name in order:
+            for name in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 argv = [sys.executable, "perfbench/run.py", "--workload", workload,
                         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
                 status, out, _, _, _ = _launch(sides[name], argv, _env())
-                last = out.decode().strip().splitlines()[-1]
+                last = (out.decode().strip().splitlines() or [""])[-1]
                 runs.append({"workload": workload, "seed": seed, "side": name,
                              "status": status, "last_line": last})
                 print(f"{workload} seed {seed} [{name}] {last}", flush=True)
@@ -223,17 +206,37 @@ def bench_pairs(sides, pairs, seconds, first_seed):
     return runs
 
 
+def _result(run):
+    """The JSON object of a benchmark run's last line, or None when it exited nonzero or has none."""
+    try:
+        result = json.loads(run["last_line"])
+    except json.JSONDecodeError:
+        return None
+    return result if run["status"] == 0 and isinstance(result, dict) else None
+
+
+def failed_pairs(runs):
+    """(workload, seed) of each pair where either side has no result."""
+    return sorted({(r["workload"], r["seed"]) for r in runs if _result(r) is None})
+
+
 def summarize(runs):
-    lines = []
+    lines, failed = [], failed_pairs(runs)
+    for workload, seed in failed:
+        lines.append(f"{workload} seed {seed}: failed pair, a side exited nonzero "
+                     f"or printed no JSON last line")
     for workload in WORKLOADS:
-        data = {name: [json.loads(r["last_line"]) for r in runs
-                       if r["workload"] == workload and r["side"] == name]
-                for name in ("parent", "change")}
+        data = {name: [_result(r) for r in runs if r["workload"] == workload and r["side"] == name
+                       and (workload, r["seed"]) not in failed]
+                for name in SIDES}
+        if not data["parent"]:
+            lines.append(f"{workload}: no pair completed")
+            continue
         correct = all(d["correct"] and d["failed"] == 0 for ds in data.values() for d in ds)
         lines.append(f"{workload}: {len(data['parent'])} pairs, all correct with 0 failed: {correct}")
         for metric in METRICS:
             values = {name: [d["metrics"][metric]["value"] for d in ds] for name, ds in data.items()}
-            p, c = (statistics.median(values[name]) for name in ("parent", "change"))
+            p, c = (statistics.median(values[name]) for name in SIDES)
             lower = sum(b < a for a, b in zip(values["parent"], values["change"]))
             q1, _, q3 = (statistics.quantiles(values["parent"], n=4)
                          if len(values["parent"]) > 1 else values["parent"] * 3)
@@ -246,7 +249,22 @@ def summarize(runs):
     return lines
 
 
+def _recorded(argv):
+    """The command line argv came from, with the --workdir value written as DIR."""
+    words, hide = [], False
+    for word in argv:
+        if hide:
+            word, hide = "DIR", False
+        elif word == "--workdir":
+            hide = True
+        elif word.startswith("--workdir="):
+            word = "--workdir=DIR"
+        words.append(word)
+    return " ".join(map(shlex.quote, ["python3", "tools/ab.py", *words]))
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the git revision to compare against")
     parser.add_argument("--workdir", required=True, type=Path, help="where the copies are made")
@@ -256,31 +274,20 @@ def main(argv=None):
     parser.add_argument("--first-seed", type=int, default=2101)
     parser.add_argument("--out", type=Path, required=True,
                         help="the report to write, e.g. BENCH_NAME.json")
-    parser.add_argument("--cold", action="append", metavar="ARGS",
-                        help="CLI arguments of a cold case (default: the COLD list)")
-    parser.add_argument("--in-process", action="append", type=_in_process_case,
+    parser.add_argument("--cold", action="append", required=True, metavar="ARGS",
+                        help="CLI arguments of a cold case")
+    parser.add_argument("--in-process", action="append", default=[], type=_in_process_case,
                         metavar="ARGS:RUNS",
-                        help="CLI arguments of an in-process case and its runs per side "
-                             "(default: the IN_PROCESS list)")
-    parser.add_argument("--claim", default=CLAIM, help="the gain the report states")
+                        help="CLI arguments of an in-process case and its runs per side")
+    parser.add_argument("--claim", default="none", help="the gain the report states")
     args = parser.parse_args(argv)
-    cold_cases = [(a, ("parent", "change")) for a in args.cold] if args.cold else COLD
 
     sides = make_sides(args.parent, args.workdir.resolve())
-    cold_results = cold(sides, args.repeats, cold_cases)
-    in_process_results = in_process(sides, args.in_process or IN_PROCESS)
+    cold_results = cold(sides, args.repeats, args.cold)
+    in_process_results = in_process(sides, args.in_process)
     runs = bench_pairs(sides, args.pairs, args.seconds, args.first_seed)
-    options = ["--parent", args.parent, "--workdir", "DIR", "--out", str(args.out),
-               "--repeats", str(args.repeats),
-               "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
-               "--first-seed", str(args.first_seed)]
-    options += [x for a in args.cold or () for x in ("--cold", a)]
-    options += [x for a, n in args.in_process or () for x in ("--in-process", f"{a}:{n}")]
-    if args.claim != CLAIM:
-        options += ["--claim", args.claim]
     report = {
-        "command": "python3 tools/bench_commutor_components.py "
-                   + " ".join(map(shlex.quote, options)),
+        "command": _recorded(argv),
         "procedure": __doc__.split("\n\n", 2)[2].strip().replace("\n", " "),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "
                    f"{platform.release()}; no CPU isolation",
@@ -293,11 +300,14 @@ def main(argv=None):
         "in_process": in_process_results,
         "perfbench_summary": summarize(runs),
         "perfbench_runs": runs,
+        "perfbench_failed_pairs": [list(pair) for pair in failed_pairs(runs)],
     }
     (ROOT / args.out).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     for case in report["cold_output_mismatches"]:
         print(f"output differs between the sides or across repeats: {case}", file=sys.stderr)
-    return 1 if report["cold_output_mismatches"] else 0
+    for workload, seed in report["perfbench_failed_pairs"]:
+        print(f"benchmark pair failed: {workload} seed {seed}", file=sys.stderr)
+    return 1 if report["cold_output_mismatches"] or report["perfbench_failed_pairs"] else 0
 
 
 if __name__ == "__main__":
