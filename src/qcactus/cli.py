@@ -5,7 +5,9 @@ verification suites.  Exit status is 0 on success or an empty failure
 report, 1 when a verification fails, 2 on usage errors.  argparse checks
 every argument of a ``check`` before it runs, so an error a layer raises
 during a check is a failed verification, never a usage error; an output
-file that cannot be written is a usage error everywhere.  Output goes to
+file that cannot be written is a usage error everywhere, and so is a
+check bound whose largest shape is over the budget, refused before the
+check starts.  Output goes to
 stdout unless -o/--output is given; relative output paths are resolved
 against $QCACTUS_OUTDIR when it is set.
 
@@ -25,7 +27,7 @@ from itertools import combinations_with_replacement
 
 # each command imports only the layers it runs, so that a crystal command
 # never loads qexact or uqsl2 and rmatrix never loads crystals or groups
-from . import VerificationError, _shape
+from . import VerificationError, _WORD_BUDGET, _shape
 
 
 def _parse_shape(text: str) -> tuple:
@@ -54,8 +56,23 @@ _weight_bound = _int_at_least(0, "weight bound", "weight bound must be nonnegati
 _factor_count = _int_at_least(2, "factor count", "need at least 2 factors")
 
 
-class _Unwritable(Exception):
-    """An output file that cannot be written: reported by run() as a usage error, exit 2."""
+class _UsageError(Exception):
+    """A usage error found after parsing, reported by run() with exit status 2: an
+    output file that cannot be written, or a check bound over the budget."""
+
+
+def _refuse_over_budget(args, power: int, largest: str) -> None:
+    """Refuse, before any work, a check whose largest case allocates (max+1)^power.
+
+    That is the word count of its largest shape, or the entry count of its
+    largest dense matrix; over qcactus._WORD_BUDGET the layer would refuse
+    it only after every smaller case had run.  Total time is not bounded:
+    a large bound is a legitimate slow run.  At max >= 1 a power over 20
+    is already over 2^20, so the power is capped at 21 and the int stays
+    small whatever --factors is.
+    """
+    if (args.max + 1) ** min(power, 21) > _WORD_BUDGET:
+        raise _UsageError(f"{largest}: over the budget of {_WORD_BUDGET}")
 
 
 def _emit(text: str, args) -> None:
@@ -70,7 +87,7 @@ def _emit(text: str, args) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_report(name: str, ok: bool, payload: dict, args) -> int:
@@ -172,6 +189,8 @@ def _cmd_rmatrix(args) -> int:
 def _cmd_check_coboundary(args) -> int:
     from . import crystals
 
+    b = args.max
+    _refuse_over_budget(args, 3, f"--max {b} reaches the shape ({b}, {b}, {b}) of {b + 1}^3 words")
     report = crystals.check_coboundary(crystals.weight_bounded_triples(args.max))
     return _emit_report("coboundary", report.ok, report.as_dict(), args)
 
@@ -181,6 +200,8 @@ def _cmd_check_cactus_action(args) -> int:
 
     bound = args.max
     factors = args.factors
+    _refuse_over_budget(args, factors, f"--factors {factors} --max {bound} reaches a shape of "
+                        f"{factors} factors of weight {bound}, {bound + 1}^{factors} words")
     relations = groups.cactus_relation_instances(factors)
     # distinct multisets suffice: each set of generator images acts on the
     # union of all reorderings of its base shape
@@ -208,6 +229,9 @@ def _cmd_check_obstruction(args) -> int:
 def _cmd_check_kt07(args) -> int:
     from . import uqsl2
 
+    b = args.max
+    _refuse_over_budget(args, 4, f"--max {b} reaches V_{b}⊗V_{b}, of dimension {b + 1}^2 "
+                        f"and {b + 1}^4 dense matrix entries")
     results = []
     ok = True
     for m in range(args.max + 1):
@@ -316,7 +340,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Unwritable as exc:
+    except _UsageError as exc:
         print(f"qcactus: error: {exc}", file=sys.stderr)
         return 2
     except (VerificationError, ValueError) as exc:

@@ -204,8 +204,10 @@ def _names(shape):
     return names
 
 
+@lru_cache(maxsize=None)
 def _size(shape) -> int:
-    """The number of words of a shape."""
+    """The number of words of a shape; a walk asks it for the same few slices
+    again and again, so each is counted once."""
     return prod(n + 1 for n in shape)
 
 
@@ -316,9 +318,10 @@ def _chains(shape):
             raise CrystalInvariantError(
                 f"component of {_words(shape)[src]} is not a chain of length {phi_[src] + 1}")
         chains.append((phi_[src], tuple(chain)))
-    covered = Counter(i for _, chain in chains for i in chain)
-    off = next((i for i in range(len(f)) if covered[i] != 1), None)  # covered twice or missed
-    if off is not None:
+    covered = [i for _, chain in chains for i in chain]
+    if len(covered) != len(f) or len(set(covered)) != len(f):
+        counts = Counter(covered)
+        off = next(i for i in range(len(f)) if counts[i] != 1)  # covered twice or missed
         raise CrystalInvariantError(
             f"components do not partition the words of {shape}: {_words(shape)[off]}")
     return tuple(chains)
@@ -347,7 +350,8 @@ class CrystalMap(Record):
             raise ValueError("table is not total on the domain shape")
         if {*map(type, index)} != {int}:
             raise TypeError(f"a crystal map's index holds ints: {index!r}")
-        if sorted(index) != list(range(_size(codomain))):
+        size = _size(codomain)
+        if len(index) != size or set(index) != set(range(size)):
             raise ValueError("table is not a bijection onto the codomain shape")
         for name, value in zip(self.__slots__, (domain, codomain, index)):
             object.__setattr__(self, name, value)
@@ -430,12 +434,24 @@ class CrystalMap(Record):
         return f"CrystalMap({self.domain} -> {self.codomain}, {len(self.index)} words)"
 
 
+def _built(domain, codomain, index) -> CrystalMap:
+    """The CrystalMap of a table this module computed.
+
+    The shapes are valid and the table is the module's own, so a table
+    that fails the map's checks is a broken invariant, not bad input.
+    """
+    try:
+        return CrystalMap(domain, codomain, index)
+    except (TypeError, ValueError) as exc:
+        raise CrystalInvariantError(f"the table built for {domain} -> {codomain}: {exc}") from None
+
+
 def extend_map(m: CrystalMap, left, right) -> CrystalMap:
     """id (x) m (x) id on the shape left + m.domain + right, carried by word index."""
     left, right = tuple(left), tuple(right)
     dom = _shape(left + m.domain + right)  # an empty pad is no fault
-    return CrystalMap(dom, left + m.codomain + right,
-                      _on_slice(range(_size(dom)), dom, len(left), m))
+    indices = range(_size(dom))
+    return _built(dom, left + m.codomain + right, _on_slice(indices, dom, len(left), m, indices))
 
 
 def schutzenberger(shape) -> CrystalMap:
@@ -450,7 +466,7 @@ def schutzenberger(shape) -> CrystalMap:
     for _, chain in _chains(shape):
         for i, j in zip(chain, reversed(chain)):
             index[i] = j
-    return CrystalMap(shape, shape, index)
+    return _built(shape, shape, index)
 
 
 def commutor_S(shape_a, shape_b) -> CrystalMap:
@@ -463,7 +479,7 @@ def commutor_S(shape_a, shape_b) -> CrystalMap:
     size_a, size_b = len(xi_a), len(xi_b)
     # word i is a (x) b with a = i % size_a and b = i // size_a
     index = [xi_ba[xi_b[i // size_a] + size_b * xi_a[i % size_a]] for i in range(size_a * size_b)]
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
+    return _built(shape_a + shape_b, shape_b + shape_a, index)
 
 
 def commutor_c(shape_a, shape_b) -> CrystalMap:
@@ -490,7 +506,7 @@ def commutor_c(shape_a, shape_b) -> CrystalMap:
             targets = [x + size_b * y for y in ca for x in cb]
             for i, j in zip(sources, _chain_commutor(lam, mu).index):
                 index[i] = targets[j]
-    return CrystalMap(shape_a + shape_b, shape_b + shape_a, index)
+    return _built(shape_a + shape_b, shape_b + shape_a, index)
 
 
 @lru_cache(maxsize=None)
@@ -504,19 +520,23 @@ def _chain_commutor(lam, mu) -> CrystalMap:
     return unique_component_isomorphism((lam, mu), (mu, lam))
 
 
-def _on_slice(indices, shape, start, sigma):
-    """Carry word indices of a shape through sigma on its factors from start on.
+def _on_slice(indices, shape, start, sigma, points, shift=0):
+    """Carry point numbers of a shape through sigma on its factors from start on.
 
-    Indices are word_index values, first factor fastest: the factors
-    before the slice give the index modulo lo, their number of words, and
-    the slice gives the next digit.  Sigma moves a word whose slice has
-    index m in its domain by lo * (sigma's image index of m - m); the
+    A point numbers a word of the shape: the first number of the shape's
+    block, a multiple of its size, plus the word_index, first factor
+    fastest.  The factors before the slice give the number modulo lo,
+    their number of words, and the slice gives the next digit.  Sigma
+    moves a word whose slice has index m in its domain by lo * (sigma's
+    image index of m - m), and shift moves it on from the shape's block to
+    that of the shape sigma leaves; the number it reaches is read from
+    points, so the result holds the ints of points, not new ones.  The
     words themselves are never built.
     """
     lo = _size(shape[:start])
-    delta = [lo * (j - m) for m, j in enumerate(sigma.index)]
+    delta = [shift + lo * (j - m) for m, j in enumerate(sigma.index)]
     size = len(delta)
-    return [i + delta[i // lo % size] for i in indices]
+    return [points[i + delta[i // lo % size]] for i in indices]
 
 
 def cactus_action(shape, p: int, q: int) -> CrystalMap:
@@ -536,23 +556,33 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     k = len(shape)
     if not 1 <= p <= q <= k:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
-    _, cur, indices = next(islice(_walk(shape, q), q - p, None))
-    return CrystalMap(shape, cur, indices)
+    # every shape numbers its words from 0: a point is its word_index
+    _, cur, indices = next(islice(_walk(shape, q, range(_size(shape)), lambda s: 0), q - p, None))
+    return _built(shape, cur, indices)
 
 
-def _walk(shape, q):
-    """(p, codomain, image indices) of s(p,q) on a shape, for p = q down to 1.
+def _walk(shape, q, points, first):
+    """(p, codomain, image numbers) of s(p,q) on a shape, for p = q down to 1.
 
-    Each step commutes factor p against the block p+1..q of the shape the
-    step before left, so the whole chain of s(p,q) for one q costs q-1
-    commutor applications, each read from _walk_step.
+    A word of a shape s is numbered first(s) + its word_index, and
+    points[x] is x; the images hold the ints of points.  Each step
+    commutes factor p against the block p+1..q of the shape the step
+    before left, and moves each word into the block of the shape it
+    lands on, so the whole chain of s(p,q) for one q costs q-1 commutor
+    applications, each read from _walk_step.
     """
-    indices, cur = range(_size(shape)), shape
+    cur, start = shape, first(shape)
+    indices = points[start:start + _size(shape)]
     yield q, cur, indices
     for r in range(q - 1, 0, -1):
         sigma = _walk_step(cur[r - 1], cur[r:q])
-        indices = _on_slice(indices, cur, r - 1, sigma)
-        cur = cur[: r - 1] + sigma.codomain + cur[q:]
+        new = cur[: r - 1] + sigma.codomain + cur[q:]
+        try:
+            indices = _on_slice(indices, cur, r - 1, sigma, points, first(new) - first(cur))
+        except (KeyError, IndexError):  # a shape with no block, or a number past the points
+            raise CrystalInvariantError(f"s({r},{q}) on shape {shape} carries words "
+                                        f"outside the numbered points, onto shape {new}")
+        cur = new
         yield r, cur, indices
 
 
@@ -572,27 +602,30 @@ def cactus_generator_images(base_shape):
 
     The domain is the disjoint union of the words of every distinct
     permutation of the base shape, so the images compose.  Its points are
-    numbered by (orbit position, word_index); returns (name, {(p, q): list
-    of image numbers}), name(x) being the word numbered x.  One walk per
-    orbit shape and q gives every s(p,q); each step must land on the shape
-    with p..q reversed, and the images are checked for invertibility by
-    their verifier, not here.  The relations alone would pass a shifted
-    action, which is itself an action of the cactus group.
+    numbered by orbit position * size + word_index; returns (name,
+    {(p, q): list of image numbers}), name(x) being the word numbered x.
+    One walk per orbit shape and q gives every s(p,q), already in that
+    numbering: each image list is extended by the walk's own lists, whose
+    entries are the ints of one list of the orbit's numbers.  Each step
+    must land on the shape with p..q reversed, and the images are checked
+    for invertibility by their verifier, not here.  The relations alone
+    would pass a shifted action, which is itself an action of the cactus
+    group.
     """
     base_shape = _shape(base_shape)
     orbit = sorted(set(permutations(base_shape)))
     size, k = _size(base_shape), len(base_shape)
     offset = {s: i * size for i, s in enumerate(orbit)}
+    points = list(range(len(orbit) * size))
     images = {(p, q): [] for p in range(1, k + 1) for q in range(p + 1, k + 1)}
     for s in orbit:
         for q in range(2, k + 1):
-            for p, cur, indices in islice(_walk(s, q), 1, None):
+            for p, cur, indices in islice(_walk(s, q, points, offset.__getitem__), 1, None):
                 want = s[: p - 1] + s[p - 1:q][::-1] + s[q:]
                 if cur != want:
                     raise CrystalInvariantError(
                         f"s({p},{q}) on shape {s} lands on shape {cur}, not {want}")
-                start = offset[cur]
-                images[(p, q)] += [start + i for i in indices]
+                images[(p, q)] += indices
     return (lambda x: _words(orbit[x // size])[x % size]), images
 
 
@@ -615,7 +648,7 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
     for hw, chain in chains_a:
         for i, j in zip(chain, chain_b[hw]):
             index[i] = j
-    return CrystalMap(shape_a, shape_b, index)
+    return _built(shape_a, shape_b, index)
 
 
 # -- coboundary checks -------------------------------------------------------
@@ -643,11 +676,13 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
     # built in this order, so that a broken invariant names the same word
     outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
     outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
-    indices = range(_size(a + b + c))
-    lhs = _on_slice(_on_slice(indices, a + b + c, len(a), inner_l), a + c + b, 0, outer_l)
-    rhs = _on_slice(_on_slice(indices, a + b + c, 0, inner_r), b + a + c, 0, outer_r)
+    points = list(range(_size(a + b + c)))  # every shape numbers its words from 0
+    lhs = _on_slice(points, a + b + c, len(a), inner_l, points)
+    lhs = _on_slice(lhs, a + c + b, 0, outer_l, points)
+    rhs = _on_slice(points, a + b + c, 0, inner_r, points)
+    rhs = _on_slice(rhs, b + a + c, 0, outer_r, points)
     return [(_words(a + b + c)[i], _words(c + b + a)[l], _words(c + b + a)[r])
-            for i, l, r in zip(indices, lhs, rhs) if l != r]
+            for i, l, r in zip(points, lhs, rhs) if l != r]
 
 
 class CoboundaryReport(Record):

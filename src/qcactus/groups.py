@@ -193,7 +193,8 @@ def verify_action(images: dict, relations, name=lambda i: i):
     """
     identity = list(range(len(next(iter(images.values()), ()))))
     for g, m in images.items():
-        if sorted(m) != identity:
+        # as many entries as points, and every point among them: a bijection
+        if len(m) != len(identity) or not set(m).issuperset(identity):
             raise ValueError(f"image of generator {g!r} is not invertible")
     relations = [(_letters(left), _letters(right)) for left, right in relations]
     for left, right in relations:
@@ -206,9 +207,11 @@ def verify_action(images: dict, relations, name=lambda i: i):
     if not relations:
         # nor does a check of no relations
         raise ValueError("no relations to check")
+    # the first letter's image is read as it is, so a list compares with a list
+    images = {g: m if type(m) is list else list(m) for g, m in images.items()}
 
     def apply_word(word):
-        xs = list(images[word[-1]]) if word else identity
+        xs = images[word[-1]] if word else identity
         for letter in reversed(word[:-1]):
             m = images[letter]
             xs = [m[i] for i in xs]

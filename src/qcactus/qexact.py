@@ -532,10 +532,10 @@ def quantum_int(n: int) -> QRational:
         raise TypeError(f"quantum integers take int arguments, got {n!r}")
     if n < 0:
         return -quantum_int(-n)
-    out = ZERO
-    for i in range(n):
-        out = out + qpow(n - 1 - 2 * i)
-    return out
+    if n < 2:
+        return ONE if n else ZERO
+    # Q^(2-2n) (1 + x + ... + x^(n-1)) at x = Q^4, already canonical
+    return _make(1, 1, 2 - 2 * n, 4, (1,) * n, (1,))
 
 
 def quantum_factorial(n: int) -> QRational:

@@ -1,3 +1,4 @@
+import argparse
 from collections import Counter
 import gc
 import hashlib
@@ -187,8 +188,8 @@ def test_cactus_action_rejects_a_shifted_action(capsys, monkeypatch):
     # only the shape each generator lands on can tell it from the real one
     walk = crystals._walk
 
-    def shifted(shape, q):
-        steps = list(walk(shape, q))
+    def shifted(*args):  # the walk's own arguments: shape, q, and its numbering
+        steps = list(walk(*args))
         yield steps[0]
         for (p, _, _), (_, cur, indices) in zip(steps[1:], steps):
             yield p, cur, indices
@@ -224,6 +225,56 @@ def test_a_value_error_inside_a_check_is_a_failed_verification(capsys, monkeypat
     assert (code, captured.out) == (1, "")
     assert captured.err == ("qcactus: verification failed: "
                             "image of generator (1, 2) is not invertible\n")
+
+
+def test_a_walk_step_off_the_numbered_points_is_a_failed_verification(capsys, monkeypatch):
+    # a step that carries words past the orbit's numbers, as a wrong lo in
+    # _on_slice does, is a broken invariant that names the step, not an IndexError
+    on_slice = crystals._on_slice
+
+    def past_the_end(indices, shape, start, sigma, points, shift=0):
+        return on_slice(indices, shape, start, sigma, points, shift + len(points))
+
+    monkeypatch.setattr(crystals, "_on_slice", past_the_end)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "cactus-action", "--factors", "2", "--max", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: s(1,2) on shape (0, 0) carries words "
+                            "outside the numbered points, onto shape (0, 0)\n")
+
+
+def test_a_table_a_layer_builds_is_checked_as_a_verification(capsys, monkeypatch):
+    # outside a check too: a table the crystal layer computes itself that fails
+    # CrystalMap's checks is a broken invariant, exit 1, not a usage error
+    on_slice = crystals._on_slice
+
+    def repeats_its_first(*args):
+        out = on_slice(*args)
+        if len(out) > 1:
+            out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(crystals, "_on_slice", repeats_its_first)
+    _clear_crystal_caches()
+    try:
+        code = run(["cactus", "act", "--shape", "1,1", "--p", "1", "--q", "2"])
+        with pytest.raises(crystals.CrystalInvariantError, match="not a bijection"):
+            crystals.extend_map(crystals.commutor_c((1,), (1,)), (1,), ())
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: the table built for (1, 1) -> (1, 1): "
+                            "table is not a bijection onto the codomain shape\n")
+    # a table the user gives is still bad input
+    with pytest.raises(ValueError, match="not a bijection"):
+        crystals.CrystalMap((1, 1), (1, 1), (0, 0, 2, 3))
 
 
 def test_an_unwritable_check_report_is_still_a_usage_error(capsys, tmp_path):
@@ -265,6 +316,40 @@ def test_a_check_that_reaches_the_dense_budget_is_a_failed_verification(capsys, 
     assert captured.out == ""
     assert captured.err == ("qcactus: verification failed: module of shape (1, 2) has "
                             "dimension 6: 36 dense matrix entries, over the budget of 16\n")
+
+
+@pytest.mark.parametrize("argv, largest", [
+    ("check cactus-action --factors 11 --max 3",
+     "--factors 11 --max 3 reaches a shape of 11 factors of weight 3, 4^11 words"),
+    ("check cactus-action --factors 21 --max 1",
+     "--factors 21 --max 1 reaches a shape of 21 factors of weight 1, 2^21 words"),
+    ("check cactus-action --factors 1000000000 --max 1",
+     "--factors 1000000000 --max 1 reaches a shape of 1000000000 factors of weight 1, "
+     "2^1000000000 words"),
+    ("check coboundary --max 101", "--max 101 reaches the shape (101, 101, 101) of 102^3 words"),
+    ("check kt07 --max 32",
+     "--max 32 reaches V_32⊗V_32, of dimension 33^2 and 33^4 dense matrix entries"),
+])
+def test_a_check_bound_over_the_budget_is_refused_before_any_work(argv, largest, capsys,
+                                                                  monkeypatch):
+    # the largest single shape decides, not the total time; any work would raise here
+    def no_work(*args):
+        raise AssertionError("the check ran")
+
+    for module, name in ((groups, "cactus_relation_instances"), (crystals, "check_coboundary"),
+                         (uqsl2, "verify_kt07")):
+        monkeypatch.setattr(module, name, no_work)
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"qcactus: error: {largest}: over the budget of 1048576\n"
+
+
+@pytest.mark.parametrize("bound, power", [(3, 10), (1, 20), (0, 10 ** 9), (100, 3), (31, 4)])
+def test_a_check_bound_at_the_budget_is_accepted(bound, power):
+    # 4^10 = 2^20 words, 101^3 words and V_31 (x) V_31's 32^4 = 2^20 entries are
+    # at the budget, not over it; weight 0 has one word whatever the factor count
+    cli._refuse_over_budget(argparse.Namespace(max=bound), power, "unused")
 
 
 def test_check_yang_baxter(capsys):

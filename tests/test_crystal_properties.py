@@ -94,6 +94,22 @@ def test_cactus_generator_images_match_the_recursive_action_on_every_small_orbit
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=5).map(tuple))
+def test_generator_images_are_the_actions_moved_into_the_orbit_numbering(base):
+    # the walk numbers each orbit shape's words from its orbit position times
+    # the size on, and carries them there itself
+    _, images = cactus_generator_images(base)
+    orbit = sorted(set(permutations(base)))
+    first = {s: i * len(words(base)) for i, s in enumerate(orbit)}
+    for (p, q), image in images.items():
+        want = []
+        for s in orbit:
+            m = cactus_action(s, p, q)
+            want += [first[m.codomain] + j for j in m.index]
+        assert image == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(shapes_1_5)
 def test_component_of_is_the_component_of_decompose_holding_the_word(shape):
     comps = decompose(shape)

@@ -127,6 +127,8 @@ PINNED_SHA256 = {
         "a968737c8cd6db0d39e990807010e977410ac778549c68db2eb9f520c828bb37",
     "check cactus-action --factors 4 --max 5":
         "8707d38c3587d916e08e487cc6a2f4d14b55955556170d71d0d4e0e4200423f8",
+    "check cactus-action --factors 5 --max 3":
+        "400aa7d993398b342989db7cedad0be952db14e700d8926929800f1331807075",
     "check cactus-action --factors 6 --max 2":
         "ab4cc5977e17ea150f75d0ebb6a46957c84287f0d36467973c4f70dc7c0eb276",
     "check kt07 --max 5":

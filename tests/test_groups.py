@@ -148,6 +148,21 @@ def test_image_leaving_the_domain_is_not_invertible():
         verify_action({(1, 2): [1, 2]}, squares)
 
 
+@pytest.mark.parametrize("image", [
+    [0, 2, 2],  # a repeated point
+    [0, 1, 3],  # a point past n - 1
+    [-1, 0, 1],  # a point before 0
+    [0, 1],  # a short list
+    [0, 1, 2, 0],  # a long one
+    [0, 1, 1.5],  # an entry that is not an int
+])
+def test_an_image_that_is_no_bijection_of_the_domain_is_refused(image):
+    # the first image numbers the domain 0 .. 2; each of these leaves it
+    images = {(1, 2): [1, 0, 2], (1, 3): image, (2, 3): [0, 2, 1]}
+    with pytest.raises(ValueError, match=r"^image of generator \(1, 3\) is not invertible$"):
+        verify_action(images, cactus_relation_instances(3))
+
+
 def test_mismatched_domains_is_an_error():
     # the first image numbers the domain 0 .. 0, which the others leave
     images = {(1, 2): [0], (1, 3): [0, 1], (2, 3): [0, 1]}

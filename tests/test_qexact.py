@@ -85,6 +85,18 @@ def test_quantum_int_classical_limit():
         assert quantum_int(n).evaluate(1) == n
 
 
+def test_quantum_int_is_the_sum_of_its_q_powers():
+    # [n] is built from its canonical parts at once; the reference adds the
+    # powers one by one, [n + 2] = q^(n+1) + [n] + q^(-n-1)
+    total = {0: ZERO, 1: ONE}
+    for n in range(2, 201):
+        total[n] = qpow(n - 1) + total[n - 2] + qpow(1 - n)
+    for n in range(-50, 201):
+        assert quantum_int(n) == (total[n] if n >= 0 else -total[-n])
+    # built at once, not as a sum whose cost grows with the square of n
+    assert quantum_int(10 ** 5).evaluate(1) == 10 ** 5
+
+
 def test_quantum_factorial():
     assert quantum_factorial(0) == ONE
     assert quantum_factorial(3) == quantum_int(2) * quantum_int(3)

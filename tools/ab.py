@@ -22,7 +22,10 @@ Cold launches run ``python3 -m qcactus.cli ARGS`` with ``PYTHONPATH=src``
 from the side's root and record the wall time, the child's own peak
 resident memory (``ru_maxrss`` from ``os.wait4``), the exit status and the
 sha256 of stdout and of stderr.  Launches alternate between the sides,
-and the side that goes first alternates too.  The report is written in
+and the side that goes first alternates too.  Each side's case reports
+its median wall time and median peak memory, and the case reports the
+median over repeats of the change/parent wall ratio, repeat r of one
+side against repeat r of the other.  The report is written in
 any case, but the tool exits 1, naming each case, when a case's status,
 stdout or stderr differs between the sides or across its repeats.
 Benchmark pairs run ``perfbench/run.py --trace 0`` on each side in the
@@ -136,17 +139,21 @@ def cold(sides, repeats, cases):
             "wall_s": [run["wall_s"] for run in rs],
             "median_wall_s": round(statistics.median(run["wall_s"] for run in rs), 3),
             "peak_rss_mb": [run["peak_rss_mb"] for run in rs],
+            "median_peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in rs), 1),
             "status": sorted({run["status"] for run in rs}),
             "sha256": sorted({run["sha256"] for run in rs}),
             "stderr_sha256": sorted({run["stderr_sha256"] for run in rs}),
         } for name, rs in runs.items()}
+        ratios = [c["wall_s"] / p["wall_s"] for p, c in zip(runs["parent"], runs["change"])]
+        results[args]["change_over_parent_wall_median"] = round(statistics.median(ratios), 3)
+        print(f"{args}: {results[args]['change_over_parent_wall_median']}", flush=True)
     return results
 
 
 def output_mismatches(cold_results):
     """The cold cases whose status, stdout or stderr is not one value over every launch."""
-    return [args for args, sides in cold_results.items()
-            if any(len({value for side in sides.values() for value in side[key]}) > 1
+    return [args for args, case in cold_results.items()
+            if any(len({value for name in SIDES for value in case[name][key]}) > 1
                    for key in ("status", "sha256", "stderr_sha256"))]
 
 
