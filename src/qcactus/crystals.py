@@ -26,14 +26,14 @@ On top of that combinatorics this module builds:
 Annihilation by e or f is the value None, never an error; a crystal map
 is the word_index of the image of each domain word, checked by its one
 constructor.  Output is printed, and JSON read back, through _names, the
-strings of a shape's words by word_index, so neither builds a word;
-words are built for the public word API and for the witnesses of
-failures.  Everything is immutable after construction.
+strings of a shape's words by word_index, so neither builds a word; a
+word is named alone, from its shape and index, for the public word API
+and the witnesses of failures.  Everything is immutable after construction.
 """
 
 from collections import Counter
 from functools import lru_cache, total_ordering
-from itertools import islice, permutations, product
+from itertools import islice
 import json
 from math import prod
 
@@ -175,26 +175,33 @@ def words(shape):
     Enumeration runs through depth tuples with the *last* factor slowest
     and the first fastest; within each factor, depth 0 is the top of the
     chain.  The same order indexes the product bases of the symbolic
-    modules, which keeps crystal words and matrix rows aligned.  Each
-    shape is enumerated once; every call returns a fresh list.
+    modules, which keeps crystal words and matrix rows aligned.  Every
+    call returns a fresh list of words, each named from its index.
     """
-    return list(_words(_shape(shape)))
+    shape = _shape(shape)
+    return [_word(shape, i) for i in range(_size(shape))]
+
+
+def _word(shape, i) -> TensorWord:
+    """The word of a validated shape at word_index i: its depth digits, first factor fastest."""
+    factors = []
+    for n in shape:
+        i, d = divmod(i, n + 1)
+        factors.append(_elements(n)[d])
+    return TensorWord(tuple(factors))
 
 
 @lru_cache(maxsize=None)
-def _words(shape):
-    chains = [chain_crystal(n) for n in shape]
-    return tuple(
-        TensorWord(tuple(chains[t][d] for t, d in enumerate(reversed(rev))))
-        for rev in product(*[range(n + 1) for n in reversed(shape)])
-    )
+def _elements(n):
+    """The chain of weight n as a tuple, built once per weight for _word."""
+    return tuple(chain_crystal(n))
 
 
 def _names(shape):
     """The printed form of every word of a shape, in word_index order.
 
     The names of the first factors are extended one factor at a time, the
-    new factor slowest, so the list follows _words without building a word.
+    new factor slowest, so the list follows word_index without building a word.
     """
     first, *rest = shape
     names = [str(b) for b in chain_crystal(first)]
@@ -254,7 +261,7 @@ def _image(w: TensorWord, column: int):
     """The word that an index column of the table (0 for f, 1 for e) names at w; None for -1."""
     shape = w.shape
     j = _table(shape)[column][word_index(w)]
-    return _words(shape)[j] if j >= 0 else None
+    return _word(shape, j) if j >= 0 else None
 
 
 def eps(w: TensorWord) -> int:
@@ -300,8 +307,8 @@ def decompose(shape):
 
 
 def _component(shape, hw, chain) -> Component:
-    ws = _words(shape)
-    return Component(hw, ws[chain[0]], tuple(ws[i] for i in chain))
+    elements = tuple(_word(shape, i) for i in chain)
+    return Component(hw, elements[0], elements)
 
 
 @lru_cache(maxsize=None)
@@ -316,14 +323,14 @@ def _chains(shape):
             chain.append(f[chain[-1]])
         if len(chain) != phi_[src] + 1:
             raise CrystalInvariantError(
-                f"component of {_words(shape)[src]} is not a chain of length {phi_[src] + 1}")
+                f"component of {_word(shape, src)} is not a chain of length {phi_[src] + 1}")
         chains.append((phi_[src], tuple(chain)))
     covered = [i for _, chain in chains for i in chain]
     if len(covered) != len(f) or len(set(covered)) != len(f):
         counts = Counter(covered)
         off = next(i for i in range(len(f)) if counts[i] != 1)  # covered twice or missed
         raise CrystalInvariantError(
-            f"components do not partition the words of {shape}: {_words(shape)[off]}")
+            f"components do not partition the words of {shape}: {_word(shape, off)}")
     return tuple(chains)
 
 
@@ -359,14 +366,12 @@ class CrystalMap(Record):
     def __call__(self, w: TensorWord) -> TensorWord:
         if not isinstance(w, TensorWord):
             raise TypeError(f"a crystal map acts on tensor words, not on {type(w).__name__}")
-        i = word_index(w)
-        if i >= len(self.index) or _words(self.domain)[i] != w:
+        if w.shape != self.domain:
             raise KeyError(w)
-        return _words(self.codomain)[self.index[i]]
+        return _word(self.codomain, self.index[word_index(w)])
 
     def items(self):
-        cod = _words(self.codomain)
-        return [(w, cod[j]) for w, j in zip(_words(self.domain), self.index)]
+        return [(_word(self.domain, i), _word(self.codomain, j)) for i, j in enumerate(self.index)]
 
     @classmethod
     def identity(cls, shape) -> "CrystalMap":
@@ -403,7 +408,7 @@ class CrystalMap(Record):
                 bad.append((i, "f"))
             elif image[e[i]] != e_cod[j]:
                 bad.append((i, "e"))
-        return [(_words(self.domain)[i], reason) for i, reason in bad]
+        return [(_word(self.domain, i), reason) for i, reason in bad]
 
     def is_isomorphism(self) -> bool:
         return not self.morphism_failures()
@@ -613,7 +618,7 @@ def cactus_generator_images(base_shape):
     group.
     """
     base_shape = _shape(base_shape)
-    orbit = sorted(set(permutations(base_shape)))
+    orbit = _reorderings(tuple(sorted(base_shape)))
     size, k = _size(base_shape), len(base_shape)
     offset = {s: i * size for i, s in enumerate(orbit)}
     points = list(range(len(orbit) * size))
@@ -626,7 +631,13 @@ def cactus_generator_images(base_shape):
                     raise CrystalInvariantError(
                         f"s({p},{q}) on shape {s} lands on shape {cur}, not {want}")
                 images[(p, q)] += indices
-    return (lambda x: _words(orbit[x // size])[x % size]), images
+    return (lambda x: _word(orbit[x // size], x % size)), images
+
+
+def _reorderings(shape):
+    """The distinct reorderings of a sorted shape, in sorted order; () has one."""
+    return [(n,) + rest for i, n in enumerate(shape) if not i or shape[i - 1] != n
+            for rest in _reorderings(shape[:i] + shape[i + 1:])] if len(shape) > 1 else [shape]
 
 
 def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
@@ -656,11 +667,16 @@ def unique_component_isomorphism(shape_a, shape_b) -> CrystalMap:
 def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
     """(w, backward(forward(w))) for each word w, in word order, that it does
     not fix; compared by index, and only the failures are named."""
+    return [(_word(forward.domain, i), _word(backward.codomain, j))
+            for i, j in _involution_misses(forward, backward)]
+
+
+def _involution_misses(forward, backward):
+    """involutivity_failures on word indices: (i, index of backward(forward(i)))."""
     if backward.domain != forward.codomain:
-        raise KeyError(_words(forward.codomain)[forward.index[0]])  # as backward(v) would
+        raise KeyError(_word(forward.codomain, forward.index[0]))  # as backward(v) would
     back, home = backward.index, backward.codomain == forward.domain
-    bad = [(i, back[j]) for i, j in enumerate(forward.index) if back[j] != i or not home]
-    return [(_words(forward.domain)[i], _words(backward.codomain)[j]) for i, j in bad]
+    return [(i, back[j]) for i, j in enumerate(forward.index) if back[j] != i or not home]
 
 
 def cactus_square_failures(shape_a, shape_b, shape_c):
@@ -673,6 +689,12 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
     and the two images must agree; only the witnesses are named.
     """
     a, b, c = _shape(shape_a), _shape(shape_b), _shape(shape_c)
+    return [(_word(a + b + c, i), _word(c + b + a, l), _word(c + b + a, r))
+            for i, l, r in _square_misses(a, b, c)]
+
+
+def _square_misses(a, b, c):
+    """cactus_square_failures on word indices: (i, left image, right image)."""
     # built in this order, so that a broken invariant names the same word
     outer_l, inner_l = commutor_c(a, c + b), commutor_c(b, c)
     outer_r, inner_r = commutor_c(b + a, c), commutor_c(a, b)
@@ -681,8 +703,7 @@ def cactus_square_failures(shape_a, shape_b, shape_c):
     lhs = _on_slice(lhs, a + c + b, 0, outer_l, points)
     rhs = _on_slice(points, a + b + c, 0, inner_r, points)
     rhs = _on_slice(rhs, b + a + c, 0, outer_r, points)
-    return [(_words(a + b + c)[i], _words(c + b + a)[l], _words(c + b + a)[r])
-            for i, l, r in zip(points, lhs, rhs) if l != r]
+    return [(i, l, r) for i, l, r in zip(points, lhs, rhs) if l != r]
 
 
 class CoboundaryReport(Record):
@@ -710,10 +731,10 @@ class CoboundaryReport(Record):
 def check_coboundary(triples) -> CoboundaryReport:
     """Verify the two coboundary axioms on a list of shape triples.
 
-    For every triple (A, B, C) this checks that the commutor of (A, B)
-    composed with its reverse is the identity, and that the square on
-    A (x) B (x) C commutes, both pointwise over all words; and, once per
-    pair of single chains, that commutor_S equals commutor_c ("sigma-S").
+    For every triple (A, B, C): the commutor of (A, B) composed with its
+    reverse is the identity, and the square on A (x) B (x) C commutes,
+    pointwise over all words; once per pair of single chains, commutor_S
+    equals commutor_c ("sigma-S").  Only each failure's witness is named.
     """
     failures = []
     count = 0
@@ -721,15 +742,15 @@ def check_coboundary(triples) -> CoboundaryReport:
     for a, b, c in triples:
         a, b, c = _shape(a), _shape(b), _shape(c)
         count += 1
-        for w, v in involutivity_failures(commutor_c(a, b), commutor_c(b, a)):
-            failures.append(((a, b, c), "involution", w))
+        for i, _ in _involution_misses(commutor_c(a, b), commutor_c(b, a)):
+            failures.append(((a, b, c), "involution", _word(a + b, i)))
         if len(a) == len(b) == 1 and (a, b) not in pairs:  # commutor_c(a, b) is cached
             pairs.add((a, b))
             pair_maps = zip(commutor_S(a, b).index, commutor_c(a, b).index)
             differ = [i for i, (via_xi, j) in enumerate(pair_maps) if via_xi != j]
-            failures += [((a, b, c), "sigma-S", _words(a + b)[i]) for i in differ[:1]]
-        for w, _l, _r in cactus_square_failures(a, b, c):
-            failures.append(((a, b, c), "cactus-square", w))
+            failures += [((a, b, c), "sigma-S", _word(a + b, i)) for i in differ[:1]]
+        for i, _l, _r in _square_misses(a, b, c):
+            failures.append(((a, b, c), "cactus-square", _word(a + b + c, i)))
     return CoboundaryReport(count, tuple(failures))
 
 

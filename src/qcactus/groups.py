@@ -7,11 +7,13 @@ square, disjointness and containment relations.  Both project onto the
 symmetric group: g(i) goes to the adjacent transposition and s(p,q) to
 the permutation reversing the interval p..q.
 
-Nothing here attempts the word problem.  Equality of words is always
-tested through a concrete action: ``verify_action`` takes the image
-lists of the generators on points numbered 0 .. n-1 and checks a list of
-relations pointwise, reporting a witness for every violation.
+Nothing here attempts the word problem: ``verify_action`` tests
+relations, pairs of tuples of generator keys, through a concrete action,
+the image lists of the generators on points numbered 0 .. n-1, and names
+a witness for every violation, each point at most once per call.
 """
+
+from functools import lru_cache
 
 from . import Record
 
@@ -105,36 +107,19 @@ class CactusWord(Record):
 def cactus_relation_instances(n: int):
     """All defining relation instances of the cactus group on n fruits.
 
-    Returns (left, right) pairs of CactusWords: the squares
-    s(p,q)s(p,q) = 1, the commutations for disjoint intervals, and
-    s(p,q)s(k,l) = s(r,t)s(p,q) for contained intervals, where
-    (r, t) = (p+q-l, p+q-k) is k..l reversed inside p..q.
+    Returns (left, right) pairs of tuples of (p, q) letters, as verify_action
+    reads them: the squares s(p,q)s(p,q) = 1, the commutations for disjoint
+    intervals, and s(p,q)s(k,l) = s(r,t)s(p,q) for contained intervals,
+    where (r, t) = (p+q-l, p+q-k) is k..l reversed inside p..q.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     intervals = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
-    out = []
-    for pq in intervals:
-        out.append((CactusWord((pq, pq), n), CactusWord((), n)))
-    for p, q in intervals:
-        for k, l in intervals:
-            if q < k:  # disjoint, each unordered pair listed once
-                out.append(
-                    (
-                        CactusWord(((p, q), (k, l)), n),
-                        CactusWord(((k, l), (p, q)), n),
-                    )
-                )
-    for p, q in intervals:
-        for k, l in intervals:
-            if (p, q) != (k, l) and p <= k < l <= q:
-                r, t = p + q - l, p + q - k
-                out.append(
-                    (
-                        CactusWord(((p, q), (k, l)), n),
-                        CactusWord(((r, t), (p, q)), n),
-                    )
-                )
+    out = [((pq, pq), ()) for pq in intervals]
+    out += [(((p, q), (k, l)), ((k, l), (p, q)))  # disjoint, each unordered pair listed once
+            for p, q in intervals for k, l in intervals if q < k]
+    out += [(((p, q), (k, l)), ((p + q - l, p + q - k), (p, q)))
+            for p, q in intervals for k, l in intervals if (p, q) != (k, l) and p <= k < l <= q]
     return out
 
 
@@ -162,19 +147,11 @@ class RelationFailure(Record):
 
     def as_dict(self):
         return {
-            "relation": [
-                [list(letter) for letter in self.relation[0]],
-                [list(letter) for letter in self.relation[1]],
-            ],
+            "relation": [[list(letter) for letter in word] for word in self.relation],
             "witness": str(self.witness),
             "left": str(self.left_value),
             "right": str(self.right_value),
         }
-
-
-def _letters(word):
-    letters = getattr(word, "letters", None)
-    return letters if letters is not None else tuple(word)
 
 
 def verify_action(images: dict, relations, name=lambda i: i):
@@ -183,20 +160,20 @@ def verify_action(images: dict, relations, name=lambda i: i):
     The points are numbered 0 .. n-1, and ``images`` maps each generator
     key to the list of its image numbers, a bijection of 0 .. n-1;
     ``relations`` is a list of (left word, right word) pairs, each word a
-    sequence of generator keys (or an object with ``.letters``).  Words act
-    on the left, so the last letter is applied first, and each side of a
-    relation carries the whole list of numbers at once by list indexing.
-    Returns one RelationFailure per violated relation, carrying its first
-    witness in ``str`` order of the names, points with the same ``str`` in
-    numbering order; ``name(i)`` names point i, and only in a failure.
+    sequence of generator keys.  Words act on the left, so the last letter
+    is applied first, and each side of a relation carries the whole list of
+    numbers at once by list indexing.  Returns one RelationFailure per
+    violated relation, carrying its first witness in ``str`` order of the
+    names, points with the same ``str`` in numbering order; ``name(i)``
+    names point i, only in a failure and at most once per call.
     An empty domain or an empty list of relations is a ValueError.
     """
     identity = list(range(len(next(iter(images.values()), ()))))
     for g, m in images.items():
-        # as many entries as points, and every point among them: a bijection
-        if len(m) != len(identity) or not set(m).issuperset(identity):
+        # a bijection: n entries, every point among them, all ints (a 1.0 makes the sum no int)
+        if len(m) != len(identity) or not set(m).issuperset(identity) or type(sum(m)) is not int:
             raise ValueError(f"image of generator {g!r} is not invertible")
-    relations = [(_letters(left), _letters(right)) for left, right in relations]
+    relations = [(tuple(left), tuple(right)) for left, right in relations]
     for left, right in relations:
         for letter in left[::-1] + right[::-1]:  # the order the words apply them
             if letter not in images:
@@ -217,13 +194,15 @@ def verify_action(images: dict, relations, name=lambda i: i):
             xs = [m[i] for i in xs]
         return xs
 
+    named = lru_cache(maxsize=None)(name)  # a point is named, and printed, once per call
+    order = lru_cache(maxsize=None)(lambda x: (str(named(x)), x))
     failures = []
     for rel in relations:
         lhs, rhs = apply_word(rel[0]), apply_word(rel[1])
         if lhs != rhs:
             # one witness per violated relation: the first in str order
-            x = min((x for x in identity if lhs[x] != rhs[x]), key=lambda x: (str(name(x)), x))
-            failures.append(RelationFailure(rel, name(x), name(lhs[x]), name(rhs[x])))
+            x = min((x for x in identity if lhs[x] != rhs[x]), key=order)
+            failures.append(RelationFailure(rel, named(x), named(lhs[x]), named(rhs[x])))
     return failures
 
 

@@ -781,7 +781,7 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
         want = [0] * len(reduced)
         want[image[col]] = sign[col]
         if list(got) != want:
-            mismatches.append((crystals.words((m, n))[col], want, list(got)))
+            mismatches.append((crystals._word((m, n), col), want, list(got)))
     return Kt07Report(m, n, tuple(mismatches))
 
 

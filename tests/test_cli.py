@@ -386,6 +386,81 @@ def _clear_crystal_caches():
             value.cache_clear()
 
 
+def _swap_first_two_images(monkeypatch, factor):
+    """Fault A (factor 0) or B (factor 1): commutor_c swaps the images of domain
+    words 0 and 1 when its first (A) or second (B) shape has two factors or more."""
+    commutor_c = crystals.commutor_c
+
+    def faulty(a, b):
+        m = commutor_c(a, b)
+        if len((a, b)[factor]) >= 2 and len(m.index) >= 2:
+            index = list(m.index)
+            index[0], index[1] = index[1], index[0]
+            return crystals.CrystalMap(m.domain, m.codomain, index)
+        return m
+
+    monkeypatch.setattr(crystals, "commutor_c", faulty)
+
+
+FAULT_A, FAULT_B = 0, 1
+
+
+@pytest.mark.parametrize("factor, argv, digest", [
+    (FAULT_A, "check coboundary --max 6",
+     "bd1e6dbdc49602190115171edea5faad681092e945333f77edf79df8f578321d"),
+    (FAULT_B, "check cactus-action --factors 4 --max 3",
+     "bd40947230dc7732ac0709236c68e3007681503923a6310ef8c1fdd5f7c823b4"),
+])
+def test_a_faulted_commutor_keeps_its_recorded_report(factor, argv, digest, capsys, monkeypatch):
+    # the stdout of each failing check, recorded while every word was still
+    # enumerated per shape: naming witnesses from their index keeps its bytes
+    _clear_crystal_caches()
+    _swap_first_two_images(monkeypatch, factor)
+    try:
+        code, out = invoke(capsys, *argv.split())
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_failing_coboundary_check_names_only_its_witnesses(capsys, monkeypatch):
+    # each failure names one word, its witness; no word list of a shape is built
+    named = []
+    word = crystals._word
+    monkeypatch.setattr(crystals, "_word", lambda shape, i: named.append(shape) or word(shape, i))
+    _clear_crystal_caches()
+    _swap_first_two_images(monkeypatch, FAULT_A)
+    try:
+        code, out = invoke(capsys, "check", "coboundary", "--max", "8")
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    assert 0 < len(named) <= len(failures)
+
+
+def test_the_relation_verifier_names_each_point_at_most_once(monkeypatch):
+    # a point that fails many relations is named once per verify_action call
+    relations = groups.cactus_relation_instances(4)
+    _clear_crystal_caches()
+    _swap_first_two_images(monkeypatch, FAULT_B)
+    try:
+        failed = 0
+        for combo in combinations_with_replacement(range(4), 4):
+            name, images = crystals.cactus_generator_images(combo)
+            calls = Counter()
+            failed += len(groups.verify_action(images, relations,
+                                               lambda x: calls.update([x]) or name(x)))
+            assert all(count == 1 for count in calls.values())
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    assert failed
+
+
 @pytest.mark.parametrize("argv", [
     "crystal decompose --shape 1,2,0,2 --format text",
     "crystal decompose --shape 1,2,0,2 --format json",
@@ -398,12 +473,15 @@ def _clear_crystal_caches():
     "commutor --a 1,2 --b 2,1 --variant S --format text",
     "check coboundary --max 3",
 ])
-def test_passing_print_path_builds_no_word(argv, capsys):
-    # output is printed from the names of the words, so no word is enumerated
+def test_passing_print_path_builds_no_word(argv, capsys, monkeypatch):
+    # output is printed from the names of the words, so no word is named
+    named = []
+    word = crystals._word
+    monkeypatch.setattr(crystals, "_word", lambda shape, i: named.append(i) or word(shape, i))
     _clear_crystal_caches()
     assert run(argv.split()) == 0
     assert capsys.readouterr().out
-    assert crystals._words.cache_info().misses == 0
+    assert named == []
 
 
 def test_crystal_invariant_failure_is_a_failed_check(capsys, monkeypatch):

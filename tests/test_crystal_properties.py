@@ -93,6 +93,28 @@ def test_cactus_generator_images_match_the_recursive_action_on_every_small_orbit
                 assert [name(y) for y in image] == [maps[w.shape](w) for w in points]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+def test_the_orbit_is_the_distinct_reorderings_in_sorted_order(shape):
+    assert crystals._reorderings(tuple(sorted(shape))) == sorted(set(permutations(shape)))
+
+
+def test_the_orbit_is_listed_without_enumerating_the_orderings(monkeypatch):
+    # eleven factors have 11! = 39,916,800 orderings but 11 distinct ones;
+    # the orbit is built from distinct entries only, one call per distinct prefix
+    calls = []
+    reorderings = crystals._reorderings
+    monkeypatch.setattr(crystals, "_reorderings", lambda s: calls.append(s) or reorderings(s))
+    base = (0,) * 10 + (1,)
+    name, images = cactus_generator_images(base)
+    assert not hasattr(crystals, "permutations")
+    assert len(images) == 55 and all(len(image) == 11 * 2 for image in images.values())
+    # in sorted order: the later the 1, the smaller the shape
+    assert [name(x).shape for x in range(0, 22, 2)] == [
+        (0,) * j + (1,) + (0,) * (10 - j) for j in range(10, -1, -1)]
+    assert len(calls) <= 11 * 11 + 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=5).map(tuple))
 def test_generator_images_are_the_actions_moved_into_the_orbit_numbering(base):

@@ -409,7 +409,7 @@ def test_words_and_chain_elements_are_values():
 def test_words_returns_a_fresh_list_of_the_cached_words():
     first, second = words((1, 2)), words((1, 2))
     assert first is not second
-    assert all(x is y for x, y in zip(first, second)) and len(first) == 6
+    assert first == second and len(first) == 6
     first.clear()
     assert len(words((1, 2))) == 6
 
