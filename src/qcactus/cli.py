@@ -249,8 +249,12 @@ def _cmd_check_kt07(args) -> int:
 def _cmd_check_yang_baxter(args) -> int:
     from . import uqsl2
 
-    ok = uqsl2.check_yang_baxter()
-    return _emit_report("yang-baxter", ok, {}, args)
+    witness = uqsl2._yang_baxter_witness()
+    if witness is None:
+        return _emit_report("yang-baxter", True, {}, args)
+    (i, j), left, right = witness
+    return _emit_report("yang-baxter", False,
+                        {"entry": [i, j], "left": str(left), "right": str(right)}, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

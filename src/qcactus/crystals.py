@@ -21,7 +21,7 @@ On top of that combinatorics this module builds:
   * the commutor, unique on two chains and assembled from them by naturality,
   * the action of the cactus generators s(p,q),
   * checkers for the coboundary axioms and for sigma^S = sigma^c, and
-  * the mechanical reconstruction of the braiding obstruction.
+  * the no-braiding witness, read off commutor_c and the hexagon composite.
 
 Annihilation by e or f is the value None, never an error; a crystal map
 is the word_index of the image of each domain word, checked by its one
@@ -211,10 +211,8 @@ def _names(shape):
     return names
 
 
-@lru_cache(maxsize=None)
 def _size(shape) -> int:
-    """The number of words of a shape; a walk asks it for the same few slices
-    again and again, so each is counted once."""
+    """The number of words of a shape, or of a prefix or slice of one; () has one."""
     return prod(n + 1 for n in shape)
 
 
@@ -426,8 +424,19 @@ class CrystalMap(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "CrystalMap":
+        """The map to_json wrote; any other JSON raises ValueError naming the field."""
         data = json.loads(text)
-        dom, cod, table = _shape(data["domain_shape"]), _shape(data["codomain_shape"]), data["map"]
+        if not isinstance(data, dict):
+            raise ValueError("a crystal map is a JSON object")
+        shapes = []
+        for key in ("domain_shape", "codomain_shape"):
+            try:
+                shapes.append(_shape(data.get(key)))
+            except TypeError:
+                raise ValueError(f"'{key}' must be a list of ints, got {data.get(key)!r}") from None
+        (dom, cod), table = shapes, data.get("map")
+        if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+            raise ValueError("'map' must be an object from word names to word names")
         names = _names(dom)
         if table.keys() != set(names):
             raise ValueError(f"the map's keys are not the words of shape {dom}")
@@ -764,7 +773,7 @@ def weight_bounded_triples(max_weight: int):
 
 class ObstructionWitness(Record):
     """Record of the mechanical proof that chains admit no braiding: sigma(b1 (x) b0),
-    and the values naturality and the hexagon force on the probe b1 (x) b-1 (x) b1."""
+    and the values naturality and the hexagon force on the first word where they differ."""
 
     __slots__ = ("sigma_11_identity", "sigma_12_value", "probe", "forced", "hexagon", "distinct")
 
@@ -782,35 +791,26 @@ class ObstructionWitness(Record):
 def braiding_obstruction() -> ObstructionWitness:
     """Reconstruct the contradiction ruling out a braiding on chains.
 
-    Any braiding must be the unique isomorphism on (1,1) (the identity)
-    and on (1,2); pushing b1 (x) b0 through the naturality square for the
-    inclusion of the weight-2 component of (1,1) then forces one value of
-    sigma on b1 (x) b-1 (x) b1, while the hexagon composite
-    (id (x) sigma)(sigma (x) id) forces another.  The two values differ.
+    Any braiding is the unique isomorphism on two chains (the identity on
+    (1,1), and b1 (x) b0 |-> b2 (x) b-1 on (1,2)) and natural, so on
+    (1) (x) (1,1) it is their assembly over the components of (1,1):
+    commutor_c.  The hexagon forces (id (x) sigma11)(sigma11 (x) id)
+    instead, carried by word index; the probe is the first word where the
+    two differ, or word 0, unconfirmed, if none does.
     """
     sigma11 = unique_component_isomorphism((1, 1), (1, 1))
     sigma12 = unique_component_isomorphism((1, 2), (2, 1))
-
-    b1 = ChainElement(1, 1)
-    x = sigma12(TensorWord((b1, ChainElement(2, 0))))  # = b2 (x) b-1
-
-    # inclusion j of the weight-2 chain into (1,1): depth d  |->  element d
-    comp2 = next(c for c in decompose((1, 1)) if c.highest_weight == 2)
-    j = {ChainElement(2, 2 - 2 * d): comp2.elements[d] for d in range(3)}
-
-    probe = TensorWord((b1,) + j[ChainElement(2, 0)].factors)  # b1 (x) b-1 (x) b1
-    forced = TensorWord(j[x.factors[0]].factors + x.factors[1:])
-
-    fs = sigma11(probe.slice(0, 2)).factors + probe.factors[2:]
-    hexagon = TensorWord(fs[:1] + sigma11(TensorWord(fs[1:])).factors)
-
+    shape, points = (1, 1, 1), range(8)
+    forced = commutor_c((1,), (1, 1)).index
+    hexagon = _on_slice(_on_slice(points, shape, 0, sigma11, points), shape, 1, sigma11, points)
+    probe = next((i for i in points if forced[i] != hexagon[i]), 0)
     return ObstructionWitness(
         sigma_11_identity=sigma11.is_identity(),
-        sigma_12_value=x,
-        probe=probe,
-        forced=forced,
-        hexagon=hexagon,
-        distinct=forced != hexagon,
+        sigma_12_value=sigma12(TensorWord.from_weights((1, 2), (1, 0))),
+        probe=_word(shape, probe),
+        forced=_word(shape, forced[probe]),
+        hexagon=_word(shape, hexagon[probe]),
+        distinct=forced[probe] != hexagon[probe],
     )
 
 

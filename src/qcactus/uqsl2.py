@@ -806,11 +806,21 @@ def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> 
 
 def check_yang_baxter() -> bool:
     """(sigma (x) id)(id (x) sigma)(sigma (x) id) on three chain factors."""
+    return _yang_baxter_witness() is None
+
+
+def _yang_baxter_witness():
+    """None when the braid relation holds on V1 (x) V1 (x) V1, else its first
+    failing entry in row-major order: ((row, col), left value, right value)."""
     v1 = irreducible(1)
     sigma = braiding_matrix(v1, v1)
     s1 = apply_on_slots(sigma, [2, 2, 2], 0, 2, [2, 2])
     s2 = apply_on_slots(sigma, [2, 2, 2], 1, 3, [2, 2])
-    return s1 @ s2 @ s1 == s2 @ s1 @ s2
+    lhs, rhs = s1 @ s2 @ s1, s2 @ s1 @ s2
+    if lhs == rhs:
+        return None
+    return next(((i, j), x, y) for i, (row_l, row_r) in enumerate(zip(lhs.entries, rhs.entries))
+                for j, (x, y) in enumerate(zip(row_l, row_r)) if x != y)
 
 
 def check_cactus_relation_unitarized() -> bool:

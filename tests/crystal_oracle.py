@@ -1,4 +1,4 @@
-"""Test-only oracle: the tensor rule as a left fold, the cactus action by recursion.
+"""Test-only oracle: the tensor rule as a left fold, the cactus action by recursion and evacuation.
 
 These are the straightforward definitions that ``qcactus.crystals`` is
 checked against.  The tensor rule here treats the first k-1 factors of a
@@ -19,9 +19,22 @@ index at a time from its mixed-radix digits, against which the
 library's enumeration and its names of the words are compared.  The
 maps built here are indexed through those decoded words, not through
 the library's word_index.
+
+The evacuation route is a second oracle for the whole cactus action, and
+reads none of the commutors.  A highest-weight word of B(1)^(x n) is a
+ballot sequence, a standard tableau of at most two rows with entry i in
+row 1 for b1 and in row 2 for b-1, and on such words s(1,q) is
+Schützenberger's evacuation of the entries 1..q, by jeu de taquin
+(Henriques-Kamnitzer, "Crystals and coboundary categories",
+arXiv:math/0406478).  Every other generator follows, as
+s(p,q) = s(1,q) s(1,q-p+1) s(1,q); another word is raised to its source
+with this module's tensor_e, acted on, and lowered back as many steps
+with tensor_f; and a shape reaches B(1)^(x n) through B(a) -> B(1)^(x a)
+onto the top component, each block re-reversed afterwards.
 """
 
 from collections import Counter
+from functools import lru_cache
 from math import prod
 
 from qcactus.crystals import (
@@ -208,3 +221,82 @@ def cactus_square_failures(shape_a, shape_b, shape_c, commutor=commutor_c):
 def involutivity_failures(forward: CrystalMap, backward: CrystalMap):
     """(w, backward(forward(w))) for each word w, in word order, that it does not fix."""
     return [(w, backward(v)) for w, v in forward.items() if backward(v) != w]
+
+
+@lru_cache(maxsize=None)
+def _evacuated(signs):
+    """Evacuation of the two-row standard tableau of a ballot sequence of signs
+    (+1 for b1 in row 1, -1 for b-1 in row 2), by jeu de taquin: the
+    smallest entry leaves, the hole slides out, and the cell it vacates at
+    step k gets the entry n + 1 - k."""
+    rows = [[i for i, s in enumerate(signs) if s > 0], [i for i, s in enumerate(signs) if s < 0]]
+    out = [0] * len(signs)
+    for label in reversed(range(len(signs))):
+        r, c = 0, 0
+        while True:
+            right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
+            below = rows[1][c] if r == 0 and c < len(rows[1]) else None
+            if right is None and below is None:
+                break
+            if below is None or (right is not None and right < below):
+                rows[r][c], c = right, c + 1
+            else:
+                rows[r][c], r = below, 1
+        rows[r].pop()
+        out[label] = 1 if r == 0 else -1
+    return tuple(out)
+
+
+def _ones_action(signs, p, q):
+    """s(p,q), p < q, on the word of B(1)^(x n) with this tuple of signs: raised
+    to its source, evacuated by s(1,q) s(1,q-p+1) s(1,q), lowered back."""
+    out, steps = _source(signs)
+    for r in (q, q - p + 1, q):
+        out = _evacuated(out[:r]) + out[r:]
+    return _lowered(out, steps)
+
+
+def _ones(signs) -> TensorWord:
+    return TensorWord(tuple(ChainElement(1, s) for s in signs))
+
+
+# the shapes of one test embed into the same few words of B(1)^(x n), so each
+# word is raised, and each lowered, by one cached e or f step
+@lru_cache(maxsize=None)
+def _source(signs):
+    """(the signs of the source of the word, the number of e steps to it)."""
+    up = tensor_e(_ones(signs))
+    if up is None:
+        return signs, 0
+    source, steps = _source(tuple(b.j for b in up.factors))
+    return source, steps + 1
+
+
+@lru_cache(maxsize=None)
+def _lowered(signs, steps):
+    """The signs of f^steps of the word."""
+    if not steps:
+        return signs
+    return tuple(b.j for b in tensor_f(_ones(_lowered(signs, steps - 1))).factors)
+
+
+def cactus_action_by_evacuation(shape, p: int, q: int) -> CrystalMap:
+    """s(p,q) on a shape: each factor B(a) embedded in B(1)^(x a) as the top
+    component, f^d(b1 (x) ... (x) b1) at depth d; s(P,Q) on the letters P..Q
+    of the blocks p..q, then s on each block of the reversed interval, and
+    each block read back from the top component."""
+    shape = tuple(shape)
+    codomain = shape[:p - 1] + shape[p - 1:q][::-1] + shape[q:]
+    tops = {a: [_lowered((1,) * a, d) for d in range(a + 1)] for a in set(shape)}
+    cuts = [sum(codomain[:i]) for i in range(len(codomain) + 1)]  # block i: cuts[i]+1..cuts[i+1]
+    steps = [(cuts[p - 1] + 1, cuts[q])] + [(cuts[i] + 1, cuts[i + 1]) for i in range(p - 1, q)]
+    table = {}
+    for w in words(shape):
+        signs = tuple(x for b in w.factors for x in tops[b.n][b.eps])
+        for lo, hi in steps:
+            if lo < hi:
+                signs = _ones_action(signs[:hi], lo, hi) + signs[hi:]
+        table[w] = TensorWord(tuple(
+            ChainElement(a, a - 2 * tops[a].index(signs[cuts[i]:cuts[i + 1]]))
+            for i, a in enumerate(codomain)))
+    return _from_table(shape, codomain, table)

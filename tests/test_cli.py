@@ -93,6 +93,24 @@ def test_check_braiding_obstruction(capsys):
     assert data["obstruction_confirmed"] is True
 
 
+def test_a_commutor_that_meets_the_hexagon_confirms_no_obstruction(capsys, monkeypatch):
+    # with commutor_c on (1) (x) (1,1) replaced by the hexagon composite, the
+    # two values agree on every word: a contradiction not found is a failed check
+    s11 = crystals.unique_component_isomorphism((1, 1), (1, 1))
+    hexagon = crystals.extend_map(s11, (1,), ()).compose(crystals.extend_map(s11, (), (1,)))
+    commutor_c = crystals.commutor_c
+
+    def commutor(a, b):
+        return hexagon if (tuple(a), tuple(b)) == ((1,), (1, 1)) else commutor_c(a, b)
+
+    monkeypatch.setattr(crystals, "commutor_c", commutor)
+    code, out = invoke(capsys, "check", "braiding-obstruction")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["status"], data["obstruction_confirmed"]) == ("fail", False)
+    assert data["probe"] == data["forced"] == data["hexagon"] == "b1⊗b1⊗b1"  # word 0
+
+
 def test_check_coboundary(capsys):
     code, out = invoke(capsys, "check", "coboundary", "--max", "1")
     assert code == 0
@@ -356,6 +374,24 @@ def test_check_yang_baxter(capsys):
     code, out = invoke(capsys, "check", "yang-baxter")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+def test_a_failing_yang_baxter_check_names_its_first_differing_entry(capsys, monkeypatch):
+    # entry (1, 2) of flip.R on V1 (x) V1 doubled: the report names the first
+    # entry, row by row, where the two sides of the braid relation differ
+    braiding_matrix = uqsl2.braiding_matrix
+
+    def doubled(m, n, frame="s1"):
+        rows = [list(row) for row in braiding_matrix(m, n, frame).entries]
+        rows[1][2] = rows[1][2] + rows[1][2]
+        return uqsl2.QMatrix(rows)
+
+    monkeypatch.setattr(uqsl2, "braiding_matrix", doubled)
+    code, out = invoke(capsys, "check", "yang-baxter")
+    assert not uqsl2.check_yang_baxter()
+    assert code == 1
+    assert json.loads(out) == {"check": "yang-baxter", "status": "fail", "entry": [1, 1],
+                               "left": "(Q^8 - 1)/(Q^5)", "right": "(Q^4 - 1)/(Q)"}
 
 
 def test_check_kt07_small(capsys):

@@ -1,8 +1,10 @@
 """Property tests of the crystal layer against the test-only oracles."""
 
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import crystal_oracle as oracle
@@ -29,6 +31,7 @@ from qcactus.crystals import (
     wt,
 )
 from qcactus.groups import cactus_relation_instances, verify_action
+from test_cli import FAULT_B, _clear_crystal_caches, _swap_first_two_images
 
 
 @st.composite
@@ -292,3 +295,91 @@ def test_cactus_action_matches_recursive_definition_under_a_fault(shape, interva
     assert got == oracle.cactus_action(shape, p, q, commutor=commutor)
     if faulty != commutor_c(*target) and steps.count(target) == 1:
         assert got != cactus_action(shape, p, q)
+
+
+# -- the evacuation oracle: the cactus action from tableaux, not from commutors
+
+shapes_2_5 = st.lists(st.integers(0, 3), min_size=2, max_size=5).filter(
+    lambda s: sum(s) <= 10).map(tuple)
+
+
+def _evacuation_misses(shape):
+    """(p, q, word) wherever cactus_action differs from the evacuation oracle, over every (p, q)."""
+    k = len(shape)
+    misses = []
+    for p in range(1, k + 1):
+        for q in range(p + 1, k + 1):
+            want = oracle.cactus_action_by_evacuation(shape, p, q)
+            misses += [(p, q, str(w)) for w, v in cactus_action(shape, p, q).items() if v != want(w)]
+    return misses
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes_2_5)
+def test_cactus_action_matches_evacuation(shape):
+    assert _evacuation_misses(shape) == []
+
+
+def _row_2_entries(i, n):
+    """The number of b-1s in word i of (1,)*n (bit t set: factor t is b-1, a row-2
+    entry), or None if it is not a ballot sequence: some prefix has more b-1 than b1."""
+    low = 0
+    for t in range(n):
+        low += i >> t & 1
+        if 2 * low > t + 1:
+            return None
+    return low
+
+
+def test_evacuation_fixes_as_many_ballot_words_as_the_q_hook_formula_at_minus_one():
+    # Stembridge's q = -1 phenomenon: s(1,n) fixes |f^lam(-1)| highest-weight
+    # words of shape lam = (n-k, k), where f^lam(q) = q^k [n]_q! / prod of [hook]_q
+    # is the sum over standard tableaux T of q^maj(T); independent of the tableau map
+    q = sympy.Poly(sympy.Symbol("q"))
+    for n in range(1, 13):
+        s = cactus_action((1,) * n, 1, n).index
+        fixed = Counter(_row_2_entries(i, n) for i in range(2 ** n) if s[i] == i)
+        for k in range(n // 2 + 1):
+            hooks = [n - k - c + (c < k) for c in range(n - k)] + [k - c for c in range(k)]
+            f, rest = sympy.div(q ** k * sympy.prod([1 - q ** h for h in range(1, n + 1)]),
+                                sympy.prod([1 - q ** h for h in hooks]))
+            assert rest.is_zero
+            assert fixed[k] == abs(f.eval(-1)), (n, k)
+
+
+def _phi_mutant(commutor_c):
+    """commutor_c followed, on (1) (x) (1,1) and (1,1) (x) (1), by phi, the depth-by-depth
+    swap of the two B(1) components of (1,1,1): involutive, an isomorphism, not natural."""
+    one, two = (c.elements for c in oracle.decompose((1, 1, 1)) if c.highest_weight == 1)
+    swap = dict(zip(one + two, two + one))
+    phi = oracle._from_table((1, 1, 1), (1, 1, 1), {w: swap.get(w, w) for w in words((1, 1, 1))})
+
+    def mutant(a, b):
+        m = commutor_c(a, b)
+        return phi.compose(m) if (tuple(a), tuple(b)) in (((1,), (1, 1)), ((1, 1), (1,))) else m
+
+    return mutant
+
+
+def test_the_evacuation_oracle_catches_the_phi_mutant():
+    _clear_crystal_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crystals, "commutor_c", _phi_mutant(commutor_c))
+        try:
+            misses = _evacuation_misses((1, 1, 1))
+        finally:
+            _clear_crystal_caches()
+    # the sources b1⊗b-1⊗b1 and b1⊗b1⊗b-1 of the swapped components, and the words below them
+    assert misses == [(1, 3, "b1⊗b-1⊗b1"), (1, 3, "b1⊗b1⊗b-1"),
+                      (1, 3, "b-1⊗b1⊗b-1"), (1, 3, "b1⊗b-1⊗b-1")]
+
+
+def test_the_evacuation_oracle_catches_fault_b():
+    _clear_crystal_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        _swap_first_two_images(patch, FAULT_B)
+        try:
+            misses = _evacuation_misses((1, 1, 1))
+        finally:
+            _clear_crystal_caches()
+    assert misses

@@ -318,6 +318,26 @@ def test_braiding_obstruction_values():
     assert witness.as_dict()["obstruction_confirmed"] is True
 
 
+def test_the_obstruction_probe_is_the_first_word_where_the_two_values_differ():
+    # any braiding is natural and the unique isomorphism on two chains, so on
+    # (1) (x) (1,1) it is commutor_c; the hexagon forces (id (x) s11)(s11 (x) id)
+    witness = braiding_obstruction()
+    s11 = unique_component_isomorphism((1, 1), (1, 1))
+    hexagon = extend_map(s11, (1,), ()).compose(extend_map(s11, (), (1,)))
+    forced = commutor_c((1,), (1, 1))
+    differ = [w for w in words((1, 1, 1)) if forced(w) != hexagon(w)]
+    assert [str(w) for w in differ] == ["b1⊗b-1⊗b1", "b1⊗b1⊗b-1", "b-1⊗b1⊗b-1", "b1⊗b-1⊗b-1"]
+    assert witness.probe == differ[0]
+    assert (witness.forced, witness.hexagon) == (forced(differ[0]), hexagon(differ[0]))
+    # the inclusion j of B(2) into (1,1), onto the f-chain of b1 (x) b1: the probe is b1 (x) j(b0)
+    j = {2: W((1, 1), 1, 1)}
+    for k in (0, -2):
+        j[k] = tensor_f(j[k + 2])
+    assert witness.probe == TensorWord((ChainElement(1, 1),) + j[0].factors)
+    # sigma12(b1 (x) b0) = b2 (x) b-1 carries the probe to j(b2) (x) b-1 by naturality
+    assert witness.forced == TensorWord(j[2].factors + (ChainElement(1, -1),))
+
+
 def test_extend_map_and_compose():
     s = commutor_c((1,), (2,))
     ext = extend_map(s, (3,), (1,))
@@ -358,6 +378,22 @@ def test_from_json_refuses_what_to_json_cannot_write():
                             ({"codomain_shape": [1, 1]}, "not a bijection")]:
         with pytest.raises(ValueError, match=message):
             CrystalMap.from_json(json.dumps({**data, **change}))
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "a crystal map is a JSON object"),
+    ('{"domain_shape": [1], "map": {"b1": "b1", "b-1": "b-1"}}', "'codomain_shape'"),
+    ('{"domain_shape": [1], "codomain_shape": [1], "map": []}', "'map'"),
+    ('{"domain_shape": [1], "codomain_shape": [1], "map": {"b1": ["b1"], "b-1": "b-1"}}',
+     "'map'"),
+    ('{"domain_shape": [1.0], "codomain_shape": [1], "map": {"b1": "b1", "b-1": "b-1"}}',
+     "'domain_shape'"),
+])
+def test_from_json_refuses_malformed_json_naming_the_field(text, field):
+    with pytest.raises(ValueError) as exc:
+        CrystalMap.from_json(text)
+    assert type(exc.value) is ValueError
+    assert field in str(exc.value)
 
 
 def test_crystal_dot_output():
@@ -488,13 +524,15 @@ def test_crystal_maps_refuse_what_words_refuses(shape, message):
 
 @pytest.mark.parametrize("shape", [(True,), (1.0,)])
 def test_a_cached_shape_answers_for_no_refused_equal_one(shape):
-    # the caches' keys compare True == 1.0 == 1, so the rule must run before any read
+    # the caches' keys compare True == 1.0 == 1, so the rule must run before any read;
+    # from_json reads text the user gives, so it names the field in a ValueError
     answered = []
     for name, entry in SHAPE_ENTRIES.items():
         entry((1,))
         try:
             entry(shape)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
+            assert type(exc) is (ValueError if name == "CrystalMap.from_json" else TypeError), name
             assert "ints" in str(exc), name
         else:
             answered.append(name)
