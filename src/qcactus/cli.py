@@ -6,8 +6,8 @@ report, 1 when a verification fails, 2 on usage errors.  argparse checks
 every argument of a ``check`` before it runs, so an error a layer raises
 during a check is a failed verification, never a usage error; an output
 file that cannot be written is a usage error everywhere, and so is a
-check bound whose largest shape is over the budget, refused before the
-check starts.  Output goes to
+check bound whose largest shape or cactus relation list is over the
+budget, refused before the check starts.  Output goes to
 stdout unless -o/--output is given; relative output paths are resolved
 against $QCACTUS_OUTDIR when it is set.
 
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from itertools import combinations_with_replacement
+from math import comb
 
 # each command imports only the layers it runs, so that a crystal command
 # never loads qexact or uqsl2 and rmatrix never loads crystals or groups
@@ -202,6 +203,11 @@ def _cmd_check_cactus_action(args) -> int:
     factors = args.factors
     _refuse_over_budget(args, factors, f"--factors {factors} --max {bound} reaches a shape of "
                         f"{factors} factors of weight {bound}, {bound + 1}^{factors} words")
+    # C(n,4) + C(n+2,4) relations: at --max 0 the word count is 1 for any n
+    count = comb(factors, 4) + comb(factors + 2, 4)
+    if count > _WORD_BUDGET:
+        raise _UsageError(f"--factors {factors} has {count} cactus relations: "
+                          f"over the budget of {_WORD_BUDGET}")
     relations = groups.cactus_relation_instances(factors)
     # distinct multisets suffice: each set of generator images acts on the
     # union of all reorderings of its base shape

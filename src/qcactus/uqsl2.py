@@ -787,18 +787,15 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
 
 # -- operators on multi-factor products ---------------------------------------
 
-def apply_on_slots(op: QMatrix, dims, start: int, stop: int, out_block_dims) -> QMatrix:
-    """Extend an operator on factors start..stop-1 by the identity.
+def apply_on_slots(op: QMatrix, left, right) -> QMatrix:
+    """id (x) op (x) id, padded by the shapes left and right of op's factors.
 
-    ``dims`` are the factor dimensions of the domain; ``out_block_dims``
-    the factor dimensions the operator produces in those slots.  Indexing
-    follows the canonical order (first factor fastest).
+    The form of ``crystals.extend_map(m, left, right)``: either pad may be empty,
+    both pass the shape rule, and the product is in the canonical order.
     """
-    dims = list(dims)
-    if op.rows != prod(out_block_dims) or op.cols != prod(dims[start:stop]):
-        raise ValueError("operator does not match the selected slots")
-    pre = QMatrix.identity(prod(dims[:start]))
-    post = QMatrix.identity(prod(dims[stop:]))
+    left, right = tuple(left), tuple(right)
+    _shape(left + (0,) + right)  # the 0 holds op's place, so an empty pad is no fault
+    pre, post = (QMatrix.identity(prod(n + 1 for n in pad)) for pad in (left, right))
     return _tensor_operator([(_tensor_operator([(pre, op)]), post)])
 
 
@@ -814,8 +811,8 @@ def _yang_baxter_witness():
     failing entry in row-major order: ((row, col), left value, right value)."""
     v1 = irreducible(1)
     sigma = braiding_matrix(v1, v1)
-    s1 = apply_on_slots(sigma, [2, 2, 2], 0, 2, [2, 2])
-    s2 = apply_on_slots(sigma, [2, 2, 2], 1, 3, [2, 2])
+    s1 = apply_on_slots(sigma, (), (1,))
+    s2 = apply_on_slots(sigma, (1,), ())
     lhs, rhs = s1 @ s2 @ s1, s2 @ s1 @ s2
     if lhs == rhs:
         return None
@@ -825,25 +822,19 @@ def _yang_baxter_witness():
 
 def check_cactus_relation_unitarized() -> bool:
     """The compatibility square for the unitarized braiding on V_1^(x3)."""
-    v1 = irreducible(1)
-    v11 = module_for_shape((1, 1))
+    v1, v11 = irreducible(1), module_for_shape((1, 1))
     inner = unitarized_matrix(v1, v1)
-    lhs = unitarized_matrix(v1, v11) @ apply_on_slots(inner, [2, 2, 2], 1, 3, [2, 2])
-    rhs = unitarized_matrix(v11, v1) @ apply_on_slots(inner, [2, 2, 2], 0, 2, [2, 2])
+    lhs = unitarized_matrix(v1, v11) @ apply_on_slots(inner, (1,), ())
+    rhs = unitarized_matrix(v11, v1) @ apply_on_slots(inner, (), (1,))
     return lhs == rhs
 
 
 def check_unitarized_involutive(max_weight: int = 3) -> bool:
     """Both compositions of the unitarized braiding are the identity."""
-    for m in range(max_weight + 1):
-        for n in range(max_weight + 1):
-            vm, vn = irreducible(m), irreducible(n)
-            forward = unitarized_matrix(vm, vn)
-            backward = unitarized_matrix(vn, vm)
-            if backward @ forward != QMatrix.identity(vm.dim * vn.dim):
-                return False
-    v1 = irreducible(1)
-    v11 = module_for_shape((1, 1))
-    forward = unitarized_matrix(v1, v11)
-    backward = unitarized_matrix(v11, v1)
-    return backward @ forward == QMatrix.identity(8)
+    pairs = [((m,), (n,)) for m in range(max_weight + 1) for n in range(max_weight + 1)]
+    for a, b in pairs + [((1,), (1, 1))]:
+        vm, vn = module_for_shape(a), module_for_shape(b)
+        forward, backward = unitarized_matrix(vm, vn), unitarized_matrix(vn, vm)
+        if backward @ forward != QMatrix.identity(vm.dim * vn.dim):
+            return False
+    return True

@@ -48,7 +48,8 @@ def _values(action):
     elif action.type is cli._parse_shape:
         value = SHAPE_TEXTS
     elif action.dest == "factors":
-        value = st.integers(-1, 4).map(str)
+        # 61 and 10**9 pass the word budget at --max 0 but not the relation budget
+        value = st.one_of(st.integers(-1, 4), st.sampled_from([61, 10**9])).map(str)
     else:
         value = st.integers(-2, 3).map(str)
     return value.map(lambda v: [v])

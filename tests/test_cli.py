@@ -8,6 +8,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,15 +225,7 @@ def test_cactus_action_rejects_a_shifted_action(capsys, monkeypatch):
 def test_a_value_error_inside_a_check_is_a_failed_verification(capsys, monkeypatch):
     # argparse has validated every argument of a check, so a layer's
     # ValueError during the check is a fault of the code, not of the user
-    on_slice = crystals._on_slice
-
-    def repeats_its_first(*args):
-        out = on_slice(*args)
-        if len(out) > 1:
-            out[1] = out[0]
-        return out
-
-    monkeypatch.setattr(crystals, "_on_slice", repeats_its_first)
+    _repeat_first_index(monkeypatch)
     _clear_crystal_caches()
     try:
         code = run(["check", "cactus-action", "--factors", "3", "--max", "1"])
@@ -269,15 +262,7 @@ def test_a_walk_step_off_the_numbered_points_is_a_failed_verification(capsys, mo
 def test_a_table_a_layer_builds_is_checked_as_a_verification(capsys, monkeypatch):
     # outside a check too: a table the crystal layer computes itself that fails
     # CrystalMap's checks is a broken invariant, exit 1, not a usage error
-    on_slice = crystals._on_slice
-
-    def repeats_its_first(*args):
-        out = on_slice(*args)
-        if len(out) > 1:
-            out[1] = out[0]
-        return out
-
-    monkeypatch.setattr(crystals, "_on_slice", repeats_its_first)
+    _repeat_first_index(monkeypatch)
     _clear_crystal_caches()
     try:
         code = run(["cactus", "act", "--shape", "1,1", "--p", "1", "--q", "2"])
@@ -293,6 +278,36 @@ def test_a_table_a_layer_builds_is_checked_as_a_verification(capsys, monkeypatch
     # a table the user gives is still bad input
     with pytest.raises(ValueError, match="not a bijection"):
         crystals.CrystalMap((1, 1), (1, 1), (0, 0, 2, 3))
+
+
+def test_check_coboundary_catches_an_on_slice_fault_both_routes_share(capsys, monkeypatch):
+    # a repeated index in every _on_slice result cancels in the comparison of
+    # the two routes of the cactus square; the left route is then no bijection
+    _repeat_first_index(monkeypatch)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "coboundary", "--max", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: the cactus square on "
+                            "(0,) (x) (0,) (x) (1,) is not a bijection\n")
+
+
+@pytest.mark.parametrize("factors, count", [
+    (61, 1117520), (200, 132016600), (10**9, 83333333166666667083333333000000000)])
+def test_a_factor_count_over_the_relation_budget_is_a_usage_error(factors, count, capsys):
+    # at --max 0 every shape has one word, so only the relation list is refused
+    start = time.perf_counter()
+    code = run(["check", "cactus-action", "--factors", str(factors), "--max", "0"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"qcactus: error: --factors {factors} has {count} cactus "
+                            "relations: over the budget of 1048576\n")
+    assert elapsed < 1.0
 
 
 def test_an_unwritable_check_report_is_still_a_usage_error(capsys, tmp_path):
@@ -414,6 +429,19 @@ def test_check_kt07_lattice_failure_is_a_fail_report(capsys, monkeypatch):
     assert failed
     assert all("error" in pair for pair in failed)
     assert any("entry (" in pair["error"] for pair in failed)
+
+
+def _repeat_first_index(monkeypatch):
+    """Patch crystals._on_slice so that each result repeats its first index at position 1."""
+    on_slice = crystals._on_slice
+
+    def repeats_its_first(*args):
+        out = on_slice(*args)
+        if len(out) > 1:
+            out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(crystals, "_on_slice", repeats_its_first)
 
 
 def _clear_crystal_caches():

@@ -666,7 +666,7 @@ def test_qmatrix_from_json_refuses_what_to_json_cannot_write():
 def test_apply_on_slots_matches_tensor_structure():
     v1 = irreducible(1)
     sigma = braiding_matrix(v1, v1, "s1")
-    left = apply_on_slots(sigma, [2, 2, 2], 0, 2, [2, 2])
+    left = apply_on_slots(sigma, (), (1,))
     # acting on the first two factors leaves the third index untouched
     t3 = module_for_shape((1, 1, 1))
     assert left.rows == t3.dim == 8
@@ -674,3 +674,15 @@ def test_apply_on_slots_matches_tensor_structure():
         for r in range(4):
             for c in range(4):
                 assert left[i3 * 4 + r, i3 * 4 + c] == sigma[r, c]
+
+
+def test_apply_on_slots_pads_by_shapes_and_refuses_what_is_not_one():
+    sigma = braiding_matrix(irreducible(1), irreducible(1), "s1")
+    assert apply_on_slots(sigma, (), ()) == sigma
+    assert apply_on_slots(sigma, (2,), (0, 1)).rows == 3 * 4 * 1 * 2
+    # a pad is checked as a shape, so a negative weight cannot give an empty matrix
+    for left, right, error in [((-1,), (), ValueError), ((), (1, -2), ValueError),
+                               ((1.0,), (), TypeError), ((), (True,), TypeError),
+                               (("1",), (), TypeError), ((), 1, TypeError)]:
+        with pytest.raises(error):
+            apply_on_slots(sigma, left, right)
