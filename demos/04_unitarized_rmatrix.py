@@ -28,7 +28,7 @@ print(braiding_matrix(v1, v1, "s2"))
 
 print("\nflip.R does not preserve the crystal lattice:")
 try:
-    lattice_check_and_reduce(braiding_matrix(v1, v1), v1, v1)
+    lattice_check_and_reduce(braiding_matrix(v1, v1))
 except LatticeError as exc:
     print(f"  {exc}")
 
@@ -38,7 +38,7 @@ print("\n... and in the isotypic frame it is the diagonal of signs:")
 print(unitarized_matrix(v1, v1, "s2"))
 
 print("\nreduction at q = infinity gives the signed permutation table:")
-for row in lattice_check_and_reduce(unitarized_matrix(v1, v1), v1, v1):
+for row in lattice_check_and_reduce(unitarized_matrix(v1, v1)):
     print(f"  {row}")
 
 print("\ncomparison with the signed crystal commutor for m, n <= 2:")

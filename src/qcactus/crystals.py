@@ -561,7 +561,8 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
     commutors of factor r against the block r+1..q, applied for
     r = q-1 down to p, each on the shape the previous one left; every
     word is carried through them in turn, by its index, and is named
-    only when read.  The result reverses the interval p..q of the shape.
+    only when read.  The result must reverse the interval p..q of the shape;
+    a walk that lands elsewhere raises CrystalInvariantError.
     """
     shape = _shape(shape)
     for n in (p, q):
@@ -572,7 +573,15 @@ def cactus_action(shape, p: int, q: int) -> CrystalMap:
         raise ValueError(f"need 1 <= p <= q <= {k}, got ({p},{q})")
     # every shape numbers its words from 0: a point is its word_index
     _, cur, indices = next(islice(_walk(shape, q, range(_size(shape)), lambda s: 0), q - p, None))
+    _check_landing(shape, p, q, cur)
     return _built(shape, cur, indices)
+
+
+def _check_landing(shape, p, q, cur):
+    """Raise unless cur, the shape s(p,q) took the shape to, is it with p..q reversed."""
+    want = shape[: p - 1] + shape[p - 1:q][::-1] + shape[q:]
+    if cur != want:
+        raise CrystalInvariantError(f"s({p},{q}) on shape {shape} lands on shape {cur}, not {want}")
 
 
 def _walk(shape, q, points, first):
@@ -635,10 +644,7 @@ def cactus_generator_images(base_shape):
     for s in orbit:
         for q in range(2, k + 1):
             for p, cur, indices in islice(_walk(s, q, points, offset.__getitem__), 1, None):
-                want = s[: p - 1] + s[p - 1:q][::-1] + s[q:]
-                if cur != want:
-                    raise CrystalInvariantError(
-                        f"s({p},{q}) on shape {s} lands on shape {cur}, not {want}")
+                _check_landing(s, p, q, cur)
                 images[(p, q)] += indices
     return (lambda x: _word(orbit[x // size], x % size)), images
 
@@ -748,6 +754,8 @@ def check_coboundary(triples) -> CoboundaryReport:
     reverse is the identity, and the square on A (x) B (x) C commutes,
     pointwise over all words; once per pair of single chains, commutor_S
     equals commutor_c ("sigma-S").  Only each failure's witness is named.
+    A pair whose commutors do not map A (x) B and B (x) A onto each other
+    raises CrystalInvariantError before its involution law is read.
     """
     failures = []
     count = 0
@@ -755,7 +763,13 @@ def check_coboundary(triples) -> CoboundaryReport:
     for a, b, c in triples:
         a, b, c = _shape(a), _shape(b), _shape(c)
         count += 1
-        for i, _ in _involution_misses(commutor_c(a, b), commutor_c(b, a)):
+        forward, backward = commutor_c(a, b), commutor_c(b, a)
+        if (forward.domain, forward.codomain, backward.domain, backward.codomain) != (
+                a + b, b + a, b + a, a + b):
+            raise CrystalInvariantError(
+                f"the commutors of {a} and {b} map {forward.domain} -> {forward.codomain} and "
+                f"{backward.domain} -> {backward.codomain}, not {a + b} -> {b + a} and back")
+        for i, _ in _involution_misses(forward, backward):
             failures.append(((a, b, c), "involution", _word(a + b, i)))
         if len(a) == len(b) == 1 and (a, b) not in pairs:  # commutor_c(a, b) is cached
             pairs.add((a, b))

@@ -62,6 +62,7 @@ from .qexact import (
     QRational,
     Qpow,
     _constant_at_infinity,
+    _terms_str,
     is_regular_at_infinity,
     parse_qrational,
     qpow,
@@ -704,16 +705,16 @@ def rop_r_inverse_sqrt(m: UqModule, n: UqModule, frame: str = "s1") -> QMatrix:
 
 # -- lattice reduction and the signed comparison ------------------------------
 
-def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
+def lattice_check_and_reduce(a: QMatrix):
     """Reduce a product-frame matrix at q = infinity.
 
-    Every entry must be regular at infinity (otherwise the map does not
-    preserve the crystal lattice), and the reduction must be a signed
-    permutation of the crystal words; either failure raises a
-    LatticeError naming the offending entry, row or column.
+    The matrix must be square.  Every entry must be regular at infinity
+    (otherwise the map does not preserve the crystal lattice), and the
+    reduction must be a signed permutation of the crystal words; either
+    failure raises a LatticeError naming the offending entry, row or column.
     """
-    if a.rows != m.dim * n.dim or a.cols != m.dim * n.dim:
-        raise ValueError("matrix does not act on the product basis")
+    if a.rows != a.cols:
+        raise ValueError(f"a {a.rows}x{a.cols} matrix is not square")
     for i, row in enumerate(a.entries):
         for j, x in enumerate(row):
             if not is_regular_at_infinity(x):
@@ -725,10 +726,8 @@ def lattice_check_and_reduce(a: QMatrix, m: UqModule, n: UqModule):
     for i, row in enumerate(reduced):
         for j, (num, den) in enumerate(row):
             if num not in (0, den, -den):
-                from fractions import Fraction  # only to print the entry as a reduced fraction
-                raise LatticeError(
-                    f"reduction has entry {Fraction(num, den)} at ({i}, {j}); not a signed permutation"
-                )
+                raise LatticeError(f"reduction has entry {_terms_str(num, den, (1,), 0, 1)} "
+                                   f"at ({i}, {j}); not a signed permutation")
     reduced = [[num // den for num, den in row] for row in reduced]
     for i, (row, column) in enumerate(zip(reduced, zip(*reduced))):
         if sum(map(bool, row)) != 1:
@@ -769,8 +768,7 @@ def verify_kt07(m: int, n: int) -> Kt07Report:
     """
     from . import crystals  # the only use; rmatrix and the braidings run without it
 
-    vm, vn = module_for_shape((m,)), module_for_shape((n,))
-    reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
+    reduced = lattice_check_and_reduce(unitarized_matrix(irreducible(m), irreducible(n)))
     sign = [0] * len(reduced)
     for nu, chain in crystals._chains((m, n)):
         for i in chain:

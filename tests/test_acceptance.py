@@ -72,7 +72,7 @@ def test_acceptance_03_unitarized_matrices_and_intermediate():
 
 def test_acceptance_04_lattice_reduction():
     v1 = uqsl2.irreducible(1)
-    reduced = uqsl2.lattice_check_and_reduce(uqsl2.unitarized_matrix(v1, v1), v1, v1)
+    reduced = uqsl2.lattice_check_and_reduce(uqsl2.unitarized_matrix(v1, v1))
     ok = reduced == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -81,7 +81,7 @@ def test_acceptance_04_lattice_reduction():
     ]
     raised = False
     try:
-        uqsl2.lattice_check_and_reduce(uqsl2.braiding_matrix(v1, v1), v1, v1)
+        uqsl2.lattice_check_and_reduce(uqsl2.braiding_matrix(v1, v1))
     except LatticeError as exc:
         raised = "lattice not preserved" in str(exc)
     _report(4, "reduction of flip.Rbar is the signed table; flip.R is rejected", ok and raised)

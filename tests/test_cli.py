@@ -296,6 +296,57 @@ def test_check_coboundary_catches_an_on_slice_fault_both_routes_share(capsys, mo
                             "(0,) (x) (0,) (x) (1,) is not a bijection\n")
 
 
+def _misshape_commutor(monkeypatch, mutant):
+    """Patch crystals.commutor_c with a one-line mutant whose maps do not go
+    from A (x) B to B (x) A: the identity ("no flip"), or the real commutor
+    of the pair taken in sorted order ("argument order")."""
+    commutor_c = crystals.commutor_c
+    mutants = {
+        "no flip": lambda a, b: crystals.CrystalMap.identity(tuple(a) + tuple(b)),
+        "argument order": lambda a, b: commutor_c(*sorted((tuple(a), tuple(b)))),
+    }
+    monkeypatch.setattr(crystals, "commutor_c", mutants[mutant])
+
+
+@pytest.mark.parametrize("mutant, maps", [
+    ("no flip", "(0, 1) -> (0, 1) and (1, 0) -> (1, 0)"),
+    ("argument order", "(0, 1) -> (1, 0) and (0, 1) -> (1, 0)"),
+])
+def test_check_coboundary_refuses_commutors_onto_the_wrong_shapes(mutant, maps, capsys,
+                                                                  monkeypatch):
+    # reading the involution law through such maps looked a word up in the
+    # wrong shape, and the KeyError escaped as a traceback
+    _misshape_commutor(monkeypatch, mutant)
+    _clear_crystal_caches()
+    try:
+        code = run(["check", "coboundary", "--max", "1"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: the commutors of (0,) and (1,) "
+                            f"map {maps}, not (0, 1) -> (1, 0) and back\n")
+
+
+@pytest.mark.parametrize("mutant", ["no flip", "argument order"])
+def test_cactus_act_refuses_a_walk_that_does_not_reverse_its_interval(mutant, capsys,
+                                                                      monkeypatch):
+    # both mutants leave (2, 1) where it was, which cactus act printed as
+    # the action of s(1,2) with exit 0
+    _misshape_commutor(monkeypatch, mutant)
+    _clear_crystal_caches()
+    try:
+        code = run(["cactus", "act", "--shape", "2,1", "--p", "1", "--q", "2", "--format", "text"])
+    finally:
+        monkeypatch.undo()
+        _clear_crystal_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("qcactus: verification failed: s(1,2) on shape (2, 1) "
+                            "lands on shape (2, 1), not (1, 2)\n")
+
+
 @pytest.mark.parametrize("factors, count", [
     (61, 1117520), (200, 132016600), (10**9, 83333333166666667083333333000000000)])
 def test_a_factor_count_over_the_relation_budget_is_a_usage_error(factors, count, capsys):

@@ -1,4 +1,8 @@
 from itertools import product
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
 
 import pytest
@@ -498,7 +502,7 @@ def test_public_constructor_coerces_and_checks_rows():
 
 def test_lattice_reduce_unitarized_v1v1():
     v1 = irreducible(1)
-    reduced = lattice_check_and_reduce(unitarized_matrix(v1, v1), v1, v1)
+    reduced = lattice_check_and_reduce(unitarized_matrix(v1, v1))
     assert reduced == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -510,32 +514,28 @@ def test_lattice_reduce_unitarized_v1v1():
 def test_lattice_reduce_rejects_plain_braiding():
     v1 = irreducible(1)
     with pytest.raises(LatticeError, match="lattice not preserved"):
-        lattice_check_and_reduce(braiding_matrix(v1, v1), v1, v1)
+        lattice_check_and_reduce(braiding_matrix(v1, v1))
 
 
 def test_lattice_reduce_rejects_non_signed_permutations():
-    v1 = irreducible(1)
     with pytest.raises(LatticeError, match=r"entry 2 at \(0, 0\)"):
-        lattice_check_and_reduce(QMatrix.identity(4).scale(2), v1, v1)
+        lattice_check_and_reduce(QMatrix.identity(4).scale(2))
     with pytest.raises(LatticeError, match="row 0"):
-        lattice_check_and_reduce(QMatrix.zeros(4, 4), v1, v1)
+        lattice_check_and_reduce(QMatrix.zeros(4, 4))
 
 
 @pytest.mark.parametrize("entry, shown", [(QRational(1, 2), "1/2"), (QRational(2), "2")])
 def test_lattice_reduce_names_a_non_sign_entry_as_a_fraction(entry, shown):
     # the check compares int parts; the message still prints the entry reduced
-    v0 = irreducible(0)
     message = f"reduction has entry {shown} at (0, 0); not a signed permutation"
     with pytest.raises(LatticeError) as info:
-        lattice_check_and_reduce(QMatrix([[entry]]), v0, v0)
+        lattice_check_and_reduce(QMatrix([[entry]]))
     assert str(info.value) == message
 
 
 def test_lattice_errors_keep_their_precedence():
-    v1 = irreducible(1)
-
     def reduce(entries):
-        return lattice_check_and_reduce(QMatrix(entries), v1, v1)
+        return lattice_check_and_reduce(QMatrix(entries))
 
     def identity(**changed):
         return [[changed.get(f"at{i}{j}", int(i == j)) for j in range(4)] for i in range(4)]
@@ -554,9 +554,40 @@ def test_lattice_errors_keep_their_precedence():
 
 
 def test_lattice_reduce_identity():
-    v1 = irreducible(1)
-    reduced = lattice_check_and_reduce(QMatrix.identity(4), v1, v1)
+    reduced = lattice_check_and_reduce(QMatrix.identity(4))
     assert reduced == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def test_lattice_reduce_refuses_a_matrix_that_is_not_square():
+    # without it the row and column pass would pair the two rows with the
+    # first two columns and take this for a permutation
+    with pytest.raises(ValueError, match="a 2x3 matrix is not square"):
+        lattice_check_and_reduce(QMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
+# Reduce a matrix with the entry 1/2 first thing in a fresh interpreter and
+# print the message, then whether importing the layers or naming the entry
+# loaded fractions.
+_HALF_FIRST = """
+import sys
+from qcactus.qexact import QRational
+from qcactus.uqsl2 import LatticeError, QMatrix, lattice_check_and_reduce
+try:
+    lattice_check_and_reduce(QMatrix([[1, 0], [0, QRational(1, 2)]]))
+except LatticeError as exc:
+    print(exc)
+print("fractions" in sys.modules)
+"""
+
+
+def test_a_lattice_failure_names_its_entry_without_loading_fractions():
+    # the test process has long loaded fractions, so only a fresh launch
+    # shows whether printing the entry imports it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _HALF_FIRST], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout.splitlines() == [
+        "reduction has entry 1/2 at (1, 1); not a signed permutation", "False"], proc.stderr
 
 
 # -- the signed comparison --------------------------------------------------------
@@ -566,7 +597,7 @@ def test_kt07_signs_on_v1v1():
     assert report.ok
     # signs realized on the four words, in canonical order
     v1 = irreducible(1)
-    reduced = lattice_check_and_reduce(unitarized_matrix(v1, v1), v1, v1)
+    reduced = lattice_check_and_reduce(unitarized_matrix(v1, v1))
     signs = [reduced[i][i] for i in range(4)]
     assert signs == [1, 1, -1, 1]
 
@@ -581,7 +612,7 @@ def test_kt07_2_1_against_hand_derived_images():
     report = verify_kt07(2, 1)
     assert report.ok
     vm, vn = irreducible(2), irreducible(1)
-    reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn), vm, vn)
+    reduced = lattice_check_and_reduce(unitarized_matrix(vm, vn))
     # frozen expectations: word -> (image word, sign), derived by chasing
     # the tensor rule and the highest-weight recipe by hand
     sigma = crystals.commutor_c((2,), (1,))
@@ -615,7 +646,7 @@ def test_kt07_reports_each_mismatched_column(monkeypatch):
     # on V1 (x) V2 the flip is not symmetric, so each reported column must
     # be the column of its word, not the row
     v1, v2 = irreducible(1), irreducible(2)
-    flip = lattice_check_and_reduce(flip_matrix(v1, v2), v1, v2)
+    flip = lattice_check_and_reduce(flip_matrix(v1, v2))
     report = verify_kt07(1, 2)
     assert report.mismatches
     for w, _want, got in report.mismatches:
