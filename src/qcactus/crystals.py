@@ -25,7 +25,7 @@ On top of that combinatorics this module builds:
 
 Annihilation by e or f is the value None, never an error; a crystal map
 is the word_index of the image of each domain word, checked by its one
-constructor.  Output is printed, and JSON read back, through _names, the
+constructor.  Output is printed, as text or JSON, through _names, the
 strings of a shape's words by word_index, so neither builds a word; a
 word is named alone, from its shape and index, for the public word API
 and the witnesses of failures.  Everything is immutable after construction.
@@ -412,6 +412,7 @@ class CrystalMap(Record):
         return not self.morphism_failures()
 
     def to_json(self) -> str:
+        """{"domain_shape", "codomain_shape", "map": word name -> image name}, indent 2."""
         dom, cod = _names(self.domain), _names(self.codomain)
         return json.dumps(
             {
@@ -421,28 +422,6 @@ class CrystalMap(Record):
             },
             indent=2,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CrystalMap":
-        """The map to_json wrote; any other JSON raises ValueError naming the field."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a crystal map is a JSON object")
-        shapes = []
-        for key in ("domain_shape", "codomain_shape"):
-            try:
-                shapes.append(_shape(data.get(key)))
-            except TypeError:
-                raise ValueError(f"'{key}' must be a list of ints, got {data.get(key)!r}") from None
-        (dom, cod), table = shapes, data.get("map")
-        if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
-            raise ValueError("'map' must be an object from word names to word names")
-        names = _names(dom)
-        if table.keys() != set(names):
-            raise ValueError(f"the map's keys are not the words of shape {dom}")
-        spot = {name: j for j, name in enumerate(_names(cod))}
-        # a value outside the codomain gets an index past its end
-        return cls(dom, cod, [spot.get(table[name], len(spot)) for name in names])
 
     def __repr__(self):
         return f"CrystalMap({self.domain} -> {self.codomain}, {len(self.index)} words)"
@@ -774,8 +753,9 @@ def check_coboundary(triples) -> CoboundaryReport:
         if len(a) == len(b) == 1 and (a, b) not in pairs:  # commutor_c(a, b) is cached
             pairs.add((a, b))
             pair_maps = zip(commutor_S(a, b).index, commutor_c(a, b).index)
-            differ = [i for i, (via_xi, j) in enumerate(pair_maps) if via_xi != j]
-            failures += [((a, b, c), "sigma-S", _word(a + b, i)) for i in differ[:1]]
+            i = next((i for i, (via_xi, j) in enumerate(pair_maps) if via_xi != j), None)
+            if i is not None:
+                failures.append(((a, b, c), "sigma-S", _word(a + b, i)))
         for i, _l, _r in _square_misses(a, b, c):
             failures.append(((a, b, c), "cactus-square", _word(a + b + c, i)))
     return CoboundaryReport(count, tuple(failures))

@@ -53,6 +53,7 @@ All matrices are exact and immutable.
 
 from collections import Counter
 from functools import lru_cache
+from itertools import zip_longest
 import json
 from math import prod
 
@@ -64,7 +65,6 @@ from .qexact import (
     _constant_at_infinity,
     _terms_str,
     is_regular_at_infinity,
-    parse_qrational,
     qpow,
     quantum_int,
 )
@@ -236,6 +236,7 @@ class QMatrix:
         return _solve(self, QMatrix.identity(self.rows))
 
     def to_json(self, frame: str | None = None) -> str:
+        """{"rows", "cols", "entries": rows of str(entry), "frame" if one is given}, indent 2."""
         data = {
             "rows": self.rows,
             "cols": self.cols,
@@ -244,25 +245,6 @@ class QMatrix:
         if frame is not None:
             data["frame"] = frame
         return json.dumps(data, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QMatrix":
-        """The matrix ``to_json`` wrote; any other JSON raises ValueError naming the field."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a matrix is a JSON object")
-        for key in ("rows", "cols"):
-            if type(data.get(key)) is not int:
-                raise ValueError(f"'{key}' must be an int, got {data.get(key)!r}")
-        entries = data.get("entries")
-        if not (isinstance(entries, list)
-                and all(isinstance(row, list) and all(isinstance(x, str) for x in row)
-                        for row in entries)):
-            raise ValueError("'entries' must be a list of lists of strings")
-        m = cls([[parse_qrational(x) for x in row] for row in entries])
-        if (m.rows, m.cols) != (data["rows"], data["cols"]):
-            raise ValueError("inconsistent matrix dimensions in JSON")
-        return m
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
@@ -515,6 +497,14 @@ def _assemble_flip_r(m: UqModule, n: UqModule) -> QMatrix:
                         for a, wa in enumerate(m.weights) for b, wb in enumerate(n.weights)])
 
 
+def _first_difference(a: QMatrix, b: QMatrix):
+    """None when a == b, else their first differing entry in row-major order:
+    ((row, col), a's value, b's value), None for an entry past a matrix's edge."""
+    rows = zip_longest(a.entries, b.entries, fillvalue=())
+    return next((((i, j), x, y) for i, pair in enumerate(rows)
+                 for j, (x, y) in enumerate(zip_longest(*pair)) if x != y), None)
+
+
 def _reference_flip_r():
     # frozen value of flip . R on V_1 (x) V_1 in the product frame; any
     # convention drift in the construction must trip the comparison
@@ -532,10 +522,11 @@ def _reference_flip_r():
 def _calibration() -> None:
     # a failure raises and is not cached, so every later braiding re-checks
     v1 = irreducible(1)
-    if _assemble_flip_r(v1, v1) != _reference_flip_r():
-        raise CalibrationError(
-            "computed braiding on V_1 (x) V_1 differs from the frozen reference"
-        )
+    witness = _first_difference(_assemble_flip_r(v1, v1), _reference_flip_r())
+    if witness is not None:
+        (i, j), computed, frozen = witness
+        raise CalibrationError(f"computed braiding on V_1 (x) V_1 differs from the frozen "
+                               f"reference at entry ({i}, {j}): {computed}, not {frozen}")
 
 
 @lru_cache(maxsize=None)
@@ -811,11 +802,7 @@ def _yang_baxter_witness():
     sigma = braiding_matrix(v1, v1)
     s1 = apply_on_slots(sigma, (), (1,))
     s2 = apply_on_slots(sigma, (1,), ())
-    lhs, rhs = s1 @ s2 @ s1, s2 @ s1 @ s2
-    if lhs == rhs:
-        return None
-    return next(((i, j), x, y) for i, (row_l, row_r) in enumerate(zip(lhs.entries, rhs.entries))
-                for j, (x, y) in enumerate(zip(row_l, row_r)) if x != y)
+    return _first_difference(s1 @ s2 @ s1, s2 @ s1 @ s2)
 
 
 def check_cactus_relation_unitarized() -> bool:

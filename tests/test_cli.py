@@ -48,12 +48,11 @@ def test_crystal_decompose_json(capsys):
 def test_commutor_json_round_trips(capsys):
     code, out = invoke(capsys, "commutor", "--a", "1", "--b", "2")
     assert code == 0
-    m = crystals.CrystalMap.from_json(out)
-    assert m == crystals.commutor_c((1,), (2,))
+    assert out == crystals.commutor_c((1,), (2,)).to_json() + "\n"
 
     code, out = invoke(capsys, "commutor", "--a", "1", "--b", "2", "--variant", "S")
     assert code == 0
-    assert crystals.CrystalMap.from_json(out) == crystals.commutor_S((1,), (2,))
+    assert out == crystals.commutor_S((1,), (2,)).to_json() + "\n"
 
 
 def test_cactus_act(capsys):
@@ -62,8 +61,7 @@ def test_cactus_act(capsys):
         "--format", "json",
     )
     assert code == 0
-    m = crystals.CrystalMap.from_json(out)
-    assert m == crystals.cactus_action((1, 1, 1), 1, 3)
+    assert out == crystals.cactus_action((1, 1, 1), 1, 3).to_json() + "\n"
 
 
 def test_rmatrix_unitarized_s2(capsys):
@@ -71,17 +69,14 @@ def test_rmatrix_unitarized_s2(capsys):
         capsys, "rmatrix", "--m", "1", "--n", "1", "--frame", "s2", "--unitarize"
     )
     assert code == 0
-    mat = uqsl2.QMatrix.from_json(out)
-    assert mat == uqsl2.QMatrix.diagonal([1, -1, 1, 1])
-    assert json.loads(out)["frame"] == "s2"
+    assert out == uqsl2.QMatrix.diagonal([1, -1, 1, 1]).to_json(frame="s2") + "\n"
 
 
 def test_rmatrix_plain_s1(capsys):
     code, out = invoke(capsys, "rmatrix", "--m", "1", "--n", "1", "--frame", "s1")
     assert code == 0
-    mat = uqsl2.QMatrix.from_json(out)
     v1 = uqsl2.irreducible(1)
-    assert mat == uqsl2.braiding_matrix(v1, v1, "s1")
+    assert out == uqsl2.braiding_matrix(v1, v1, "s1").to_json(frame="s1") + "\n"
 
 
 def test_check_braiding_obstruction(capsys):
@@ -726,7 +721,7 @@ def test_calibration_failure_is_a_failed_verification(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err == ("qcactus: verification failed: computed braiding on V_1 (x) V_1 "
-                            "differs from the frozen reference\n")
+                            "differs from the frozen reference at entry (0, 0): Q, not 1\n")
 
 
 def test_usage_errors_exit_2(capsys):

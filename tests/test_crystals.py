@@ -355,45 +355,9 @@ def test_extend_map_and_compose():
 
 def test_word_json_round_trip():
     m = commutor_c((1,), (2,))
-    again = CrystalMap.from_json(m.to_json())
-    assert again == m
-
-
-def test_from_json_refuses_what_to_json_cannot_write():
-    data = json.loads(commutor_c((1,), (2,)).to_json())
-    table = data["map"]
-    unknown = {("b1⊗b4" if k == "b1⊗b2" else k): v for k, v in table.items()}
-    missing = {k: v for k, v in table.items() if k != "b1⊗b2"}
-    extra = dict(table, **{"b1⊗b1": table["b1⊗b2"]})
-    outside = dict(table, **{"b1⊗b2": "b2⊗b3"})
-    repeated = dict(table, **{"b1⊗b2": table["b-1⊗b2"]})
-    for change, message in [({"map": unknown}, "not the words of shape"),
-                            ({"map": missing}, "not the words of shape"),
-                            ({"map": extra}, "not the words of shape"),
-                            ({"map": outside}, "not a bijection"),
-                            ({"map": repeated}, "not a bijection"),
-                            ({"domain_shape": []}, "at least one factor"),
-                            ({"domain_shape": [1, -2]}, "nonnegative"),
-                            ({"codomain_shape": [-1]}, "nonnegative"),
-                            ({"codomain_shape": [1, 1]}, "not a bijection")]:
-        with pytest.raises(ValueError, match=message):
-            CrystalMap.from_json(json.dumps({**data, **change}))
-
-
-@pytest.mark.parametrize("text, field", [
-    ("[]", "a crystal map is a JSON object"),
-    ('{"domain_shape": [1], "map": {"b1": "b1", "b-1": "b-1"}}', "'codomain_shape'"),
-    ('{"domain_shape": [1], "codomain_shape": [1], "map": []}', "'map'"),
-    ('{"domain_shape": [1], "codomain_shape": [1], "map": {"b1": ["b1"], "b-1": "b-1"}}',
-     "'map'"),
-    ('{"domain_shape": [1.0], "codomain_shape": [1], "map": {"b1": "b1", "b-1": "b-1"}}',
-     "'domain_shape'"),
-])
-def test_from_json_refuses_malformed_json_naming_the_field(text, field):
-    with pytest.raises(ValueError) as exc:
-        CrystalMap.from_json(text)
-    assert type(exc.value) is ValueError
-    assert field in str(exc.value)
+    assert json.loads(m.to_json()) == {
+        "domain_shape": [1, 2], "codomain_shape": [2, 1],
+        "map": {str(w): str(v) for w, v in m.items()}}
 
 
 def test_crystal_dot_output():
@@ -491,8 +455,6 @@ SHAPE_ENTRIES = {
     "CrystalMap.identity": CrystalMap.identity,
     "check_coboundary": lambda shape: check_coboundary([(shape, shape, shape)]),
     "extend_map": lambda shape: extend_map(CrystalMap.identity((1,)), shape, ()),
-    "CrystalMap.from_json": lambda shape: CrystalMap.from_json(json.dumps(
-        {"domain_shape": shape, "codomain_shape": shape, "map": {"b1": "b1", "b-1": "b-1"}})),
 }
 
 
@@ -524,15 +486,13 @@ def test_crystal_maps_refuse_what_words_refuses(shape, message):
 
 @pytest.mark.parametrize("shape", [(True,), (1.0,)])
 def test_a_cached_shape_answers_for_no_refused_equal_one(shape):
-    # the caches' keys compare True == 1.0 == 1, so the rule must run before any read;
-    # from_json reads text the user gives, so it names the field in a ValueError
+    # the caches' keys compare True == 1.0 == 1, so the rule must run before any read
     answered = []
     for name, entry in SHAPE_ENTRIES.items():
         entry((1,))
         try:
             entry(shape)
-        except (TypeError, ValueError) as exc:
-            assert type(exc) is (ValueError if name == "CrystalMap.from_json" else TypeError), name
+        except TypeError as exc:
             assert "ints" in str(exc), name
         else:
             answered.append(name)

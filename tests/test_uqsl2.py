@@ -1,4 +1,5 @@
 from itertools import product
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from qcactus import crystals, uqsl2
 from qcactus.cli import run
-from qcactus.qexact import ONE, ZERO, QRational, Qpow, qpow, quantum_int
+from qcactus.qexact import ONE, ZERO, QRational, Qpow, parse_qrational, qpow, quantum_int
 from qcactus.uqsl2 import (
     LatticeError,
     QMatrix,
@@ -302,7 +303,7 @@ def test_calibration_guard_trips_on_convention_drift(monkeypatch):
     mod._calibration.cache_clear()
     mod._flip_r.cache_clear()
     try:
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match=r"at entry \(0, 0\): Q, not 1$"):
             braiding_matrix(irreducible(1), irreducible(1))
     finally:
         mod._calibration.cache_clear()
@@ -665,33 +666,11 @@ def test_qmatrix_inverse_and_errors():
 def test_qmatrix_json_round_trip():
     v1 = irreducible(1)
     a = braiding_matrix(v1, v1, "s1")
-    again = QMatrix.from_json(a.to_json(frame="s1"))
-    assert again == a
-
-
-def test_qmatrix_from_json_refuses_what_to_json_cannot_write():
-    import json
-
-    data = json.loads(QMatrix([[1, qpow(1)]]).to_json())
-    assert QMatrix.from_json(json.dumps(data)) == QMatrix([[1, qpow(1)]])
-    # a string row iterates as its characters, so "12" once read as [1, 2]
-    for change, message in [({"entries": ["12"]}, "'entries' must be a list of lists of str"),
-                            ({"entries": "12", "rows": 2, "cols": 1}, "'entries' must be"),
-                            ({"entries": [[1, 2]]}, "'entries' must be"),
-                            ({"entries": [["1", None]]}, "'entries' must be"),
-                            ({"entries": None}, "'entries' must be"),
-                            ({"rows": "1"}, "'rows' must be an int"),
-                            ({"rows": True}, "'rows' must be an int"),
-                            ({"cols": 2.0}, "'cols' must be an int"),
-                            ({"cols": 3}, "inconsistent matrix dimensions")]:
-        with pytest.raises(ValueError, match=message):
-            QMatrix.from_json(json.dumps({**data, **change}))
-    for key, message in [("entries", "'entries' must be"), ("rows", "'rows' must be an int")]:
-        with pytest.raises(ValueError, match=message):
-            QMatrix.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
-    for text in ("[]", '[["1"]]', '"1"', "1", "null"):
-        with pytest.raises(ValueError, match="a matrix is a JSON object"):
-            QMatrix.from_json(text)
+    data = json.loads(a.to_json(frame="s1"))
+    assert (data["rows"], data["cols"], data["frame"]) == (4, 4, "s1")
+    assert [[parse_qrational(x) for x in row] for row in data["entries"]] == [
+        list(row) for row in a.entries]
+    assert "frame" not in json.loads(a.to_json())
 
 
 def test_apply_on_slots_matches_tensor_structure():
