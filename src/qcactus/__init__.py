@@ -4,7 +4,8 @@ The package has four layers:
 
   qexact   -- exact arithmetic in the rational functions of q^(1/2);
   groups   -- braid and cactus words, their symmetric group images, and
-              a generic relation verifier for concrete actions;
+              a generic relation verifier for concrete actions, each
+              permutation the tuple of images of the points 0 .. n-1;
   crystals -- sl2 chain crystals, tensor words, the two commutors, the
               cactus group action, coboundary checks, and the braiding
               obstruction;
@@ -128,7 +129,6 @@ _EXPORTS = {
         "parse_qrational",
     ),
     "groups": (
-        "Permutation",
         "BraidWord",
         "CactusWord",
         "s_hat",

@@ -7,10 +7,12 @@ square, disjointness and containment relations.  Both project onto the
 symmetric group: g(i) goes to the adjacent transposition and s(p,q) to
 the permutation reversing the interval p..q.
 
-Nothing here attempts the word problem: ``verify_action`` tests
-relations, pairs of tuples of generator keys, through a concrete action,
-the image lists of the generators on points numbered 0 .. n-1, and names
-a witness for every violation, each point at most once per call.
+A permutation has one form: the tuple of images of the points 0 .. n-1,
+point x - 1 standing for x, as ``s_hat`` builds it.  Nothing here attempts
+the word problem: ``verify_action`` tests relations, pairs of tuples of
+generator keys, through a concrete action, the image lists of the
+generators in that form, and names a witness for every violation, each
+point at most once per call; ``project_to_symmetric`` is such an action.
 """
 
 from functools import lru_cache
@@ -18,7 +20,6 @@ from functools import lru_cache
 from . import Record
 
 __all__ = [
-    "Permutation",
     "BraidWord",
     "CactusWord",
     "s_hat",
@@ -26,55 +27,19 @@ __all__ = [
     "project_to_symmetric",
     "RelationFailure",
     "verify_action",
-    "shat_images",
 ]
 
 
-class Permutation(Record):
-    """A bijection of {1, .., n}, stored as the tuple of images."""
-
-    __slots__ = ("images",)
-
-    def _validate(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(x) = p(q(x))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(x)) for x in range(1, self.n + 1)))
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.n
-        for x in range(1, self.n + 1):
-            out[self(x) - 1] = x
-        return Permutation(tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(self(x) == x for x in range(1, self.n + 1))
-
-
-def s_hat(p: int, q: int, n: int) -> Permutation:
-    """The interval-reversing permutation: fixes 1..p-1 and q+1..n,
-    sends x in p..q to p+q-x."""
-    if not 1 <= p < q <= n:
-        raise ValueError(f"need 1 <= p < q <= n, got p={p}, q={q}, n={n}")
-    return Permutation(
-        tuple(p + q - x if p <= x <= q else x for x in range(1, n + 1))
-    )
+def _check_word(letters, n):
+    """The type rule of a word: n an int >= 1 and the letters a tuple of pairs
+    of ints, each an int by type, so no bool or float."""
+    if type(n) is not int:
+        raise TypeError(f"a word takes an int n, got {n!r}")
+    if n < 1:
+        raise ValueError(f"a word needs n >= 1, got n={n}")
+    if type(letters) is not tuple or not all(
+            type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int for x in letters):
+        raise TypeError(f"a word's letters are a tuple of pairs of ints, got {letters!r}")
 
 
 class BraidWord(Record):
@@ -83,6 +48,7 @@ class BraidWord(Record):
     __slots__ = ("letters", "n")
 
     def _validate(self):
+        _check_word(self.letters, self.n)
         for i, e in self.letters:
             if not 1 <= i <= self.n - 1:
                 raise ValueError(f"generator index {i} out of range for n={self.n}")
@@ -99,9 +65,17 @@ class CactusWord(Record):
     __slots__ = ("letters", "n")
 
     def _validate(self):
+        _check_word(self.letters, self.n)
         for p, q in self.letters:
             if not 1 <= p < q <= self.n:
                 raise ValueError(f"bad interval ({p},{q}) for n={self.n}")
+
+
+def s_hat(p: int, q: int, n: int) -> tuple:
+    """The reversal of the interval p..q of 1..n as the images of the points
+    0 .. n-1: point x - 1 goes to p + q - x - 1 for x in p..q, the rest stay."""
+    CactusWord(((p, q),), n)  # the interval passes the rule of a one-letter word
+    return tuple(p + q - 2 - x if p <= x + 1 <= q else x for x in range(n))
 
 
 def cactus_relation_instances(n: int):
@@ -123,23 +97,31 @@ def cactus_relation_instances(n: int):
     return out
 
 
-def project_to_symmetric(word) -> Permutation:
-    """Image of a braid or cactus word in the symmetric group.
+def project_to_symmetric(word) -> tuple:
+    """Image of a braid or cactus word in S_n, in the form s_hat gives.
 
-    This is the word homomorphism sending s(p,q) to the interval
-    reversal and g(i)^(+-1) to the transposition (i, i+1); the empty
-    word maps to the identity.
+    The word homomorphism sends s(p,q) to the reversal of p..q and
+    g(i)^(+-1) to that of the interval (i, i+1); the empty word maps to
+    the identity.
     """
-    out = Permutation.identity(word.n)
     if isinstance(word, CactusWord):
-        for p, q in word.letters:
-            out = out * s_hat(p, q, word.n)
-        return out
-    if isinstance(word, BraidWord):
-        for i, _e in word.letters:  # a transposition is its own inverse
-            out = out * s_hat(i, i + 1, word.n)
-        return out
-    raise TypeError(f"expected BraidWord or CactusWord, got {type(word).__name__}")
+        intervals = word.letters
+    elif isinstance(word, BraidWord):
+        intervals = tuple((i, i + 1) for i, _e in word.letters)  # a transposition is its own inverse
+    else:
+        raise TypeError(f"expected BraidWord or CactusWord, got {type(word).__name__}")
+    images = {pq: s_hat(*pq, word.n) for pq in intervals}
+    return tuple(_apply_word(images, intervals, range(word.n)))
+
+
+def _apply_word(images, word, identity):
+    """The image list of a word under an action: the last letter applies
+    first, carrying the whole list of points at once by list indexing."""
+    xs = images[word[-1]] if word else identity
+    for letter in reversed(word[:-1]):
+        m = images[letter]
+        xs = [m[i] for i in xs]
+    return xs
 
 
 class RelationFailure(Record):
@@ -160,12 +142,11 @@ def verify_action(images: dict, relations, name=lambda i: i):
     The points are numbered 0 .. n-1, and ``images`` maps each generator
     key to the list of its image numbers, a bijection of 0 .. n-1;
     ``relations`` is a list of (left word, right word) pairs, each word a
-    sequence of generator keys.  Words act on the left, so the last letter
-    is applied first, and each side of a relation carries the whole list of
-    numbers at once by list indexing.  Returns one RelationFailure per
-    violated relation, carrying its first witness in ``str`` order of the
-    names, points with the same ``str`` in numbering order; ``name(i)``
-    names point i, only in a failure and at most once per call.
+    sequence of generator keys, applied by ``_apply_word``, last letter
+    first.  Returns one RelationFailure per violated relation, carrying its
+    first witness in ``str`` order of the names, points with the same
+    ``str`` in numbering order; ``name(i)`` names point i, only in a
+    failure and at most once per call.
     An empty domain or an empty list of relations is a ValueError.
     """
     identity = list(range(len(next(iter(images.values()), ()))))
@@ -187,30 +168,13 @@ def verify_action(images: dict, relations, name=lambda i: i):
     # the first letter's image is read as it is, so a list compares with a list
     images = {g: m if type(m) is list else list(m) for g, m in images.items()}
 
-    def apply_word(word):
-        xs = images[word[-1]] if word else identity
-        for letter in reversed(word[:-1]):
-            m = images[letter]
-            xs = [m[i] for i in xs]
-        return xs
-
     named = lru_cache(maxsize=None)(name)  # a point is named, and printed, once per call
     order = lru_cache(maxsize=None)(lambda x: (str(named(x)), x))
     failures = []
     for rel in relations:
-        lhs, rhs = apply_word(rel[0]), apply_word(rel[1])
+        lhs, rhs = _apply_word(images, rel[0], identity), _apply_word(images, rel[1], identity)
         if lhs != rhs:
             # one witness per violated relation: the first in str order
             x = min((x for x in identity if lhs[x] != rhs[x]), key=order)
             failures.append(RelationFailure(rel, named(x), named(lhs[x]), named(rhs[x])))
     return failures
-
-
-def shat_images(n: int) -> dict:
-    """Generator images for the interval reversals acting on {1..n}, with
-    point x numbered x - 1, as verify_action takes them."""
-    return {
-        (p, q): [s_hat(p, q, n)(x) - 1 for x in range(1, n + 1)]
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-    }

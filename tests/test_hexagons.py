@@ -5,7 +5,9 @@ unitarized flip . Rbar and its crystal limit, the commutor, are only
 coboundary: both hexagons fail on exactly the triples with no zero weight.
 Each side embeds its two-factor maps the same way, by the shapes around
 them: ``apply_on_slots`` on the quantum side, ``extend_map`` on the crystal
-side.  The cactus action on B(a)^(x3) does not factor through S_3.
+side.  The cactus action on B(a)^(x3) does not factor through S_3: the
+relation verifier passes the S_3 relation s(1,3) = s(1,2)s(2,3)s(1,2) on
+the interval reversals and fails it on the crystal action.
 
 References: Joyal-Street, "Braided tensor categories", Adv. Math. 102
 (1993); Henriques-Kamnitzer, "Crystals and coboundary categories",
@@ -16,8 +18,8 @@ from itertools import product
 
 import pytest
 
-from qcactus.crystals import cactus_action, commutor_c, extend_map
-from qcactus.groups import CactusWord, project_to_symmetric
+from qcactus.crystals import cactus_action, cactus_generator_images, commutor_c, extend_map
+from qcactus.groups import CactusWord, project_to_symmetric, s_hat, verify_action
 from qcactus.uqsl2 import apply_on_slots, braiding_matrix, module_for_shape, unitarized_matrix
 
 
@@ -90,5 +92,12 @@ def test_the_cactus_action_does_not_factor_through_s3(a, moved):
     s13 = cactus_action(shape, 1, 3)
     assert sum(i != j for i, j in enumerate(s13.index)) == moved
     # in S_3, s(1,3) is s(1,2) s(2,3) s(1,2), whose action here is the identity
-    assert project_to_symmetric(CactusWord(((1, 3),), 3)) == project_to_symmetric(
-        CactusWord(((1, 2), (2, 3), (1, 2)), 3))
+    relation = (((1, 3),), ((1, 2), (2, 3), (1, 2)))
+    assert project_to_symmetric(CactusWord(relation[0], 3)) == project_to_symmetric(
+        CactusWord(relation[1], 3)) == (2, 1, 0)
+    reversals = {pq: s_hat(*pq, 3) for pq in [(1, 2), (1, 3), (2, 3)]}
+    assert verify_action(reversals, [relation]) == []
+    name, images = cactus_generator_images(shape)
+    [failure] = verify_action(images, [relation], name)
+    assert failure.relation == relation
+    assert tuple(e.n for e in failure.witness.factors) == shape

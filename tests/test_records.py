@@ -31,7 +31,7 @@ from qcactus.crystals import (
     TensorWord,
     commutor_c,
 )
-from qcactus.groups import BraidWord, CactusWord, Permutation, RelationFailure
+from qcactus.groups import BraidWord, CactusWord, RelationFailure, s_hat
 from qcactus.qexact import ONE, ZERO, QRational, Qpow, parse_qrational, qpow
 from qcactus.uqsl2 import Kt07Report, ModuleComponent, QMatrix, UqModule, irreducible
 
@@ -40,7 +40,6 @@ V1 = irreducible(1)
 
 # (record class, field values in field order, repr)
 RECORDS = [
-    (Permutation, {"images": (2, 1, 3)}, "Permutation(images=(2, 1, 3))"),
     (BraidWord, {"letters": ((1, 1), (2, -1)), "n": 3},
      "BraidWord(letters=((1, 1), (2, -1)), n=3)"),
     (CactusWord, {"letters": ((1, 3), (1, 2)), "n": 3},
@@ -127,27 +126,55 @@ def test_other_value_types_refuse_deletion_too():
 
 
 def test_records_with_different_fields_differ():
-    assert Permutation((2, 1, 3)) != Permutation((1, 2, 3))
+    assert CactusWord(((1, 2),), 3) != CactusWord(((1, 3),), 3)
     assert CactusWord(((1, 2),), 3) != CactusWord(((1, 2),), 4)
     assert Kt07Report(1, 1, ()) != Kt07Report(1, 2, ())
-    assert {Permutation((2, 1)), Permutation((2, 1)), Permutation((1, 2))} == {
-        Permutation((1, 2)), Permutation((2, 1))}
+    assert {CactusWord(((1, 2),), 2), CactusWord(((1, 2),), 2), CactusWord((), 2)} == {
+        CactusWord((), 2), CactusWord(((1, 2),), 2)}
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Permutation((1, 1)), "not a permutation of 1..2: (1, 1)"),
-    (lambda: Permutation(images=(0, 1)), "not a permutation of 1..2: (0, 1)"),
     (lambda: BraidWord(((3, 1),), 3), "generator index 3 out of range for n=3"),
     (lambda: BraidWord(((1, 2),), 3), "exponent must be +-1, got 2"),
     (lambda: BraidWord(((1, 1), (4, -1)), 4), "generator index 4 out of range for n=4"),
     (lambda: CactusWord(((2, 2),), 3), "bad interval (2,2) for n=3"),
     (lambda: CactusWord(letters=((1, 4),), n=3), "bad interval (1,4) for n=3"),
+    (lambda: CactusWord((), 0), "a word needs n >= 1, got n=0"),
+    (lambda: BraidWord((), -1), "a word needs n >= 1, got n=-1"),
+    (lambda: s_hat(1, 2, 0), "a word needs n >= 1, got n=0"),
     (lambda: ChainElement(-1, -1), "highest weight must be nonnegative"),
     (lambda: ChainElement(n=2, j=1), "b_1 does not lie in the chain of weight 2"),
     (lambda: TensorWord(()), "tensor words must have at least one factor"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+# the two TypeError messages of the word rule, before the refused value
+LETTERS = "a word's letters are a tuple of pairs of ints, got "
+N = "a word takes an int n, got "
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: s_hat(1.0, 3, 3), LETTERS + "((1.0, 3),)"),
+    (lambda: s_hat(True, 3, 3), LETTERS + "((True, 3),)"),
+    (lambda: s_hat(1, 3, 3.0), N + "3.0"),
+    (lambda: CactusWord(((1.0, 3),), 3), LETTERS + "((1.0, 3),)"),
+    (lambda: CactusWord(((1, 2),), 2.5), N + "2.5"),
+    (lambda: CactusWord(((1, 2),), True), N + "True"),
+    (lambda: CactusWord([(1, 2)], 3), LETTERS + "[(1, 2)]"),
+    (lambda: CactusWord(((1, 2, 3),), 3), LETTERS + "((1, 2, 3),)"),
+    (lambda: BraidWord(((1, True),), 3), LETTERS + "((1, True),)"),
+    (lambda: BraidWord(((1.0, 1),), 3), LETTERS + "((1.0, 1),)"),
+    (lambda: BraidWord(((1, 1),), 3.0), N + "3.0"),
+    (lambda: BraidWord((1, 1), 3), LETTERS + "(1, 1)"),
+    (lambda: BraidWord(([1, 1],), 3), LETTERS + "([1, 1],)"),
+])
+def test_words_and_s_hat_take_ints_by_type(build, message):
+    # bools and floats compare equal to ints, so they are refused by type
+    with pytest.raises(TypeError) as info:
         build()
     assert str(info.value) == message
 
